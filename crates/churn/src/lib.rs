@@ -26,19 +26,33 @@
 //!   [`domus_core::DhtEngine`] through the streaming event surface,
 //!   pricing every operation in-line with `domus-sim`'s
 //!   [`domus_sim::EventPricer`] sink (no report materialisation on the
-//!   hot path), samples [`domus_core::BalanceSnapshot`]s per time
-//!   window, and (optionally) threads a [`domus_kv::KvService`] — or a
-//!   [`domus_kv::ReplicatedStore`] at a chosen replication factor —
-//!   through the run to measure keys migrated, lookup correctness,
-//!   per-window availability, and (replicated) per-window durability
-//!   (`keys_lost`/`keys_total`) plus quorum-read availability with an
-//!   anti-entropy repair pass at every window close. With
-//!   [`ChurnDriver::with_router`] the `domus-route` control plane rides
-//!   the replay: leases grant/renew/lapse on the sim clock, silent
-//!   stalls ([`EventKind::StallRank`]) fail over via lease expiry,
-//!   capacity degradations ([`EventKind::DegradeRank`]) trip the
-//!   hot-spot detector and shed vnodes until rebalanced — all
-//!   byte-deterministic, sampled into per-window route columns.
+//!   hot path) and closing one [`WindowSample`] per time window. It is
+//!   a replay core composed from five single-concern modules:
+//!   - `plant` — the engine, bare or threaded through a
+//!     [`domus_kv::KvService`] / a [`domus_kv::ReplicatedStore`] at a
+//!     chosen replication factor, behind one method per membership
+//!     operation; measures keys migrated, lookup correctness,
+//!     per-window availability, and (replicated) durability
+//!     (`keys_lost`/`keys_total`) plus quorum-read availability with an
+//!     anti-entropy repair pass at every window close;
+//!   - `roster` — live vnodes in creation order and the crashed list,
+//!     with every tag / rank / slice selection rule;
+//!   - `sample` — [`WindowSample`], [`RunTotals`], [`ChurnOutcome`] and
+//!     the CSV schema (one column table);
+//!   - `readers` — [`ChurnDriver::with_readers`]: paced reader threads
+//!     resolving reads against pinned snapshots during the replay;
+//!   - `route` — [`ChurnDriver::with_router`]: the `domus-route` control
+//!     plane riding the replay — leases grant/renew/lapse on the sim
+//!     clock, silent stalls ([`EventKind::StallRank`]) fail over via
+//!     lease expiry, capacity degradations ([`EventKind::DegradeRank`])
+//!     trip the hot-spot detector and shed vnodes until rebalanced —
+//!     all byte-deterministic, sampled into per-window route columns.
+//!
+//!   Two rules hold throughout (enforced in `plant`): with readers or a
+//!   router attached every operation **publishes the next routing epoch
+//!   before the store lock is released**, so a settled miss is genuine;
+//!   without them **nothing is published per operation** — a snapshot
+//!   costs several times the step it would follow.
 //!
 //! ```
 //! use domus_churn::{Capacity, ChurnDriver, DriverConfig, Lifetime, Process, Scenario};

@@ -1,0 +1,105 @@
+//! Golden CSVs: the per-window output of every plant on every backend,
+//! pinned by digest.
+//!
+//! The twelve digests below were captured from the monolithic
+//! `driver.rs` (one file forking every operation over plant × serve
+//! mode) immediately before it was split into `driver/{plant, roster,
+//! sample, readers, route}`. Replaying the same seeded stream must
+//! reproduce them bit for bit — a column dropped, reordered or
+//! reformatted, a roster rule changed, or a publish moved shows up here
+//! before it shows up in `results/*.csv`.
+
+use domus_ch::ChEngine;
+use domus_churn::{Capacity, ChurnDriver, ChurnOutcome, DriverConfig, Lifetime, Process, Scenario};
+use domus_core::{DhtConfig, DhtEngine, GlobalDht, LocalDht};
+use domus_hashspace::HashSpace;
+use domus_route::RouterConfig;
+use domus_sim::SimTime;
+
+const SEED: u64 = 2004;
+
+/// FNV-1a over the CSV with the one wall-clock column blanked.
+fn digest(outcome: &ChurnOutcome) -> u64 {
+    let csv = outcome.csv_string();
+    let wall =
+        csv.lines().next().and_then(|h| h.split(',').position(|c| c == "wal_replay_ms")).unwrap();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for line in csv.lines() {
+        for (i, cell) in line.split(',').enumerate() {
+            let cell = if i == wall { "" } else { cell };
+            for b in cell.bytes().chain([b',']) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h = (h ^ u64::from(b'\n')).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// A compact storm that reaches every graceful and ungraceful roster
+/// rule: tagged leaves, a wrap-around `FailSlice`, rank crashes (which
+/// the plain KV plant degrades to removals) and crash-then-rejoin pairs.
+fn storm() -> Scenario {
+    Scenario::new(SimTime::millis(120_000))
+        .with(Process::InitialFleet { nodes: 8, capacity: Capacity::Uniform { lo: 1, hi: 2 } })
+        .with(Process::Poisson {
+            rate_per_s: 1.0,
+            lifetime: Lifetime::Exponential { mean: SimTime::millis(20_000) },
+            capacity: Capacity::Uniform { lo: 1, hi: 2 },
+        })
+        .with(Process::RandomCrashes { rate_per_s: 0.05 })
+        .with(Process::CrashRejoin {
+            at: SimTime::millis(40_000),
+            cycles: 2,
+            spread: SimTime::millis(10_000),
+            downtime: SimTime::millis(15_000),
+        })
+        .with(Process::GroupFailure { at: SimTime::millis(80_000), fraction: 0.25 })
+}
+
+/// The four plants, each on the scenario that exercises it.
+fn plants<E: DhtEngine + Send + Sync>(engine: impl Fn() -> E) -> [u64; 4] {
+    let cfg = DriverConfig::default();
+    let fine = DriverConfig { window: SimTime::millis(10_000), ..cfg };
+    let storm = storm().build(SEED);
+    let durability = Scenario::durability(1.0).build(SEED);
+    let hotspot = Scenario::hotspot_failover().build(SEED);
+    [
+        digest(&ChurnDriver::new(engine(), fine).run(&storm)),
+        digest(&ChurnDriver::with_kv(engine(), fine, 500, 16).run(&storm)),
+        digest(&ChurnDriver::with_replication(engine(), cfg, 500, 16, 2).run(&durability)),
+        digest(
+            &ChurnDriver::with_replication(engine(), cfg, 500, 16, 2)
+                .with_router(RouterConfig::default())
+                .run(&hotspot),
+        ),
+    ]
+}
+
+fn cfg(vmin: u64) -> DhtConfig {
+    DhtConfig::new(HashSpace::full(), 8, vmin).expect("powers of two")
+}
+
+#[test]
+fn local_csvs_match_the_golden_digests() {
+    assert_eq!(
+        plants(|| LocalDht::with_seed(cfg(8), SEED)),
+        [0x2a246aeba8202ec8, 0x22d2bafc5bb2112c, 0x66ad5c97e7f650ec, 0x945ac29a785c7ee1]
+    );
+}
+
+#[test]
+fn global_csvs_match_the_golden_digests() {
+    assert_eq!(
+        plants(|| GlobalDht::with_seed(cfg(1), SEED)),
+        [0x561c43b01f40f21a, 0xab7a11f4ef3a5d64, 0x907db163bf910ffe, 0xd81312f98b92f0fd]
+    );
+}
+
+#[test]
+fn ch_csvs_match_the_golden_digests() {
+    assert_eq!(
+        plants(|| ChEngine::with_seed(cfg(1), 32, SEED ^ 0xCC)),
+        [0x635ef507296d1ad1, 0xa864ba9e5cdc59f6, 0x7ef1df1201ce54d8, 0xe8bac89a2de6bbbe]
+    );
+}

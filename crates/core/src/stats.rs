@@ -29,7 +29,7 @@ pub fn snode_count<E: DhtEngine + ?Sized>(dht: &E) -> usize {
 /// A point-in-time balance/shape sample of an engine — everything the
 /// churn driver records per observation window, gathered in **one pass**
 /// over the live vnodes (cheap enough to sample at a high cadence).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BalanceSnapshot {
     /// Live vnodes `V`.
     pub vnodes: usize,

@@ -182,6 +182,14 @@ pub fn run(ctx: &Ctx, events: Option<usize>, readers: usize) -> ExpReport {
         assert_eq!(o.totals.lost_lookups, 0, "{name}: churn lost data");
         if readers > 0 {
             assert_eq!(o.totals.read_errors, 0, "{name}: serving plane failed a read");
+            // A retry is counted only when the route actually moved, so
+            // the rate is a route-movement figure and holds a fixed
+            // ceiling (observed: under 0.005 on every backend).
+            assert!(
+                o.totals.stale_rate <= 0.25,
+                "{name}: stale-retry rate {:.4} blew the 0.25 ceiling",
+                o.totals.stale_rate
+            );
         }
     }
     let get = |n: &str| &cmp.outcomes.iter().find(|(b, _)| *b == n).expect("backend ran").1;

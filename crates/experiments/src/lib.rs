@@ -11,7 +11,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ablations;
-pub mod benchsum;
 pub mod churnx;
 pub mod claims;
 pub mod fig4;
@@ -71,15 +70,12 @@ pub struct ExpReport {
     pub id: String,
     /// Lines for `results/summary.txt` / EXPERIMENTS.md.
     pub summary: Vec<String>,
-    /// `true` when a gated check failed — the dispatcher exits non-zero
-    /// after printing the summary (used by `bench-summary --gate`).
-    pub failed: bool,
 }
 
 impl ExpReport {
     /// A report for `id`.
     pub fn new(id: impl Into<String>) -> Self {
-        Self { id: id.into(), summary: Vec::new(), failed: false }
+        Self { id: id.into(), summary: Vec::new() }
     }
 
     /// Appends a summary line (also echoed to stdout by the dispatcher).

@@ -22,12 +22,6 @@
 //!                                      silent-stall failover via lease expiry,
 //!                                      R=2, all backends
 //!                                      (--events N truncates the stream)
-//!   bench-summary                      events/sec of the churn hot path per
-//!                                      backend → BENCH_churn.json
-//!                                      (--baseline FILE embeds a previous
-//!                                      run for before/after comparison;
-//!                                      --gate PCT exits non-zero when any
-//!                                      backend regresses more than PCT%)
 //!   all                                everything above, sharing runs
 //! ```
 
@@ -36,10 +30,10 @@ use std::io::Write as _;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--quick] [--runs N] [--vnodes N] [--seed S] [--events N] [--readers N] [--rejoin] [--baseline FILE] [--gate PCT] [--out DIR] <command>\n\
+        "usage: repro [--quick] [--runs N] [--vnodes N] [--seed S] [--events N] [--readers N] [--rejoin] [--out DIR] <command>\n\
          commands: fig4 fig5 fig6 fig7 fig8 fig9 | claim-pv claim-30 claim-8k claim-zone1 claim-g512 |\n          \
          abl-victim abl-container abl-splitsel | het | sim-makespan sim-msgs sim-mem | kv-migrate |\n          \
-         churn | churn-repl | churn-route | bench-summary | all"
+         churn | churn-repl | churn-route | all"
     );
     std::process::exit(2);
 }
@@ -57,8 +51,6 @@ fn main() {
     let mut events: Option<usize> = None;
     let mut readers: usize = 0;
     let mut rejoin = false;
-    let mut baseline: Option<std::path::PathBuf> = None;
-    let mut gate: Option<f64> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -87,14 +79,6 @@ fn main() {
             "--out" => {
                 i += 1;
                 out_dir = Some(args.get(i).map(Into::into).unwrap_or_else(|| usage()));
-            }
-            "--baseline" => {
-                i += 1;
-                baseline = Some(args.get(i).map(Into::into).unwrap_or_else(|| usage()));
-            }
-            "--gate" => {
-                i += 1;
-                gate = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()));
             }
             c if !c.starts_with('-') && cmd.is_none() => cmd = Some(c.to_string()),
             _ => usage(),
@@ -143,7 +127,6 @@ fn main() {
             replx::run(&ctx, events)
         }),
         "churn-route" => reports.push(routex::run(&ctx, events)),
-        "bench-summary" => reports.push(benchsum::run(&ctx, events, baseline.as_deref(), gate)),
         "all" => {
             // FIG4 feeds FIG5 and CLAIM-30, so compute it once.
             let fig4_data = fig4::compute(&ctx);
@@ -195,8 +178,4 @@ fn main() {
     let mut f = std::fs::File::create(&path).expect("summary file");
     f.write_all(summary.as_bytes()).expect("write summary");
     println!("\nsummary written to {}", path.display());
-
-    if reports.iter().any(|r| r.failed) {
-        std::process::exit(1);
-    }
 }
