@@ -350,6 +350,23 @@ impl ChurnOutcome {
         String::from_utf8(buf).expect("CSV is ASCII")
     }
 
+    /// FNV-1a over the CSV with the one wall-clock column
+    /// (`wal_replay_ms`) blanked — what the golden tests pin.
+    pub fn csv_digest(&self) -> u64 {
+        let wall = COLUMNS.iter().position(|(name, _)| *name == "wal_replay_ms");
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for line in self.csv_string().lines() {
+            for (i, cell) in line.split(',').enumerate() {
+                let cell = if Some(i) == wall { "" } else { cell };
+                for b in cell.bytes().chain([b',']) {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            h = (h ^ u64::from(b'\n')).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
     /// Extracts a named time series `(t_ms, pick(window))` for plotting.
     pub fn series(&self, name: impl Into<String>, pick: impl Fn(&WindowSample) -> f64) -> Series {
         Series::new(

@@ -10,31 +10,13 @@
 //! before it shows up in `results/*.csv`.
 
 use domus_ch::ChEngine;
-use domus_churn::{Capacity, ChurnDriver, ChurnOutcome, DriverConfig, Lifetime, Process, Scenario};
+use domus_churn::{Capacity, ChurnDriver, DriverConfig, Lifetime, Process, Scenario};
 use domus_core::{DhtConfig, DhtEngine, GlobalDht, LocalDht};
 use domus_hashspace::HashSpace;
 use domus_route::RouterConfig;
 use domus_sim::SimTime;
 
 const SEED: u64 = 2004;
-
-/// FNV-1a over the CSV with the one wall-clock column blanked.
-fn digest(outcome: &ChurnOutcome) -> u64 {
-    let csv = outcome.csv_string();
-    let wall =
-        csv.lines().next().and_then(|h| h.split(',').position(|c| c == "wal_replay_ms")).unwrap();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for line in csv.lines() {
-        for (i, cell) in line.split(',').enumerate() {
-            let cell = if i == wall { "" } else { cell };
-            for b in cell.bytes().chain([b',']) {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h = (h ^ u64::from(b'\n')).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A compact storm that reaches every graceful and ungraceful roster
 /// rule: tagged leaves, a wrap-around `FailSlice`, rank crashes (which
@@ -65,14 +47,13 @@ fn plants<E: DhtEngine + Send + Sync>(engine: impl Fn() -> E) -> [u64; 4] {
     let durability = Scenario::durability(1.0).build(SEED);
     let hotspot = Scenario::hotspot_failover().build(SEED);
     [
-        digest(&ChurnDriver::new(engine(), fine).run(&storm)),
-        digest(&ChurnDriver::with_kv(engine(), fine, 500, 16).run(&storm)),
-        digest(&ChurnDriver::with_replication(engine(), cfg, 500, 16, 2).run(&durability)),
-        digest(
-            &ChurnDriver::with_replication(engine(), cfg, 500, 16, 2)
-                .with_router(RouterConfig::default())
-                .run(&hotspot),
-        ),
+        ChurnDriver::new(engine(), fine).run(&storm).csv_digest(),
+        ChurnDriver::with_kv(engine(), fine, 500, 16).run(&storm).csv_digest(),
+        ChurnDriver::with_replication(engine(), cfg, 500, 16, 2).run(&durability).csv_digest(),
+        ChurnDriver::with_replication(engine(), cfg, 500, 16, 2)
+            .with_router(RouterConfig::default())
+            .run(&hotspot)
+            .csv_digest(),
     ]
 }
 

@@ -11,9 +11,10 @@
 //! join with a weight, change weight (grow/shrink enrollment), leave — all
 //! implemented with the engine's create/remove primitives.
 
-use crate::engine::{CreateReport, DhtEngine, RemoveReport};
+use crate::engine::{DhtEngine, RenameWatch};
 use crate::errors::DhtError;
 use crate::ids::{SnodeId, VnodeId};
+use crate::sink::NullSink;
 use domus_metrics::rel_std_dev_pct;
 use std::collections::BTreeMap;
 
@@ -102,34 +103,32 @@ impl<E: DhtEngine> Cluster<E> {
 
     /// Enrolls a new node with `weight`, creating its vnodes one at a time
     /// (each creation is a full model balancement event).
-    pub fn join(&mut self, weight: f64) -> Result<(SnodeId, Vec<CreateReport>), DhtError> {
+    pub fn join(&mut self, weight: f64) -> Result<SnodeId, DhtError> {
         let s = SnodeId(self.next_snode);
         self.next_snode += 1;
         let n = self.policy.vnodes_for(weight);
-        let mut reports = Vec::with_capacity(n as usize);
         let mut vnodes = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            let (v, rep) = self.engine.create_vnode(s)?;
-            vnodes.push(v);
-            reports.push(rep);
+            vnodes.push(self.engine.create_vnode_with(s, &mut NullSink)?.vnode);
         }
         self.nodes.insert(s, NodeInfo { weight, vnodes });
-        Ok((s, reports))
+        Ok(s)
     }
 
-    /// Applies a removal's side effects to the handle bookkeeping: the
-    /// deletion extension may internally *migrate* a vnode (remove `old`,
-    /// re-create it as `new` under the same snode in another group), which
-    /// retires the old handle.
-    fn absorb_report(&mut self, report: &RemoveReport) {
-        if let Some((old, new)) = report.migrated {
-            for info in self.nodes.values_mut() {
-                if let Some(slot) = info.vnodes.iter_mut().find(|v| **v == old) {
-                    *slot = new;
-                    return;
-                }
+    /// Removes `v` and applies the removal's side effect to the handle
+    /// bookkeeping: the deletion extension may internally *migrate* a
+    /// vnode (remove `old`, re-create it as `new` under the same snode in
+    /// another group), which retires the old handle. Returns that rename.
+    fn remove(&mut self, v: VnodeId) -> Result<Option<(VnodeId, VnodeId)>, DhtError> {
+        let mut watch = RenameWatch { out: &mut NullSink, renamed: None };
+        self.engine.remove_vnode_with(v, &mut watch)?;
+        if let Some((old, new)) = watch.renamed {
+            let mut tracked = self.nodes.values_mut().flat_map(|info| &mut info.vnodes);
+            if let Some(slot) = tracked.find(|v| **v == old) {
+                *slot = new;
             }
         }
+        Ok(watch.renamed)
     }
 
     /// Changes a node's enrollment (on-line re-enrollment, §2.1.2: "that
@@ -137,42 +136,36 @@ impl<E: DhtEngine> Cluster<E> {
     /// hot-swapping mechanisms"). Creates or removes vnodes to match.
     pub fn set_weight(&mut self, s: SnodeId, weight: f64) -> Result<(), DhtError> {
         let target = {
-            let info = self.nodes.get_mut(&s).ok_or(DhtError::UnknownVnode(VnodeId(u32::MAX)))?;
+            let info = self.nodes.get_mut(&s).ok_or(DhtError::EmptySnode(s))?;
             info.weight = weight;
             self.policy.vnodes_for(weight) as usize
         };
         while self.nodes[&s].vnodes.len() < target {
-            let (v, _) = self.engine.create_vnode(s)?;
+            let v = self.engine.create_vnode_with(s, &mut NullSink)?.vnode;
             self.nodes.get_mut(&s).expect("checked").vnodes.push(v);
         }
         while self.nodes[&s].vnodes.len() > target {
             let v = self.nodes.get_mut(&s).expect("checked").vnodes.pop().expect("non-empty");
-            let report = self.engine.remove_vnode(v)?;
-            self.absorb_report(&report);
+            self.remove(v)?;
         }
         Ok(())
     }
 
     /// Withdraws a node entirely, removing all its vnodes.
-    pub fn leave(&mut self, s: SnodeId) -> Result<Vec<RemoveReport>, DhtError> {
-        let info = self.nodes.remove(&s).ok_or(DhtError::UnknownVnode(VnodeId(u32::MAX)))?;
-        let mut reports = Vec::with_capacity(info.vnodes.len());
-        let mut pending: Vec<VnodeId> = info.vnodes;
+    pub fn leave(&mut self, s: SnodeId) -> Result<(), DhtError> {
+        let mut pending = self.nodes.remove(&s).ok_or(DhtError::EmptySnode(s))?.vnodes;
         while let Some(v) = pending.pop() {
-            let report = self.engine.remove_vnode(v)?;
             // A migration may have renamed one of this node's own pending
             // vnodes; patch the local work list as well as other nodes'.
-            if let Some((old, new)) = report.migrated {
+            if let Some((old, new)) = self.remove(v)? {
                 for slot in pending.iter_mut() {
                     if *slot == old {
                         *slot = new;
                     }
                 }
             }
-            self.absorb_report(&report);
-            reports.push(report);
         }
-        Ok(reports)
+        Ok(())
     }
 
     /// Per-node quotas `(snode, Qn)` in id order — `Qn` is the sum of the
@@ -236,7 +229,7 @@ mod tests {
         for _ in 0..6 {
             c.join(1.0).unwrap();
         }
-        let (big, _) = c.join(3.0).unwrap();
+        let big = c.join(3.0).unwrap();
         // The weight-3 node hosts 3× the vnodes and so ~3× the quota.
         let quotas = c.node_quotas();
         let big_q = quotas.iter().find(|(s, _)| *s == big).unwrap().1;
@@ -261,7 +254,7 @@ mod tests {
     #[test]
     fn set_weight_grows_and_shrinks() {
         let mut c = cluster();
-        let (s, _) = c.join(1.0).unwrap();
+        let s = c.join(1.0).unwrap();
         c.join(1.0).unwrap();
         assert_eq!(c.vnodes_of(s).unwrap().len(), 4);
         c.set_weight(s, 2.0).unwrap();
@@ -274,16 +267,25 @@ mod tests {
     #[test]
     fn leave_removes_all_vnodes() {
         let mut c = cluster();
-        let (a, _) = c.join(1.0).unwrap();
-        let (b, _) = c.join(2.0).unwrap();
+        let a = c.join(1.0).unwrap();
+        let b = c.join(2.0).unwrap();
         let before = c.engine().vnode_count();
         assert_eq!(before, 12);
-        let reports = c.leave(b).unwrap();
-        assert_eq!(reports.len(), 8);
+        c.leave(b).unwrap();
         assert_eq!(c.engine().vnode_count(), 4);
         assert_eq!(c.node_count(), 1);
         assert!(c.vnodes_of(a).is_some());
         c.engine().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn unknown_snode_is_reported_by_its_own_id() {
+        let mut c = cluster();
+        c.join(1.0).unwrap();
+        let stranger = SnodeId(7);
+        assert_eq!(c.set_weight(stranger, 2.0), Err(DhtError::EmptySnode(stranger)));
+        assert_eq!(c.leave(stranger), Err(DhtError::EmptySnode(stranger)));
+        assert_eq!(c.engine().vnode_count(), 4, "nothing mutated");
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! Membership operations stream typed [`RebalanceEvent`]s into a
 //! caller-supplied [`RebalanceSink`] while they run
 //! ([`DhtEngine::create_vnode_with`] / [`DhtEngine::remove_vnode_with`] /
-//! the batched [`DhtEngine::apply`]); the legacy report-returning methods
-//! remain as provided shims built on the [`crate::CollectReport`] sink.
+//! the batched [`DhtEngine::apply`]). Library code passes a sink —
+//! [`crate::NullSink`] when only the outcome matters, [`crate::CountOnly`]
+//! for tallies; the report-returning [`DhtEngine::create_vnode`] /
+//! [`DhtEngine::remove_vnode`] remain as provided shims over the
+//! [`crate::CollectReport`] sink for tests, benches and examples.
 //! The trait is dyn-compatible: `&mut dyn DhtEngine` drives any backend.
 
 use crate::config::DhtConfig;
@@ -90,12 +93,12 @@ pub struct RejoinOutcome {
 }
 
 /// Observes [`RebalanceEvent::VnodeMigrated`] renames passing through a
-/// removal, forwarding everything — shared by [`DhtEngine::apply`] and
-/// [`DhtEngine::fail_snode`], whose pending-op patching must follow the
-/// rename.
-struct RenameWatch<'a> {
-    out: &'a mut dyn RebalanceSink,
-    renamed: Option<(VnodeId, VnodeId)>,
+/// removal, forwarding everything — shared by [`DhtEngine::apply`],
+/// [`DhtEngine::fail_snode`] and [`crate::Cluster`], whose pending-op
+/// patching must follow the rename.
+pub(crate) struct RenameWatch<'a> {
+    pub(crate) out: &'a mut dyn RebalanceSink,
+    pub(crate) renamed: Option<(VnodeId, VnodeId)>,
 }
 
 impl RebalanceSink for RenameWatch<'_> {

@@ -7,7 +7,8 @@ use crate::ids::{SnodeId, VnodeId};
 pub enum DhtError {
     /// The vnode handle does not exist or was deleted.
     UnknownVnode(VnodeId),
-    /// A crash was requested for a snode that hosts no live vnodes.
+    /// The snode hosts no live vnodes: a crash of, or a [`crate::Cluster`]
+    /// operation on, a snode the DHT does not know.
     EmptySnode(SnodeId),
     /// The operation needs at least one vnode but the DHT is empty.
     Empty,

@@ -1,35 +1,26 @@
 //! Ablations over the model's open policy choices (DESIGN.md §7):
 //! ABL-VICTIM, ABL-CONTAINER, ABL-SPLITSEL.
 
+use crate::compare::params;
 use crate::output::write_csv;
 use crate::runner::{average_runs, derive_seed};
 use crate::{Ctx, ExpReport};
 use domus_core::{
-    ContainerChoice, DhtConfig, DhtEngine, LocalDht, SnodeId, SplitSelection, VictimPartitionPolicy,
+    ContainerChoice, CountOnly, DhtConfig, DhtEngine, LocalDht, NullSink, SnodeId, SplitSelection,
+    VictimPartitionPolicy,
 };
 use domus_hashspace::HashSpace;
 use domus_metrics::table::{num, Table};
 
-fn params(ctx: &Ctx) -> (u64, u64) {
-    if ctx.n >= 512 {
-        (32, 32)
-    } else {
-        (8, 8)
-    }
-}
-
-fn growth_with(cfg: DhtConfig, n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, u64) {
+fn growth_with(cfg: DhtConfig, n: usize, seed: u64) -> (Vec<f64>, u64) {
     let mut dht = LocalDht::with_seed(cfg, seed);
     let mut qv = Vec::with_capacity(n);
-    let mut qg = Vec::with_capacity(n);
-    let mut transfers = 0u64;
+    let mut counts = CountOnly::default();
     for i in 0..n {
-        let (_, rep) = dht.create_vnode(SnodeId(i as u32)).expect("growth");
-        transfers += rep.transfers.len() as u64;
+        dht.create_vnode_with(SnodeId(i as u32), &mut counts).expect("growth");
         qv.push(dht.vnode_quota_relstd_pct());
-        qg.push(dht.group_quota_relstd_pct());
     }
-    (qv, qg, transfers)
+    (qv, counts.transfers)
 }
 
 /// **ABL-VICTIM** — the donor-partition choice (First/Last/Random). Within
@@ -76,7 +67,7 @@ pub fn abl_victim(ctx: &Ctx) -> ExpReport {
         let mut transfers = 0u64;
         for r in 0..runs {
             transfers +=
-                growth_with(cfg, ctx.n.min(256), derive_seed(&ctx.seeds, "abl-victim-tr", r)).2;
+                growth_with(cfg, ctx.n.min(256), derive_seed(&ctx.seeds, "abl-victim-tr", r)).1;
         }
         t.row(&[name.to_string(), num(end, 2), format!("{}", transfers / runs)]);
         ends.push(end);
@@ -157,7 +148,8 @@ pub fn abl_splitsel(ctx: &Ctx) -> ExpReport {
                 let mut dht = LocalDht::with_seed(cfg, seed);
                 let mut out = Vec::with_capacity(ctx.n);
                 for i in 0..ctx.n {
-                    dht.create_vnode(SnodeId(i as u32 % snodes)).expect("growth");
+                    dht.create_vnode_with(SnodeId(i as u32 % snodes), &mut NullSink)
+                        .expect("growth");
                     out.push(dht.vnode_quota_relstd_pct());
                 }
                 out
@@ -170,7 +162,7 @@ pub fn abl_splitsel(ctx: &Ctx) -> ExpReport {
         // LPDR burden measured on one representative run.
         let mut dht = LocalDht::with_seed(cfg, derive_seed(&ctx.seeds, "abl-splitsel-burden", 1));
         for i in 0..ctx.n {
-            dht.create_vnode(SnodeId(i as u32 % snodes)).expect("growth");
+            dht.create_vnode_with(SnodeId(i as u32 % snodes), &mut NullSink).expect("growth");
         }
         let mut per_snode: std::collections::BTreeMap<u32, std::collections::BTreeSet<String>> =
             Default::default();
@@ -199,10 +191,9 @@ mod tests {
         // influence anything, so quota traces are identical per event.
         let cfg = DhtConfig::new(HashSpace::full(), 8, 8).unwrap();
         let n = 16; // Vmax
-        let (a, _, ta) = growth_with(cfg.with_victim_partition(VictimPartitionPolicy::Last), n, 7);
-        let (b, _, tb) = growth_with(cfg.with_victim_partition(VictimPartitionPolicy::First), n, 7);
-        let (c, _, tc) =
-            growth_with(cfg.with_victim_partition(VictimPartitionPolicy::Random), n, 7);
+        let (a, ta) = growth_with(cfg.with_victim_partition(VictimPartitionPolicy::Last), n, 7);
+        let (b, tb) = growth_with(cfg.with_victim_partition(VictimPartitionPolicy::First), n, 7);
+        let (c, tc) = growth_with(cfg.with_victim_partition(VictimPartitionPolicy::Random), n, 7);
         assert_eq!(a, b, "quota traces are count-determined");
         assert_eq!(a, c);
         assert_eq!(ta, tb);
@@ -216,7 +207,7 @@ mod tests {
                 DhtConfig::new(HashSpace::full(), 4, 4).unwrap().with_container_choice(choice);
             let mut dht = LocalDht::with_seed(cfg, 3);
             for i in 0..60u32 {
-                dht.create_vnode(SnodeId(i)).unwrap();
+                dht.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
             }
             dht.check_invariants().unwrap();
         }
@@ -228,7 +219,7 @@ mod tests {
             let cfg = DhtConfig::new(HashSpace::full(), 4, 4).unwrap().with_split_selection(sel);
             let mut dht = LocalDht::with_seed(cfg, 3);
             for i in 0..60u32 {
-                dht.create_vnode(SnodeId(i % 8)).unwrap();
+                dht.create_vnode_with(SnodeId(i % 8), &mut NullSink).unwrap();
             }
             dht.check_invariants().unwrap();
         }

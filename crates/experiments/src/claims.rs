@@ -2,7 +2,8 @@
 //! experiment (ids CLAIM-PV, CLAIM-30, CLAIM-8K, CLAIM-Z1, CLAIM-G512 in
 //! DESIGN.md §4).
 
-use crate::fig4::{compute as fig4_compute, Fig4Data};
+use crate::compare::params;
+use crate::fig4;
 use crate::output::write_csv;
 use crate::runner::{average_runs, derive_seed, global_growth, local_growth};
 use crate::{Ctx, ExpReport};
@@ -87,22 +88,10 @@ pub fn claim_pv(ctx: &Ctx) -> ExpReport {
 /// **CLAIM-30** — §4.1.1: "each time Pmin and Vmin double, σ̄(Qv)
 /// decreases by nearly 30%." Ratios of consecutive zone-2 plateaus from
 /// the FIG4 sweep.
-pub fn claim_30(ctx: &Ctx, fig4: Option<&Fig4Data>) -> ExpReport {
+pub fn claim_30(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("CLAIM-30");
-    let owned;
-    let data = match fig4 {
-        Some(d) => d,
-        None => {
-            owned = fig4_compute(ctx);
-            &owned
-        }
-    };
-    let plateaus: Vec<f64> = data
-        .values
-        .iter()
-        .zip(&data.curves)
-        .map(|(v, c)| c.mean_y_in((4 * v + 1) as f64, ctx.n as f64))
-        .collect();
+    let data = fig4::compute(ctx);
+    let plateaus = data.plateaus(ctx.n);
 
     let mut t = Table::new(&["doubling", "plateau before %", "plateau after %", "ratio", "drop %"]);
     let mut drops = Vec::new();
@@ -131,7 +120,7 @@ pub fn claim_8k(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("CLAIM-8K");
     let n = if ctx.n >= 1024 { 8192 } else { ctx.n * 4 };
     let runs = (ctx.runs / 5).max(2);
-    let (pmin, vmin) = if ctx.n >= 512 { (32, 32) } else { (8, 8) };
+    let (pmin, vmin) = params(ctx);
     let cfg = DhtConfig::new(HashSpace::full(), pmin, vmin).expect("powers of two");
     let curve = average_runs("σ̄(Qv)", "claim-8k", &ctx.seeds, runs, n, move |seed| {
         local_growth(cfg, n, seed).iter().map(|g| g.vnode_relstd).collect()
@@ -201,7 +190,9 @@ pub fn claim_zone1(ctx: &Ctx) -> ExpReport {
 pub fn claim_g512(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("CLAIM-G512");
     let n = ctx.n;
-    let vmin = (n as u64) / 2;
+    // One group for the whole run needs Vmax = 2·Vmin ≥ n; Vmin must be a
+    // power of two (1024 → the paper's 512; `--quick`'s 192 → 128).
+    let vmin = (n as u64).div_ceil(2).next_power_of_two();
     let pmin = 32u64.min(vmin);
     let local_cfg = DhtConfig::new(HashSpace::full(), pmin, vmin).expect("powers of two");
     let global_cfg = DhtConfig::new(HashSpace::full(), pmin, 1).expect("powers of two");
@@ -221,6 +212,13 @@ pub fn claim_g512(ctx: &Ctx) -> ExpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn g512_runs_at_quick_scale() {
+        // n = 192: Vmin = n/2 = 96 is no power of two and used to panic.
+        let rep = claim_g512(&Ctx::quick(std::env::temp_dir().join("domus-claims-test")));
+        assert!(rep.summary[0].starts_with("Vmin=128: max deviation"), "{:?}", rep.summary);
+    }
 
     #[test]
     fn zone1_gap_is_zero() {

@@ -16,6 +16,7 @@ use domus_metrics::series::Series;
 use domus_metrics::table::{num, Table};
 
 /// Result bundle: one averaged curve per diagonal `(Pmin, Vmin)` value.
+#[derive(Debug, Clone)]
 pub struct Fig4Data {
     /// The diagonal values actually swept.
     pub values: Vec<u64>,
@@ -23,8 +24,21 @@ pub struct Fig4Data {
     pub curves: Vec<Series>,
 }
 
-/// Runs the sweep and returns the curves (shared with FIG5 and CLAIM-30).
-pub fn compute(ctx: &Ctx) -> Fig4Data {
+impl Fig4Data {
+    /// Each curve's zone-2 plateau: its mean over `4·Vmin < V ≤ n`.
+    pub(crate) fn plateaus(&self, n: usize) -> Vec<f64> {
+        let plateau = |(v, c): (&u64, &Series)| c.mean_y_in((4 * v + 1) as f64, n as f64);
+        self.values.iter().zip(&self.curves).map(plateau).collect()
+    }
+}
+
+/// The sweep's curves, computed on first use and then shared through
+/// `ctx` with FIG5 and CLAIM-30.
+pub fn compute(ctx: &Ctx) -> &Fig4Data {
+    ctx.fig4.get_or_init(|| sweep(ctx))
+}
+
+fn sweep(ctx: &Ctx) -> Fig4Data {
     let values = ctx.diagonal_values();
     let space = HashSpace::full();
     let curves = values
@@ -80,8 +94,7 @@ pub fn run(ctx: &Ctx) -> ExpReport {
     }
     println!("{}", t.render());
 
-    for (v, c) in data.values.iter().zip(&data.curves) {
-        let plateau = c.mean_y_in((4 * v + 1) as f64, ctx.n as f64);
+    for ((v, c), plateau) in data.values.iter().zip(&data.curves).zip(data.plateaus(ctx.n)) {
         let end = c.last_y().unwrap_or(f64::NAN);
         rep.note(format!(
             "(Pmin,Vmin)=({v},{v}): plateau mean {:.2}% | value at V={} : {:.2}%",
@@ -102,12 +115,7 @@ mod tests {
             Ctx { runs: 6, n: 160, ..Ctx::quick(std::env::temp_dir().join("domus-fig4-test")) };
         let data = compute(&ctx);
         assert!(data.values.len() >= 2);
-        let plateaus: Vec<f64> = data
-            .values
-            .iter()
-            .zip(&data.curves)
-            .map(|(v, c)| c.mean_y_in((4 * v + 1) as f64, ctx.n as f64))
-            .collect();
+        let plateaus = data.plateaus(ctx.n);
         for w in plateaus.windows(2) {
             assert!(w[0] > w[1], "plateaus must decrease with (Pmin,Vmin): {plateaus:?}");
         }

@@ -7,7 +7,7 @@
 //! mean as a robustness check (DESIGN.md §7 item 4). The paper's
 //! observation — θ minimises at `Vmin = 32` — must hold for both.
 
-use crate::fig4::{compute as fig4_compute, Fig4Data};
+use crate::fig4;
 use crate::output::{print_plot, write_csv};
 use crate::{Ctx, ExpReport};
 use domus_metrics::series::Series;
@@ -25,26 +25,14 @@ pub fn theta(values: &[u64], sigmas: &[f64], alpha: f64, beta: f64) -> Vec<f64> 
         .collect()
 }
 
-/// Runs FIG5, reusing `fig4` data when the dispatcher already has it.
-pub fn run(ctx: &Ctx, fig4: Option<&Fig4Data>) -> ExpReport {
+/// Runs FIG5 on the FIG4 sweep.
+pub fn run(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("FIG5");
-    let owned;
-    let data = match fig4 {
-        Some(d) => d,
-        None => {
-            owned = fig4_compute(ctx);
-            &owned
-        }
-    };
+    let data = fig4::compute(ctx);
 
     let end_sigma: Vec<f64> =
         data.curves.iter().map(|c| c.last_y().expect("non-empty curve")).collect();
-    let plateau_sigma: Vec<f64> = data
-        .values
-        .iter()
-        .zip(&data.curves)
-        .map(|(v, c)| c.mean_y_in((4 * v + 1) as f64, ctx.n as f64))
-        .collect();
+    let plateau_sigma = data.plateaus(ctx.n);
 
     let theta_end = theta(&data.values, &end_sigma, 0.5, 0.5);
     let theta_plateau = theta(&data.values, &plateau_sigma, 0.5, 0.5);

@@ -7,6 +7,7 @@
 //! `G_real`, one representative single-seed trace (the staircase is sharper
 //! per run), and `G_ideal`.
 
+use crate::compare::params;
 use crate::output::{canonical_samples, print_plot, sample_points, write_csv};
 use crate::runner::{average_runs, derive_seed, local_growth};
 use crate::{Ctx, ExpReport};
@@ -14,20 +15,6 @@ use domus_core::{ideal_group_count, DhtConfig};
 use domus_hashspace::HashSpace;
 use domus_metrics::series::Series;
 use domus_metrics::table::{num, Table};
-
-/// The figure's parameters.
-pub const PMIN: u64 = 32;
-/// See [`PMIN`].
-pub const VMIN: u64 = 32;
-
-/// Scales the figure's `(Pmin, Vmin) = (32, 32)` to smaller quick-mode runs.
-fn params(ctx: &Ctx) -> (u64, u64) {
-    if ctx.n >= 512 {
-        (PMIN, VMIN)
-    } else {
-        (8, 8)
-    }
-}
 
 /// Runs the experiment.
 pub fn run(ctx: &Ctx) -> ExpReport {

@@ -7,6 +7,7 @@
 //! (§4.2.1): whenever real and ideal group counts drift apart, groups with
 //! very different quotas coexist.
 
+use crate::compare::params;
 use crate::output::{canonical_samples, print_plot, sample_points, write_csv};
 use crate::runner::{average_runs, derive_seed, local_growth};
 use crate::{Ctx, ExpReport};
@@ -14,15 +15,6 @@ use domus_core::{ideal_group_count, DhtConfig};
 use domus_hashspace::HashSpace;
 use domus_metrics::series::Series;
 use domus_metrics::table::{num, Table};
-
-/// Matches figure 7's parameter scaling.
-fn params(ctx: &Ctx) -> (u64, u64) {
-    if ctx.n >= 512 {
-        (32, 32)
-    } else {
-        (8, 8)
-    }
-}
 
 /// Runs the experiment.
 pub fn run(ctx: &Ctx) -> ExpReport {

@@ -7,17 +7,17 @@
 //! sits near that floor on joins — the model's edge is the *balance
 //! achieved per byte moved*, which this experiment reports alongside.
 //!
-//! The sweep is **one generic function over [`DhtEngine`]**: the global
-//! approach, the local approach and Consistent Hashing (through
-//! [`ChEngine`]) run the identical workload through the identical
-//! [`KvStore`] migration machinery, so the comparison prices real data
-//! movement on all three — not a quota proxy for CH.
+//! The sweep is **one generic function over [`DhtEngine`]**: every
+//! backend of [`crate::compare::Backend`] — the local approach, the
+//! global approach and Consistent Hashing — runs the identical workload
+//! through the identical [`KvStore`] migration machinery, so the
+//! comparison prices real data movement on all three — not a quota proxy
+//! for CH.
 
+use crate::compare::{params, per_backend, scaled, Backend, OnEngine};
 use crate::runner::derive_seed;
 use crate::{Ctx, ExpReport};
-use domus_ch::ChEngine;
-use domus_core::{DhtConfig, DhtEngine, GlobalDht, LocalDht, SnodeId};
-use domus_hashspace::HashSpace;
+use domus_core::{DhtEngine, SnodeId};
 use domus_kv::{KvStore, UniformKeys};
 use domus_metrics::table::{num, Table};
 
@@ -35,86 +35,72 @@ pub struct SweepResult {
     pub quota_relstd: f64,
 }
 
-/// Grows `engine` from `start` to `end` vnodes under a constant key
-/// population, then removes half the growth again — measuring migration
-/// at every step and auditing placement after each phase.
-pub fn migration_sweep<E: DhtEngine>(
-    engine: E,
+/// The sweep, generic over the engine: grows it from `start_vnodes` to
+/// `end_vnodes` under a constant population of `entries` keys, then
+/// removes half the growth again — measuring migration at every step and
+/// auditing placement after each phase.
+#[derive(Clone, Copy)]
+struct Sweep {
     entries: u64,
     start_vnodes: usize,
     end_vnodes: usize,
-) -> SweepResult {
-    let mut kv = KvStore::new(engine);
-    for s in 0..start_vnodes {
-        kv.join(SnodeId(s as u32)).expect("join");
-    }
-    let keys = UniformKeys::new(entries);
-    for i in 0..entries {
-        kv.put(keys.key_at(i), domus_kv::workload::value_of(16, i));
-    }
+}
 
-    let mut join_fracs = Vec::new();
-    for s in start_vnodes..end_vnodes {
-        let (_, mig) = kv.join(SnodeId(s as u32)).expect("join");
-        join_fracs.push(mig.entries as f64 / entries as f64);
+impl OnEngine for Sweep {
+    type Out = SweepResult;
+    fn on<E: DhtEngine + Send + Sync>(self, engine: E) -> SweepResult {
+        let Sweep { entries, start_vnodes, end_vnodes } = self;
+        let mut kv = KvStore::new(engine);
+        for s in 0..start_vnodes {
+            kv.join(SnodeId(s as u32)).expect("join");
+        }
+        let keys = UniformKeys::new(entries);
+        for i in 0..entries {
+            kv.put(keys.key_at(i), domus_kv::workload::value_of(16, i));
+        }
+
+        let mut join_fracs = Vec::new();
+        for s in start_vnodes..end_vnodes {
+            let (_, mig) = kv.join(SnodeId(s as u32)).expect("join");
+            join_fracs.push(mig.entries as f64 / entries as f64);
+        }
+        kv.verify_placement().expect("placement after joins");
+        let mean_join_frac = join_fracs.iter().sum::<f64>() / join_fracs.len().max(1) as f64;
+
+        // Storage balance achieved (relative spread of entries per vnode),
+        // and the engine's own quota balance at the same instant.
+        let counts: Vec<f64> = kv.entries_per_vnode().into_iter().map(|(_, n)| n as f64).collect();
+        let storage_relstd = domus_metrics::rel_std_dev_pct(counts.iter().copied());
+        let quota_relstd = kv.engine().vnode_quota_relstd_pct();
+
+        // Shrink phase: leave costs.
+        let mut leave_fracs = Vec::new();
+        let vnodes = kv.engine().vnodes();
+        for v in vnodes.into_iter().take((end_vnodes - start_vnodes) / 2) {
+            let mig = kv.leave(v).expect("leave");
+            leave_fracs.push(mig.entries as f64 / entries as f64);
+        }
+        kv.verify_placement().expect("placement after leaves");
+        let mean_leave_frac = leave_fracs.iter().sum::<f64>() / leave_fracs.len().max(1) as f64;
+
+        SweepResult { mean_join_frac, mean_leave_frac, storage_relstd, quota_relstd }
     }
-    kv.verify_placement().expect("placement after joins");
-    let mean_join_frac = join_fracs.iter().sum::<f64>() / join_fracs.len().max(1) as f64;
-
-    // Storage balance achieved (relative spread of entries per vnode),
-    // and the engine's own quota balance at the same instant.
-    let counts: Vec<f64> = kv.entries_per_vnode().into_iter().map(|(_, n)| n as f64).collect();
-    let storage_relstd = domus_metrics::rel_std_dev_pct(counts.iter().copied());
-    let quota_relstd = kv.engine().vnode_quota_relstd_pct();
-
-    // Shrink phase: leave costs.
-    let mut leave_fracs = Vec::new();
-    let vnodes = kv.engine().vnodes();
-    for v in vnodes.into_iter().take((end_vnodes - start_vnodes) / 2) {
-        let mig = kv.leave(v).expect("leave");
-        leave_fracs.push(mig.entries as f64 / entries as f64);
-    }
-    kv.verify_placement().expect("placement after leaves");
-    let mean_leave_frac = leave_fracs.iter().sum::<f64>() / leave_fracs.len().max(1) as f64;
-
-    SweepResult { mean_join_frac, mean_leave_frac, storage_relstd, quota_relstd }
 }
 
 /// Runs the migration experiment over all three backends.
 pub fn run(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("KV-MIGRATE");
-    let entries = if ctx.n >= 512 { 40_000u64 } else { 8_000 };
+    let entries = scaled(ctx, 40_000u64, 8_000);
     let start_vnodes = 8usize;
-    let end_vnodes = if ctx.n >= 512 { 64usize } else { 24 };
-    let space = HashSpace::full();
+    let end_vnodes = scaled(ctx, 64usize, 24);
     let seed = derive_seed(&ctx.seeds, "kv-migrate", 0);
-    let (pmin, vmin) = if ctx.n >= 512 { (32, 32) } else { (8, 8) };
 
     let floor: f64 = (start_vnodes..end_vnodes).map(|v| 1.0 / (v + 1) as f64).sum::<f64>()
         / (end_vnodes - start_vnodes) as f64;
 
-    let local = migration_sweep(
-        LocalDht::with_seed(DhtConfig::new(space, pmin, vmin).expect("powers of two"), seed),
-        entries,
-        start_vnodes,
-        end_vnodes,
-    );
-    let global = migration_sweep(
-        GlobalDht::with_seed(DhtConfig::new(space, pmin, 1).expect("powers of two"), seed),
-        entries,
-        start_vnodes,
-        end_vnodes,
-    );
-    let ch = migration_sweep(
-        ChEngine::with_seed(
-            DhtConfig::new(space, pmin, 1).expect("powers of two"),
-            32,
-            seed ^ 0xCC,
-        ),
-        entries,
-        start_vnodes,
-        end_vnodes,
-    );
+    let sweep = Sweep { entries, start_vnodes, end_vnodes };
+    let results = Backend::ALL.map(|b| b.with_engine(params(ctx), seed, sweep));
+    let [local, global, ch] = &results;
 
     println!(
         "\n── KV-MIGRATE — {entries} entries, cluster {start_vnodes} → {end_vnodes} vnodes ──"
@@ -126,13 +112,9 @@ pub fn run(ctx: &Ctx) -> ExpReport {
         "theoretical floor",
         "end balance σ̄ %",
     ]);
-    for (name, r) in [
-        ("model (local approach)", &local),
-        ("model (global approach)", &global),
-        ("Consistent Hashing k=32", &ch),
-    ] {
+    for (backend, r) in Backend::ALL.iter().zip(&results) {
         t.row(&[
-            name.into(),
+            backend.label().into(),
             format!("{:.2}%", 100.0 * r.mean_join_frac),
             format!("{:.2}%", 100.0 * r.mean_leave_frac),
             format!("{:.2}%", 100.0 * floor),
@@ -141,11 +123,10 @@ pub fn run(ctx: &Ctx) -> ExpReport {
     }
     println!("{}", t.render());
 
+    let of = |b: Backend| &results[b as usize];
     rep.note(format!(
-        "join migration: local {:.2}% / global {:.2}% / CH {:.2}% of data per join (floor {:.2}%)",
-        100.0 * local.mean_join_frac,
-        100.0 * global.mean_join_frac,
-        100.0 * ch.mean_join_frac,
+        "join migration: {} of data per join (floor {:.2}%)",
+        per_backend(" / ", |b| format!("{:.2}%", 100.0 * of(b).mean_join_frac)),
         100.0 * floor
     ));
     rep.note(format!(
@@ -153,10 +134,8 @@ pub fn run(ctx: &Ctx) -> ExpReport {
         local.storage_relstd, global.storage_relstd, ch.storage_relstd
     ));
     rep.note(format!(
-        "leave migration: local {:.2}% / global {:.2}% / CH {:.2}% of data per departure",
-        100.0 * local.mean_leave_frac,
-        100.0 * global.mean_leave_frac,
-        100.0 * ch.mean_leave_frac
+        "leave migration: {} of data per departure",
+        per_backend(" / ", |b| format!("{:.2}%", 100.0 * of(b).mean_leave_frac))
     ));
     rep
 }
@@ -174,23 +153,12 @@ mod tests {
 
     #[test]
     fn generic_sweep_audits_all_backends() {
-        let space = HashSpace::full();
         // The paper's reference Pmin=Vmin=32 grown to the power-of-two
-        // population V=64 (σ̄(Qv) collapses, fig4) against CH with k=16
-        // (σ̄ ≈ 100/√16 = 25%). The quota metric is deterministic, so the
+        // population V=64 (σ̄(Qv) collapses, fig4) against CH with k=32
+        // (σ̄ ≈ 100/√32 ≈ 18%). The quota metric is deterministic, so the
         // gap is structural, not seed luck.
-        let local = migration_sweep(
-            LocalDht::with_seed(DhtConfig::new(space, 32, 32).unwrap(), 9),
-            8_000,
-            4,
-            64,
-        );
-        let ch = migration_sweep(
-            ChEngine::with_seed(DhtConfig::new(space, 32, 1).unwrap(), 16, 9),
-            8_000,
-            4,
-            64,
-        );
+        let sweep = Sweep { entries: 8_000, start_vnodes: 4, end_vnodes: 64 };
+        let [local, ch] = [Backend::Local, Backend::Ch].map(|b| b.with_engine((32, 32), 9, sweep));
         // Both move a nonzero, sane fraction per join; the model balances
         // quotas far more tightly than CH.
         for r in [&local, &ch] {

@@ -3,16 +3,19 @@
 //! The reproduction harness: one module per figure and per in-text claim
 //! of Rufino et al., IPDPS 2004, plus the ablations and substrate
 //! experiments indexed in `DESIGN.md` §4. The `repro` binary dispatches to
-//! these modules; each writes `results/<id>.csv`, prints the paper's
-//! series as a table and an ASCII plot, and returns summary lines that the
-//! `all` command collects into `results/summary.txt` (the source for
-//! EXPERIMENTS.md).
+//! these modules through one registry (`main.rs`); each writes
+//! `results/<id>.csv`, prints the paper's series as a table and an ASCII
+//! plot, and returns summary lines that the dispatcher collects into
+//! `results/summary.txt` (the source for EXPERIMENTS.md).
+//! Every three-backend comparison (`churnx`, `replx`, `routex`, `kvx`)
+//! goes through [`compare`]: the backend table and the one replay protocol.
 
 #![forbid(unsafe_code)]
 
 pub mod ablations;
 pub mod churnx;
 pub mod claims;
+pub mod compare;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
@@ -29,6 +32,7 @@ pub mod simx;
 
 use domus_util::SeedSequence;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 /// Shared experiment context: seeds, scale, output directory.
 #[derive(Debug, Clone)]
@@ -42,17 +46,26 @@ pub struct Ctx {
     pub n: usize,
     /// Where CSVs land.
     pub out_dir: PathBuf,
+    /// The FIG4 sweep, which FIG5 and CLAIM-30 also read: filled by the
+    /// first [`fig4::compute`] from the fields above, so set those first.
+    fig4: OnceLock<fig4::Fig4Data>,
 }
 
 impl Ctx {
     /// The paper's parameters: 100 runs × 1024 creations.
     pub fn paper(out_dir: impl Into<PathBuf>) -> Self {
-        Self { seeds: SeedSequence::new(2004), runs: 100, n: 1024, out_dir: out_dir.into() }
+        Self { runs: 100, n: 1024, ..Self::quick(out_dir) }
     }
 
     /// A fast smoke-scale context for tests and `--quick`.
     pub fn quick(out_dir: impl Into<PathBuf>) -> Self {
-        Self { seeds: SeedSequence::new(2004), runs: 8, n: 192, out_dir: out_dir.into() }
+        Self {
+            seeds: SeedSequence::new(2004),
+            runs: 8,
+            n: 192,
+            out_dir: out_dir.into(),
+            fig4: OnceLock::new(),
+        }
     }
 
     /// The largest `(Pmin, Vmin)` diagonal value that still leaves room for

@@ -6,13 +6,20 @@ use domus_metrics::plot::{ascii_plot, PlotConfig};
 use domus_metrics::series::Series;
 use std::fs;
 use std::io::BufWriter;
+use std::path::PathBuf;
 
-/// Writes the series family as `results/<name>.csv` (shared x grid).
-pub fn write_csv(ctx: &Ctx, name: &str, x_name: &str, series: &[Series]) -> std::path::PathBuf {
+/// Creates `results/<name>.csv` (and the directory) for writing.
+pub(crate) fn create_csv(ctx: &Ctx, name: &str) -> (PathBuf, BufWriter<fs::File>) {
     fs::create_dir_all(&ctx.out_dir).expect("create results dir");
     let path = ctx.out_dir.join(format!("{name}.csv"));
     let file = fs::File::create(&path).unwrap_or_else(|e| panic!("create {path:?}: {e}"));
-    write_series_columns(BufWriter::new(file), x_name, series).expect("write csv");
+    (path, BufWriter::new(file))
+}
+
+/// Writes the series family as `results/<name>.csv` (shared x grid).
+pub fn write_csv(ctx: &Ctx, name: &str, x_name: &str, series: &[Series]) -> PathBuf {
+    let (path, file) = create_csv(ctx, name);
+    write_series_columns(file, x_name, series).expect("write csv");
     path
 }
 

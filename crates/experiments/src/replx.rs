@@ -6,8 +6,10 @@
 //! never durability. This experiment turns the failures ungraceful: one
 //! seeded scenario mixes sustained Poisson churn with memoryless
 //! single-node crashes and a correlated crash storm, and the identical
-//! stream (fingerprint-checked) replays through all three backends with
-//! the [`domus_kv::ReplicatedStore`] overlay at R = 1, 2 and 3. Per
+//! stream replays through all three backends (the protocol is
+//! [`crate::compare`]'s; this module declares the scenarios, the entry
+//! count and the [`ChurnDriver::with_replication`] driver) with the
+//! [`domus_kv::ReplicatedStore`] overlay at R = 1, 2 and 3. Per
 //! backend it writes `results/churn_repl_<backend>.csv` (the R = 2 run)
 //! with per-window durability (`keys_lost` / `keys_total`), quorum-read
 //! availability, and anti-entropy repair volume; the summary table sweeps
@@ -25,227 +27,56 @@
 //! anti-entropy must ship strictly fewer bytes than a digest-less full
 //! rebuild of the same ranges.
 
-use crate::runner::derive_seed;
+use crate::compare::{self, per_backend, scaled, Backend, Comparison, OnEngine, Run, Spec};
 use crate::{Ctx, ExpReport};
-use domus_ch::ChEngine;
-use domus_churn::{ChurnDriver, ChurnOutcome, DriverConfig, EventStream, Scenario};
-use domus_core::{DhtConfig, DhtEngine, GlobalDht, LocalDht};
-use domus_hashspace::HashSpace;
-use domus_metrics::table::{num, Table};
-use domus_sim::SimTime;
-use std::fs;
-use std::io::BufWriter;
+use domus_churn::{ChurnDriver, ChurnOutcome, Scenario};
+use domus_core::DhtEngine;
+use domus_metrics::table::num;
 
 /// The replication factors the sweep runs.
 pub const FACTORS: [usize; 3] = [1, 2, 3];
 
-/// One `(backend, R)` cell of the sweep.
-pub struct ReplCell {
-    /// Backend name (`local`/`global`/`ch`).
-    pub backend: &'static str,
-    /// Replication factor.
-    pub r: usize,
-    /// Keys loaded at the first join.
-    pub entries: u64,
-    /// The replay outcome.
-    pub outcome: ChurnOutcome,
-}
+/// A replay through the replicated overlay at the run's factor.
+struct ReplReplay(Run);
 
-/// The full sweep on one stream.
-pub struct ReplComparison {
-    /// Events replayed per run.
-    pub events: usize,
-    /// The stream fingerprint every run replayed.
-    pub fingerprint: u64,
-    /// All `(backend, R)` cells, backend-major.
-    pub cells: Vec<ReplCell>,
-}
-
-/// Compiles the crash scenario and replays it per backend × R.
-pub fn compute(ctx: &Ctx, events: Option<usize>) -> ReplComparison {
-    let paper_scale = ctx.n >= 512;
-    let intensity = if paper_scale { 1.0 } else { 0.5 };
-    let entries: u64 = if paper_scale { 10_000 } else { 2_000 };
-    let (pmin, vmin) = if paper_scale { (32, 32) } else { (8, 8) };
-    let seed = derive_seed(&ctx.seeds, "churn-repl", 0);
-    let space = HashSpace::full();
-
-    let build_stream = || {
-        let mut s = Scenario::crashy(intensity).build(seed);
-        if let Some(n) = events {
-            s.truncate(n);
-        }
-        s
-    };
-    let reference = build_stream();
-    let cfg = DriverConfig {
-        window: SimTime((reference.horizon().nanos() / 20).max(1)),
-        ..DriverConfig::default()
-    };
-
-    fn replay<E: DhtEngine + Send + Sync>(
-        engine: E,
-        cfg: DriverConfig,
-        entries: u64,
-        r: usize,
-        stream: &EventStream,
-    ) -> ChurnOutcome {
-        ChurnDriver::with_replication(engine, cfg, entries, 16, r).run(stream)
+impl OnEngine for ReplReplay {
+    type Out = ChurnOutcome;
+    fn on<E: DhtEngine + Send + Sync>(self, engine: E) -> ChurnOutcome {
+        let Run { cfg, entries, r, stream } = self.0;
+        ChurnDriver::with_replication(engine, cfg, entries, 16, r).run(&stream)
     }
-
-    let mut cells = Vec::new();
-    for name in ["local", "global", "ch"] {
-        for r in FACTORS {
-            let stream = build_stream();
-            assert_eq!(
-                stream.fingerprint(),
-                reference.fingerprint(),
-                "seeded stream must be identical for every backend and R"
-            );
-            let outcome = match name {
-                "local" => replay(
-                    LocalDht::with_seed(
-                        DhtConfig::new(space, pmin, vmin).expect("powers of two"),
-                        seed,
-                    ),
-                    cfg,
-                    entries,
-                    r,
-                    &stream,
-                ),
-                "global" => replay(
-                    GlobalDht::with_seed(
-                        DhtConfig::new(space, pmin, 1).expect("powers of two"),
-                        seed,
-                    ),
-                    cfg,
-                    entries,
-                    r,
-                    &stream,
-                ),
-                _ => replay(
-                    ChEngine::with_seed(
-                        DhtConfig::new(space, pmin, 1).expect("powers of two"),
-                        32,
-                        seed ^ 0xCC,
-                    ),
-                    cfg,
-                    entries,
-                    r,
-                    &stream,
-                ),
-            };
-            cells.push(ReplCell { backend: name, r, entries, outcome });
-        }
-    }
-    ReplComparison { events: reference.len(), fingerprint: reference.fingerprint(), cells }
 }
 
-/// One backend's crash-then-rejoin drill (always R = 2).
-pub struct RejoinCell {
-    /// Backend name (`local`/`global`/`ch`).
-    pub backend: &'static str,
-    /// Keys loaded at the first join.
-    pub entries: u64,
-    /// The replay outcome.
-    pub outcome: ChurnOutcome,
-}
-
-/// The rejoin drill on one stream.
-pub struct RejoinComparison {
-    /// Events replayed per run.
-    pub events: usize,
-    /// The stream fingerprint every run replayed.
-    pub fingerprint: u64,
-    /// Crash events in the stream.
-    pub crashes: usize,
-    /// Rejoin events in the stream (every crash the horizon still
-    /// covers is paired with one).
-    pub rejoins: usize,
-    /// One cell per backend.
-    pub cells: Vec<RejoinCell>,
-}
-
-/// Compiles the durability drill and replays it per backend at R = 2.
-pub fn compute_rejoin(ctx: &Ctx, events: Option<usize>) -> RejoinComparison {
-    use domus_churn::EventKind;
-
-    let paper_scale = ctx.n >= 512;
-    let intensity = if paper_scale { 1.0 } else { 0.5 };
-    let entries: u64 = if paper_scale { 10_000 } else { 2_000 };
-    let (pmin, vmin) = if paper_scale { (32, 32) } else { (8, 8) };
-    let seed = derive_seed(&ctx.seeds, "churn-repl-rejoin", 0);
-    let space = HashSpace::full();
-
-    let build_stream = || {
-        let mut s = Scenario::durability(intensity).build(seed);
-        if let Some(n) = events {
-            s.truncate(n);
-        }
-        s
+/// Replays the crash scenario per backend × R.
+pub fn compute(ctx: &Ctx, events: Option<usize>) -> Comparison {
+    let spec = Spec {
+        scenario: Scenario::crashy(scaled(ctx, 1.0, 0.5)),
+        seed_label: "churn-repl",
+        entries: scaled(ctx, 10_000, 2_000),
+        factors: &FACTORS,
+        events,
     };
-    let reference = build_stream();
-    let crashes =
-        reference.events().iter().filter(|e| matches!(e.kind, EventKind::CrashRank { .. })).count();
-    let rejoins = reference
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::RejoinRank { .. }))
-        .count();
-    let cfg = DriverConfig {
-        window: SimTime((reference.horizon().nanos() / 20).max(1)),
-        ..DriverConfig::default()
-    };
+    compare::replay(ctx, &spec, ReplReplay)
+}
 
-    let mut cells = Vec::new();
-    for name in ["local", "global", "ch"] {
-        let stream = build_stream();
-        assert_eq!(
-            stream.fingerprint(),
-            reference.fingerprint(),
-            "seeded stream must be identical for every backend"
-        );
-        let outcome = match name {
-            "local" => ChurnDriver::with_replication(
-                LocalDht::with_seed(
-                    DhtConfig::new(space, pmin, vmin).expect("powers of two"),
-                    seed,
-                ),
-                cfg,
-                entries,
-                16,
-                2,
-            )
-            .run(&stream),
-            "global" => ChurnDriver::with_replication(
-                GlobalDht::with_seed(DhtConfig::new(space, pmin, 1).expect("powers of two"), seed),
-                cfg,
-                entries,
-                16,
-                2,
-            )
-            .run(&stream),
-            _ => ChurnDriver::with_replication(
-                ChEngine::with_seed(
-                    DhtConfig::new(space, pmin, 1).expect("powers of two"),
-                    32,
-                    seed ^ 0xCC,
-                ),
-                cfg,
-                entries,
-                16,
-                2,
-            )
-            .run(&stream),
-        };
-        cells.push(RejoinCell { backend: name, entries, outcome });
-    }
-    RejoinComparison {
-        events: reference.len(),
-        fingerprint: reference.fingerprint(),
-        crashes,
-        rejoins,
-        cells,
+/// Replays the crash-then-rejoin durability drill per backend at R = 2.
+pub fn compute_rejoin(ctx: &Ctx, events: Option<usize>) -> Comparison {
+    let spec = Spec {
+        scenario: Scenario::durability(scaled(ctx, 1.0, 0.5)),
+        seed_label: "churn-repl-rejoin",
+        entries: scaled(ctx, 10_000, 2_000),
+        factors: &[2],
+        events,
+    };
+    compare::replay(ctx, &spec, ReplReplay)
+}
+
+/// Fraction of a digest-less full rebuild that digest repair saved.
+fn repair_savings(o: &ChurnOutcome) -> f64 {
+    if o.totals.repair_bytes_full > 0 {
+        1.0 - o.totals.repair_bytes as f64 / o.totals.repair_bytes_full as f64
+    } else {
+        0.0
     }
 }
 
@@ -255,78 +86,44 @@ pub fn run_rejoin(ctx: &Ctx, events: Option<usize>) -> ExpReport {
     let mut rep = ExpReport::new("CHURN-REPL-REJOIN");
     let cmp = compute_rejoin(ctx, events);
 
-    fs::create_dir_all(&ctx.out_dir).expect("create results dir");
-    for cell in &cmp.cells {
-        let path = ctx.out_dir.join(format!("churn_repl_rejoin_{}.csv", cell.backend));
-        let file = fs::File::create(&path).unwrap_or_else(|e| panic!("create {path:?}: {e}"));
-        cell.outcome.write_csv(BufWriter::new(file)).expect("write rejoin csv");
-    }
+    cmp.write_csvs(ctx, "churn_repl_rejoin", 2);
 
     println!(
         "\n── CHURN-REPL --rejoin — {} events ({} crashes, {} rejoins), stream fingerprint {:016x} ──",
         cmp.events, cmp.crashes, cmp.rejoins, cmp.fingerprint
     );
-    let mut t = Table::new(&[
-        "system",
-        "crashes",
-        "rejoins",
-        "wal replay ms",
-        "repair bytes",
-        "full-rebuild bytes",
-        "savings",
-        "quorum gap (windows)",
-        "keys missing",
+    cmp.print_table(&[
+        ("crashes", |_, c| c.outcome.totals.crashes.to_string()),
+        ("rejoins", |_, c| c.outcome.totals.rejoins.to_string()),
+        ("wal replay ms", |_, c| num(c.outcome.totals.wal_replay_ms, 3)),
+        ("repair bytes", |_, c| c.outcome.totals.repair_bytes.to_string()),
+        ("full-rebuild bytes", |_, c| c.outcome.totals.repair_bytes_full.to_string()),
+        ("savings", |_, c| format!("{:.1}%", repair_savings(&c.outcome) * 100.0)),
+        ("quorum gap (windows)", |_, c| c.outcome.totals.time_to_full_quorum_windows.to_string()),
+        ("keys missing", |cmp, c| cmp.entries.saturating_sub(c.final_keys()).to_string()),
     ]);
-    for cell in &cmp.cells {
-        let o = &cell.outcome;
-        let final_keys = o.samples.last().map(|s| s.keys_total).unwrap_or(0);
-        let missing = cell.entries.saturating_sub(final_keys);
-        let savings = if o.totals.repair_bytes_full > 0 {
-            1.0 - o.totals.repair_bytes as f64 / o.totals.repair_bytes_full as f64
-        } else {
-            0.0
-        };
-        t.row(&[
-            label(cell.backend).into(),
-            o.totals.crashes.to_string(),
-            o.totals.rejoins.to_string(),
-            num(o.totals.wal_replay_ms, 3),
-            o.totals.repair_bytes.to_string(),
-            o.totals.repair_bytes_full.to_string(),
-            format!("{:.1}%", savings * 100.0),
-            o.totals.time_to_full_quorum_windows.to_string(),
-            missing.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
 
     // The WAL-durability contract. Every crash the stream pairs with a
     // rejoin replays its log; when all of them are paired the store must
     // end complete — zero acknowledged keys missing, on every backend.
     let fully_paired = cmp.crashes == cmp.rejoins;
     for cell in &cmp.cells {
-        let o = &cell.outcome;
-        let final_keys = o.samples.last().map(|s| s.keys_total).unwrap_or(0);
+        let (name, o) = (cell.backend.name(), &cell.outcome);
         if cmp.rejoins > 0 {
-            assert!(
-                o.totals.rejoins >= 1,
-                "{}: the stream carries rejoins but none executed",
-                cell.backend
-            );
+            assert!(o.totals.rejoins >= 1, "{name}: the stream carries rejoins but none executed");
         }
         if fully_paired {
             assert_eq!(
-                final_keys, cell.entries,
-                "{}: WAL-durable keys missing after the last rejoin",
-                cell.backend
+                cell.final_keys(),
+                cmp.entries,
+                "{name}: WAL-durable keys missing after the last rejoin"
             );
         }
-        assert_eq!(o.totals.lost_lookups, 0, "{}: unaccounted probe loss", cell.backend);
+        assert_eq!(o.totals.lost_lookups, 0, "{name}: unaccounted probe loss");
         if o.totals.repair_bytes_full > 0 {
             assert!(
                 o.totals.repair_bytes < o.totals.repair_bytes_full,
-                "{}: digest repair must undercut the full-rebuild baseline ({} vs {})",
-                cell.backend,
+                "{name}: digest repair must undercut the full-rebuild baseline ({} vs {})",
                 o.totals.repair_bytes,
                 o.totals.repair_bytes_full
             );
@@ -339,19 +136,14 @@ pub fn run_rejoin(ctx: &Ctx, events: Option<usize>) -> ExpReport {
     ));
     for cell in &cmp.cells {
         let o = &cell.outcome;
-        let savings = if o.totals.repair_bytes_full > 0 {
-            1.0 - o.totals.repair_bytes as f64 / o.totals.repair_bytes_full as f64
-        } else {
-            0.0
-        };
         rep.note(format!(
             "{}: {} rejoins replayed in {:.3} ms total; digest repair shipped {} of {} full-rebuild bytes ({:.1}% saved); quorum gap {} window(s)",
-            cell.backend,
+            cell.backend.name(),
             o.totals.rejoins,
             o.totals.wal_replay_ms,
             o.totals.repair_bytes,
             o.totals.repair_bytes_full,
-            savings * 100.0,
+            repair_savings(o) * 100.0,
             o.totals.time_to_full_quorum_windows
         ));
     }
@@ -363,128 +155,63 @@ pub fn run(ctx: &Ctx, events: Option<usize>) -> ExpReport {
     let mut rep = ExpReport::new("CHURN-REPL");
     let cmp = compute(ctx, events);
 
-    fs::create_dir_all(&ctx.out_dir).expect("create results dir");
-    for cell in &cmp.cells {
-        if cell.r == 2 {
-            let path = ctx.out_dir.join(format!("churn_repl_{}.csv", cell.backend));
-            let file = fs::File::create(&path).unwrap_or_else(|e| panic!("create {path:?}: {e}"));
-            cell.outcome.write_csv(BufWriter::new(file)).expect("write churn-repl csv");
-        }
-    }
+    cmp.write_csvs(ctx, "churn_repl", 2);
 
     println!(
         "\n── CHURN-REPL — {} events, stream fingerprint {:016x} ──",
         cmp.events, cmp.fingerprint
     );
-    let mut t = Table::new(&[
-        "system",
-        "R",
-        "crashes",
-        "keys",
-        "lost",
-        "durability",
-        "mean quorum avail",
-        "repaired copies",
-        "copies moved",
+    cmp.print_table(&[
+        ("R", |_, c| c.r.to_string()),
+        ("crashes", |_, c| c.outcome.totals.crashes.to_string()),
+        ("keys", |_, c| c.final_keys().to_string()),
+        ("lost", |_, c| c.outcome.totals.keys_lost.to_string()),
+        ("durability", |cmp, c| num(c.final_keys() as f64 / cmp.entries as f64, 4)),
+        ("mean quorum avail", |_, c| num(c.outcome.totals.mean_quorum_availability, 4)),
+        ("repaired copies", |_, c| c.outcome.totals.repaired.to_string()),
+        ("copies moved", |_, c| c.outcome.totals.entries_migrated.to_string()),
     ]);
-    for cell in &cmp.cells {
-        let o = &cell.outcome;
-        let final_keys = o.samples.last().map(|s| s.keys_total).unwrap_or(0);
-        t.row(&[
-            label(cell.backend).into(),
-            cell.r.to_string(),
-            o.totals.crashes.to_string(),
-            final_keys.to_string(),
-            o.totals.keys_lost.to_string(),
-            num(final_keys as f64 / cell.entries as f64, 4),
-            num(o.totals.mean_quorum_availability, 4),
-            o.totals.repaired.to_string(),
-            o.totals.entries_migrated.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
 
     // Contract: losses are exactly accounted on every backend at every R
     // (a key may die with its replicas, but never silently), and nothing
     // readable ever went missing outside that accounting.
     for cell in &cmp.cells {
-        let o = &cell.outcome;
-        let final_keys = o.samples.last().map(|s| s.keys_total).unwrap_or(0);
+        let (name, r, o) = (cell.backend.name(), cell.r, &cell.outcome);
         assert_eq!(
-            final_keys + o.totals.keys_lost,
-            cell.entries,
-            "{} R={}: loss accounting must be exact",
-            cell.backend,
-            cell.r
+            cell.final_keys() + o.totals.keys_lost,
+            cmp.entries,
+            "{name} R={r}: loss accounting must be exact"
         );
-        assert_eq!(
-            o.totals.lost_lookups, 0,
-            "{} R={}: unaccounted probe loss",
-            cell.backend, cell.r
-        );
+        assert_eq!(o.totals.lost_lookups, 0, "{name} R={r}: unaccounted probe loss");
     }
 
-    let loss_of = |backend: &str, r: usize| {
-        cmp.cells
-            .iter()
-            .find(|c| c.backend == backend && c.r == r)
-            .expect("cell ran")
-            .outcome
-            .totals
-            .keys_lost
-    };
+    let [lost1, lost2, lost3] = FACTORS.map(|r| cmp.at(Backend::Local, r).totals.keys_lost);
     rep.note(format!(
         "identical crash stream: {} events (fingerprint {:016x}) × 3 backends × R∈{{1,2,3}}; loss accounting exact everywhere",
         cmp.events, cmp.fingerprint
     ));
     rep.note(format!(
         "keys lost (local approach): R=1 {} / R=2 {} / R=3 {} of {} keys",
-        loss_of("local", 1),
-        loss_of("local", 2),
-        loss_of("local", 3),
-        cmp.cells[0].entries
+        lost1, lost2, lost3, cmp.entries
     ));
-    let quorum_of = |backend: &str, r: usize| {
-        cmp.cells
-            .iter()
-            .find(|c| c.backend == backend && c.r == r)
-            .expect("cell ran")
-            .outcome
-            .totals
-            .mean_quorum_availability
-    };
     rep.note(format!(
-        "mean quorum availability at R=2: local {:.4} / global {:.4} / CH {:.4}",
-        quorum_of("local", 2),
-        quorum_of("global", 2),
-        quorum_of("ch", 2)
+        "mean quorum availability at R=2: {}",
+        per_backend(" / ", |b| format!("{:.4}", cmp.at(b, 2).totals.mean_quorum_availability))
     ));
     rep
-}
-
-fn label(backend: &str) -> &'static str {
-    match backend {
-        "local" => "model (local approach)",
-        "global" => "model (global approach)",
-        _ => "Consistent Hashing k=32",
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn smoke_ctx(dir: &str) -> Ctx {
-        Ctx::quick(std::env::temp_dir().join(dir))
-    }
-
     #[test]
     fn churn_repl_runs_and_accounts_losses() {
-        let ctx = smoke_ctx("domus-replx-smoke");
+        let ctx = Ctx::quick(std::env::temp_dir().join("domus-replx-smoke"));
         let rep = run(&ctx, Some(150));
         assert_eq!(rep.id, "CHURN-REPL");
         assert!(rep.summary.iter().any(|l| l.contains("loss accounting exact")));
-        for name in ["local", "global", "ch"] {
+        for name in Backend::ALL.map(Backend::name) {
             let csv = std::fs::read_to_string(ctx.out_dir.join(format!("churn_repl_{name}.csv")))
                 .expect("per-backend CSV written");
             assert!(csv.starts_with("window,t_ms,"));
@@ -494,11 +221,11 @@ mod tests {
 
     #[test]
     fn rejoin_drill_recovers_every_wal_durable_key() {
-        let ctx = smoke_ctx("domus-replx-rejoin");
+        let ctx = Ctx::quick(std::env::temp_dir().join("domus-replx-rejoin"));
         let rep = run_rejoin(&ctx, None);
         assert_eq!(rep.id, "CHURN-REPL-REJOIN");
         assert!(rep.summary.iter().any(|l| l.contains("zero WAL-durable keys missing")));
-        for name in ["local", "global", "ch"] {
+        for name in Backend::ALL.map(Backend::name) {
             let csv =
                 std::fs::read_to_string(ctx.out_dir.join(format!("churn_repl_rejoin_{name}.csv")))
                     .expect("per-backend rejoin CSV written");
@@ -512,13 +239,30 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_per_seed() {
-        let ctx = smoke_ctx("domus-replx-det");
-        let a = compute(&ctx, Some(120));
-        let b = compute(&ctx, Some(120));
-        assert_eq!(a.fingerprint, b.fingerprint);
-        for (ca, cb) in a.cells.iter().zip(&b.cells) {
-            assert_eq!((ca.backend, ca.r), (cb.backend, cb.r));
-            assert_eq!(ca.outcome.csv_string(), cb.outcome.csv_string());
-        }
+        // Pinned from the pre-`compare.rs` replay loops (see `churnx`),
+        // backend-major × R ∈ {1, 2, 3}; the drill below likewise.
+        let ctx = Ctx::quick(std::env::temp_dir().join("domus-replx-det"));
+        let digests = |c: &Comparison| -> Vec<u64> {
+            c.cells.iter().map(|c| c.outcome.csv_digest()).collect()
+        };
+        let sweep = compute(&ctx, Some(120));
+        assert_eq!(sweep.fingerprint, 0x3f674641967cd617);
+        assert_eq!(
+            digests(&sweep),
+            [
+                0x849caeb9d3744f19,
+                0x456ce73929e42d99,
+                0x4982eaefe180accf,
+                0xa0f86bb6b189ff12,
+                0x7559791a760c857f,
+                0xbebcc1d468b018fb,
+                0x1bab4e466bf42fda,
+                0x02362f91c37ef015,
+                0xfd4546d7291ff8d1
+            ]
+        );
+        let drill = compute_rejoin(&ctx, None);
+        assert_eq!(drill.fingerprint, 0xd5b21537f3a92d53);
+        assert_eq!(digests(&drill), [0x6d03a939fed95b91, 0x9dcc3f3535cacd03, 0x015fc311e81224b0]);
     }
 }

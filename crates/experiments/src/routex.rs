@@ -7,7 +7,8 @@
 //! seeded [`Scenario::hotspot_failover`] stream — a fixed-capacity fleet,
 //! one node degrading to a quarter of its declared capacity, one node
 //! going **silent** with no crash notification ever delivered — replays
-//! (fingerprint-checked) through all three backends with the replicated
+//! through all three backends (the protocol is [`crate::compare`]'s; this
+//! module declares the scenario and the driver) with the replicated
 //! overlay at R = 2 and the `domus-route` control plane riding the run.
 //!
 //! Per backend it writes `results/churn_route_<backend>.csv` with the
@@ -20,134 +21,46 @@
 //! lease-safety invariant never breaks, and every cache repair takes at
 //! most one retry round.
 
-use crate::runner::derive_seed;
+use crate::compare::{self, scaled, Comparison, OnEngine, Run, Spec};
 use crate::{Ctx, ExpReport};
-use domus_ch::ChEngine;
-use domus_churn::{ChurnDriver, ChurnOutcome, DriverConfig, EventKind, EventStream, Scenario};
-use domus_core::{DhtConfig, DhtEngine, GlobalDht, LocalDht};
-use domus_hashspace::HashSpace;
-use domus_metrics::table::{num, Table};
+use domus_churn::{ChurnDriver, ChurnOutcome, Scenario};
+use domus_core::DhtEngine;
+use domus_metrics::table::num;
 use domus_route::RouterConfig;
 use domus_sim::SimTime;
-use std::fs;
-use std::io::BufWriter;
 
-/// One backend's routed replay.
-pub struct RouteCell {
-    /// Backend name (`local`/`global`/`ch`).
-    pub backend: &'static str,
-    /// Keys loaded at the first join.
-    pub entries: u64,
-    /// The replay outcome (route columns included).
-    pub outcome: ChurnOutcome,
-}
+/// A replay through the replicated overlay with the router riding it.
+struct RoutedReplay(Run);
 
-/// The full comparison on one stream.
-pub struct RouteComparison {
-    /// Events replayed per run.
-    pub events: usize,
-    /// The stream fingerprint every run replayed.
-    pub fingerprint: u64,
-    /// Whether the (possibly truncated) stream still carries the silent
-    /// stall — when `--events` cuts it off, the failover contract is
-    /// vacuous and skipped.
-    pub has_stall: bool,
-    /// Whether the stream still carries the capacity degradation.
-    pub has_degrade: bool,
-    /// Per-backend cells, report order.
-    pub cells: Vec<RouteCell>,
-}
-
-/// Compiles the hot-spot/stall scenario and replays it per backend with
-/// the router attached (R = 2).
-pub fn compute(ctx: &Ctx, events: Option<usize>) -> RouteComparison {
-    let paper_scale = ctx.n >= 512;
-    let entries: u64 = if paper_scale { 10_000 } else { 2_000 };
-    let (pmin, vmin) = if paper_scale { (32, 32) } else { (8, 8) };
-    let seed = derive_seed(&ctx.seeds, "churn-route", 0);
-    let space = HashSpace::full();
-
-    let build_stream = || {
-        let mut s = Scenario::hotspot_failover().build(seed);
-        if let Some(n) = events {
-            s.truncate(n);
-        }
-        s
-    };
-    let reference = build_stream();
-    let cfg = DriverConfig {
-        window: SimTime((reference.horizon().nanos() / 20).max(1)),
-        ..DriverConfig::default()
-    };
-    // The lease TTL spans 2.5 control-plane ticks, the same ratio the
-    // default 75 s TTL holds against the default 30 s window: a stalled
-    // node's leases lapse two windows after its last renewal, well
-    // before the horizon.
-    let router_cfg =
-        RouterConfig { lease_ttl: SimTime(cfg.window.nanos() * 5 / 2), ..RouterConfig::default() };
-
-    fn replay<E: DhtEngine + Send + Sync>(
-        engine: E,
-        cfg: DriverConfig,
-        router_cfg: RouterConfig,
-        entries: u64,
-        stream: &EventStream,
-    ) -> ChurnOutcome {
-        ChurnDriver::with_replication(engine, cfg, entries, 16, 2)
-            .with_router(router_cfg)
-            .run(stream)
-    }
-
-    let mut cells = Vec::new();
-    for name in ["local", "global", "ch"] {
-        let stream = build_stream();
-        assert_eq!(
-            stream.fingerprint(),
-            reference.fingerprint(),
-            "seeded stream must be identical for every backend"
-        );
-        let outcome = match name {
-            "local" => replay(
-                LocalDht::with_seed(
-                    DhtConfig::new(space, pmin, vmin).expect("powers of two"),
-                    seed,
-                ),
-                cfg,
-                router_cfg,
-                entries,
-                &stream,
-            ),
-            "global" => replay(
-                GlobalDht::with_seed(DhtConfig::new(space, pmin, 1).expect("powers of two"), seed),
-                cfg,
-                router_cfg,
-                entries,
-                &stream,
-            ),
-            _ => replay(
-                ChEngine::with_seed(
-                    DhtConfig::new(space, pmin, 1).expect("powers of two"),
-                    32,
-                    seed ^ 0xCC,
-                ),
-                cfg,
-                router_cfg,
-                entries,
-                &stream,
-            ),
+impl OnEngine for RoutedReplay {
+    type Out = ChurnOutcome;
+    fn on<E: DhtEngine + Send + Sync>(self, engine: E) -> ChurnOutcome {
+        let Run { cfg, entries, r, stream } = self.0;
+        // The lease TTL spans 2.5 control-plane ticks, the same ratio the
+        // default 75 s TTL holds against the default 30 s window: a
+        // stalled node's leases lapse two windows after its last renewal,
+        // well before the horizon.
+        let router_cfg = RouterConfig {
+            lease_ttl: SimTime(cfg.window.nanos() * 5 / 2),
+            ..RouterConfig::default()
         };
-        cells.push(RouteCell { backend: name, entries, outcome });
+        ChurnDriver::with_replication(engine, cfg, entries, 16, r)
+            .with_router(router_cfg)
+            .run(&stream)
     }
-    RouteComparison {
-        events: reference.len(),
-        fingerprint: reference.fingerprint(),
-        has_stall: reference.events().iter().any(|e| matches!(e.kind, EventKind::StallRank { .. })),
-        has_degrade: reference
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::DegradeRank { .. })),
-        cells,
-    }
+}
+
+/// Replays the hot-spot/stall scenario per backend with the router
+/// attached (R = 2).
+pub fn compute(ctx: &Ctx, events: Option<usize>) -> Comparison {
+    let spec = Spec {
+        scenario: Scenario::hotspot_failover(),
+        seed_label: "churn-route",
+        entries: scaled(ctx, 10_000, 2_000),
+        factors: &[2],
+        events,
+    };
+    compare::replay(ctx, &spec, RoutedReplay)
 }
 
 /// Runs the CHURN-ROUTE experiment: replays, CSVs, table, contract.
@@ -155,45 +68,24 @@ pub fn run(ctx: &Ctx, events: Option<usize>) -> ExpReport {
     let mut rep = ExpReport::new("CHURN-ROUTE");
     let cmp = compute(ctx, events);
 
-    fs::create_dir_all(&ctx.out_dir).expect("create results dir");
-    for cell in &cmp.cells {
-        let path = ctx.out_dir.join(format!("churn_route_{}.csv", cell.backend));
-        let file = fs::File::create(&path).unwrap_or_else(|e| panic!("create {path:?}: {e}"));
-        cell.outcome.write_csv(BufWriter::new(file)).expect("write churn-route csv");
-    }
+    cmp.write_csvs(ctx, "churn_route", 2);
 
     println!(
         "\n── CHURN-ROUTE — {} events, stream fingerprint {:016x} ──",
         cmp.events, cmp.fingerprint
     );
-    let mut t = Table::new(&[
-        "system",
-        "failovers",
-        "leases expired",
-        "hot windows",
-        "moves",
-        "converged in",
-        "cache hit rate",
-        "keys lost",
+    cmp.print_table(&[
+        ("failovers", |_, c| c.outcome.totals.failovers.to_string()),
+        ("leases expired", |_, c| c.outcome.totals.leases_expired.to_string()),
+        ("hot windows", |_, c| c.outcome.totals.hot_windows.to_string()),
+        ("moves", |_, c| c.outcome.totals.route_moves.to_string()),
+        ("converged in", |_, c| match c.outcome.totals.route_converged {
+            true => format!("{} windows", c.outcome.totals.route_convergence),
+            false => "UNCONVERGED".into(),
+        }),
+        ("cache hit rate", |_, c| num(c.outcome.totals.cache_hit_rate, 4)),
+        ("keys lost", |_, c| c.outcome.totals.keys_lost.to_string()),
     ]);
-    for cell in &cmp.cells {
-        let o = &cell.outcome.totals;
-        t.row(&[
-            label(cell.backend).into(),
-            o.failovers.to_string(),
-            o.leases_expired.to_string(),
-            o.hot_windows.to_string(),
-            o.route_moves.to_string(),
-            if o.route_converged {
-                format!("{} windows", o.route_convergence)
-            } else {
-                "UNCONVERGED".into()
-            },
-            num(o.cache_hit_rate, 4),
-            o.keys_lost.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
 
     // The contract, per backend. Unconditional: lease safety never
     // breaks, every cache repair is one round, no key is ever lost at
@@ -202,7 +94,7 @@ pub fn run(ctx: &Ctx, events: Option<usize>) -> ExpReport {
     // expiry alone and the hot spot is shed within bounded windows.
     for cell in &cmp.cells {
         let o = &cell.outcome.totals;
-        let name = cell.backend;
+        let name = cell.backend.name();
         assert_eq!(o.lease_violations, 0, "{name}: lease safety must never break");
         assert_eq!(o.keys_lost, 0, "{name}: R=2 failover must lose nothing");
         assert_eq!(o.lost_lookups, 0, "{name}: no probe may go unanswered");
@@ -210,12 +102,12 @@ pub fn run(ctx: &Ctx, events: Option<usize>) -> ExpReport {
             cell.outcome.samples.iter().all(|s| s.cache_stale <= 1),
             "{name}: a stale cache must repair within one retry round per probe window"
         );
-        if cmp.has_stall {
+        if cmp.stalls > 0 {
             assert!(o.leases_expired >= 1, "{name}: the silent stall must lapse its leases");
             assert!(o.failovers >= 1, "{name}: lease expiry must drive a failover");
             assert_eq!(o.crashes, 0, "{name}: no crash notification was ever delivered");
         }
-        if cmp.has_degrade {
+        if cmp.degrades > 0 {
             assert!(o.hot_windows >= 1, "{name}: the degraded node must trip the detector");
             assert!(o.route_moves >= 1, "{name}: the hot spot must shed vnodes");
             assert!(o.route_converged, "{name}: rebalancing must converge before the horizon");
@@ -235,7 +127,7 @@ pub fn run(ctx: &Ctx, events: Option<usize>) -> ExpReport {
         let o = &cell.outcome.totals;
         rep.note(format!(
             "{}: {} failover(s) via lease expiry ({} expired), hot spot shed in {} move(s) over {} hot window(s), converged in {} window(s), cache hit rate {:.4}, {} keys lost",
-            label(cell.backend),
+            cell.backend.label(),
             o.failovers,
             o.leases_expired,
             o.route_moves,
@@ -245,35 +137,24 @@ pub fn run(ctx: &Ctx, events: Option<usize>) -> ExpReport {
             o.keys_lost
         ));
     }
-    if cmp.has_stall {
+    if cmp.stalls > 0 {
         rep.note("silent stall failed over on every backend with zero key loss at R=2");
     }
     rep
 }
 
-fn label(backend: &str) -> &'static str {
-    match backend {
-        "local" => "model (local approach)",
-        "global" => "model (global approach)",
-        _ => "Consistent Hashing k=32",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn smoke_ctx(dir: &str) -> Ctx {
-        Ctx::quick(std::env::temp_dir().join(dir))
-    }
+    use crate::compare::Backend;
 
     #[test]
     fn churn_route_runs_the_full_contract_on_all_backends() {
-        let ctx = smoke_ctx("domus-routex-smoke");
+        let ctx = Ctx::quick(std::env::temp_dir().join("domus-routex-smoke"));
         let rep = run(&ctx, None);
         assert_eq!(rep.id, "CHURN-ROUTE");
         assert!(rep.summary.iter().any(|l| l.contains("zero key loss")));
-        for name in ["local", "global", "ch"] {
+        for name in Backend::ALL.map(Backend::name) {
             let csv = std::fs::read_to_string(ctx.out_dir.join(format!("churn_route_{name}.csv")))
                 .expect("per-backend CSV written");
             let header = csv.lines().next().unwrap();
@@ -286,24 +167,20 @@ mod tests {
     #[test]
     fn truncated_streams_skip_the_fault_contract() {
         // Cutting the stream before the stall/degrade events must not
-        // trip the conditional asserts — the flags go false.
-        let ctx = smoke_ctx("domus-routex-trunc");
+        // trip the conditional asserts — the counts go to zero.
+        let ctx = Ctx::quick(std::env::temp_dir().join("domus-routex-trunc"));
         let cmp = compute(&ctx, Some(5));
-        assert!(!cmp.has_stall);
-        assert!(!cmp.has_degrade);
+        assert_eq!((cmp.stalls, cmp.degrades), (0, 0));
         let rep = run(&ctx, Some(5));
         assert!(!rep.summary.iter().any(|l| l.contains("zero key loss")));
     }
 
     #[test]
     fn routed_comparison_is_deterministic_per_seed() {
-        let ctx = smoke_ctx("domus-routex-det");
-        let a = compute(&ctx, None);
-        let b = compute(&ctx, None);
-        assert_eq!(a.fingerprint, b.fingerprint);
-        for (ca, cb) in a.cells.iter().zip(&b.cells) {
-            assert_eq!(ca.backend, cb.backend);
-            assert_eq!(ca.outcome.csv_string(), cb.outcome.csv_string());
-        }
+        // Pinned from the pre-`compare.rs` replay loop (see `churnx`).
+        let cmp = compute(&Ctx::quick(std::env::temp_dir().join("domus-routex-det")), None);
+        assert_eq!(cmp.fingerprint, 0x8c5d1b2eb995cc88);
+        let digests: Vec<u64> = cmp.cells.iter().map(|c| c.outcome.csv_digest()).collect();
+        assert_eq!(digests, [0x9f75837e3e4082e2, 0x73de63a0d244557e, 0x61c61b6644cf0901]);
     }
 }

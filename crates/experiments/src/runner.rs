@@ -9,7 +9,7 @@
 //! across runs on worker threads.
 
 use domus_ch::ChRing;
-use domus_core::{DhtConfig, DhtEngine, GlobalDht, LocalDht, SnodeId};
+use domus_core::{DhtConfig, DhtEngine, GlobalDht, LocalDht, NullSink, SnodeId};
 use domus_hashspace::HashSpace;
 use domus_metrics::series::MultiRunSeries;
 use domus_util::SeedSequence;
@@ -30,7 +30,8 @@ pub fn local_growth(cfg: DhtConfig, n: usize, seed: u64) -> Vec<GrowthSample> {
     let mut dht = LocalDht::with_seed(cfg, seed);
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
-        dht.create_vnode(SnodeId(i as u32)).expect("growth cannot fail at these scales");
+        dht.create_vnode_with(SnodeId(i as u32), &mut NullSink)
+            .expect("growth cannot fail at these scales");
         out.push(GrowthSample {
             vnode_relstd: dht.vnode_quota_relstd_pct(),
             groups: dht.group_count() as f64,
@@ -45,7 +46,8 @@ pub fn global_growth(cfg: DhtConfig, n: usize, seed: u64) -> Vec<f64> {
     let mut dht = GlobalDht::with_seed(cfg, seed);
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
-        dht.create_vnode(SnodeId(i as u32)).expect("growth cannot fail at these scales");
+        dht.create_vnode_with(SnodeId(i as u32), &mut NullSink)
+            .expect("growth cannot fail at these scales");
         out.push(dht.vnode_quota_relstd_pct());
     }
     out

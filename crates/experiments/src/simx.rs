@@ -6,8 +6,7 @@
 
 use crate::runner::derive_seed;
 use crate::{Ctx, ExpReport};
-use domus_ch::ChEngine;
-use domus_core::{DhtConfig, DhtEngine, GlobalDht, LocalDht};
+use domus_core::{DhtConfig, DhtEngine, GlobalDht, LocalDht, NullSink, SnodeId};
 use domus_hashspace::HashSpace;
 use domus_metrics::table::{num, Table};
 use domus_sim::{global_footprint, local_footprint, SimDriver};
@@ -75,8 +74,7 @@ pub fn sim_makespan(ctx: &Ctx) -> ExpReport {
 
     // The CH reference through the same generic driver: one ring-wide
     // record, so (like the global approach) every join serialises on it.
-    let ccfg = DhtConfig::new(space, 32, 1).expect("powers of two");
-    let mut csim = SimDriver::new(ChEngine::with_seed(ccfg, 32, seed));
+    let mut csim = SimDriver::new(crate::compare::ch_engine(32, seed));
     csim.grow(n, SNODES).expect("growth");
     add_row("CH k=32", csim.trace());
     rep.note(format!(
@@ -152,7 +150,7 @@ pub fn sim_mem(ctx: &Ctx) -> ExpReport {
     let gcfg = DhtConfig::new(space, 32, 1).expect("powers of two");
     let mut g = GlobalDht::with_seed(gcfg, seed);
     for i in 0..n {
-        g.create_vnode(domus_core::SnodeId(i as u32 % SNODES)).expect("growth");
+        g.create_vnode_with(SnodeId(i as u32 % SNODES), &mut NullSink).expect("growth");
     }
     let gfp = global_footprint(&g);
     t.row(&[
@@ -167,7 +165,7 @@ pub fn sim_mem(ctx: &Ctx) -> ExpReport {
         let cfg = DhtConfig::new(space, 32, vmin).expect("powers of two");
         let mut dht = LocalDht::with_seed(cfg, seed);
         for i in 0..n {
-            dht.create_vnode(domus_core::SnodeId(i as u32 % SNODES)).expect("growth");
+            dht.create_vnode_with(SnodeId(i as u32 % SNODES), &mut NullSink).expect("growth");
         }
         let fp = local_footprint(&dht);
         t.row(&[

@@ -433,13 +433,6 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         snap.owner_of(self.hasher.point(key, snap.space()))
     }
 
-    /// The replica chain of a key resolved against a pinned snapshot —
-    /// the same distinct-snode successor walk as
-    /// [`ReplicatedStore::replicas_of`], at the pinned epoch.
-    pub fn replicas_at(&self, snap: &EngineSnapshot, key: &[u8]) -> Vec<VnodeId> {
-        snap.replicas(self.hasher.point(key, snap.space()), self.r)
-    }
-
     /// Fallback read through a pinned snapshot: probes the pinned epoch's
     /// replica chain in placement order. A miss can mean "absent" or
     /// "stale route" — callers holding a [`domus_core::SnapshotCell`]

@@ -22,9 +22,8 @@
 use crate::store::{KvStore, MigrationReport};
 use bytes::Bytes;
 use domus_core::{
-    CollectReport, CreateOutcome, CreateReport, DhtEngine, DhtError, EngineSnapshot, NullSink,
-    RebalanceSink, RemoveOutcome, RemoveReport, RouteStats, SnapshotBuilder, SnapshotCell, SnodeId,
-    Tee, VnodeId,
+    CreateOutcome, DhtEngine, DhtError, EngineSnapshot, NullSink, RebalanceSink, RemoveOutcome,
+    RouteStats, SnapshotBuilder, SnapshotCell, SnodeId, Tee, VnodeId,
 };
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -172,7 +171,7 @@ impl<E: DhtEngine> KvService<E> {
     ///
     /// Routed through [`KvService::with_read`], so the whole walk holds
     /// **one** read-lock acquisition for its entire duration: an in-flight
-    /// migration (`join_full`/`leave_full` hold the write lock across the
+    /// migration (`join_with`/`leave_with` hold the write lock across the
     /// engine operation *and* the data moves) can never tear the view —
     /// the snapshot sees the store strictly before or strictly after any
     /// maintenance event, with every key present exactly once.
@@ -203,16 +202,6 @@ impl<E: DhtEngine> KvService<E> {
         res
     }
 
-    /// [`KvService::join`], also surfacing the engine's [`CreateReport`].
-    pub fn join_full(
-        &self,
-        snode: SnodeId,
-    ) -> Result<(VnodeId, CreateReport, MigrationReport), DhtError> {
-        let mut collect = CollectReport::new();
-        let (out, mig) = self.join_with(snode, &mut collect)?;
-        Ok((out.vnode, collect.into_create_report(&out), mig))
-    }
-
     /// Maintenance: a vnode leaves (exclusive).
     pub fn leave(&self, v: VnodeId) -> Result<MigrationReport, DhtError> {
         self.leave_with(v, &mut NullSink).map(|(_, mig)| mig)
@@ -236,13 +225,6 @@ impl<E: DhtEngine> KvService<E> {
         res
     }
 
-    /// [`KvService::leave`], also surfacing the engine's [`RemoveReport`].
-    pub fn leave_full(&self, v: VnodeId) -> Result<(RemoveReport, MigrationReport), DhtError> {
-        let mut collect = CollectReport::new();
-        let (out, mig) = self.leave_with(v, &mut collect)?;
-        Ok((collect.into_remove_report(&out), mig))
-    }
-
     /// Runs `f` under the read lock (bulk inspection).
     pub fn with_read<T>(&self, f: impl FnOnce(&KvStore<E>) -> T) -> T {
         f(&self.inner.read().store)
@@ -252,7 +234,7 @@ impl<E: DhtEngine> KvService<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use domus_core::{DhtConfig, LocalDht};
+    use domus_core::{CountOnly, DhtConfig, LocalDht};
     use domus_hashspace::HashSpace;
 
     fn service() -> KvService<LocalDht> {
@@ -320,7 +302,7 @@ mod tests {
     #[test]
     fn snapshots_mid_join_are_complete() {
         // The read-consistency guard: snapshots racing a stream of
-        // `join_full` migrations must always see the complete key set —
+        // `join_with` migrations must always see the complete key set —
         // never a torn view with a key absent (mid-move) or doubled
         // (copied but not yet removed from the donor).
         let svc = service();
@@ -351,30 +333,24 @@ mod tests {
                 })
             })
             .collect();
-        // Maintenance storm: every join migrates data while snapshots run.
+        // Maintenance storm: every join (and the odd leave) migrates data
+        // while snapshots run; the caller's sink sees every transfer the
+        // data plane applied.
         for s in 10..26u32 {
-            let (_, report, mig) = svc.join_full(SnodeId(s)).unwrap();
-            assert_eq!(report.transfers.len() as u64, mig.transfers);
+            let mut counts = CountOnly::default();
+            let (out, mig) = svc.join_with(SnodeId(s), &mut counts).unwrap();
+            assert_eq!(counts.transfers, mig.transfers);
+            if s % 4 == 0 {
+                let mut counts = CountOnly::default();
+                let (_, mig) = svc.leave_with(out.vnode, &mut counts).unwrap();
+                assert_eq!(counts.transfers, mig.transfers);
+            }
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         for s in snappers {
             assert!(s.join().unwrap() > 0, "snapshots must actually race the joins");
         }
         assert_eq!(svc.len(), KEYS as u64);
-    }
-
-    #[test]
-    fn full_reports_surface_control_and_data_plane() {
-        let svc = service();
-        for i in 0..200u32 {
-            svc.put(format!("k{i}"), format!("v{i}"));
-        }
-        let (v, create, mig) = svc.join_full(SnodeId(7)).unwrap();
-        assert!(create.group.is_some(), "engine report must come through");
-        assert_eq!(create.transfers.len() as u64, mig.transfers);
-        let (remove, mig) = svc.leave_full(v).unwrap();
-        assert_eq!(remove.transfers.len() as u64, mig.transfers);
-        assert_eq!(svc.len(), 200);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 
 use bytes::Bytes;
 use domus_core::{
-    CollectReport, CreateOutcome, CreateReport, DhtEngine, DhtError, EngineSnapshot, NullSink,
-    RebalanceEvent, RebalanceSink, RemoveOutcome, RemoveReport, SnodeId, Transfer, VnodeId,
+    CreateOutcome, DhtEngine, DhtError, EngineSnapshot, NullSink, RebalanceEvent, RebalanceSink,
+    RemoveOutcome, SnodeId, Transfer, VnodeId,
 };
 use domus_hashspace::hasher::Fnv1aHasher;
 use domus_hashspace::{HashSpace, KeyHasher};
@@ -255,18 +255,6 @@ impl<E: DhtEngine> KvStore<E> {
         Ok((outcome, mig))
     }
 
-    /// [`KvStore::join`], also surfacing the engine's [`CreateReport`] —
-    /// for consumers that want the control-plane event list *as data*
-    /// alongside the data-plane migration of one event.
-    pub fn join_full(
-        &mut self,
-        snode: SnodeId,
-    ) -> Result<(VnodeId, CreateReport, MigrationReport), DhtError> {
-        let mut collect = CollectReport::new();
-        let (outcome, mig) = self.join_with(snode, &mut collect)?;
-        Ok((outcome.vnode, collect.into_create_report(&outcome), mig))
-    }
-
     /// Removes a vnode and migrates its data out.
     pub fn leave(&mut self, v: VnodeId) -> Result<MigrationReport, DhtError> {
         self.leave_with(v, &mut NullSink).map(|(_, mig)| mig)
@@ -290,13 +278,6 @@ impl<E: DhtEngine> KvStore<E> {
             "transfers must drain the departing vnode"
         );
         Ok((outcome, mig))
-    }
-
-    /// [`KvStore::leave`], also surfacing the engine's [`RemoveReport`].
-    pub fn leave_full(&mut self, v: VnodeId) -> Result<(RemoveReport, MigrationReport), DhtError> {
-        let mut collect = CollectReport::new();
-        let (outcome, mig) = self.leave_with(v, &mut collect)?;
-        Ok((collect.into_remove_report(&outcome), mig))
     }
 
     /// Every stored key, in deterministic (owner slot, hash point, chain)

@@ -128,15 +128,6 @@ impl MultiRunSeries {
         Series::new(self.name.clone(), self.x.clone(), self.acc.iter().map(Welford::mean).collect())
     }
 
-    /// The per-point across-run standard deviation curve (sample σ).
-    pub fn std_series(&self) -> Series {
-        Series::new(
-            format!("{} (σ across runs)", self.name),
-            self.x.clone(),
-            self.acc.iter().map(Welford::std_dev_sample).collect(),
-        )
-    }
-
     /// Legend label.
     pub fn name(&self) -> &str {
         &self.name

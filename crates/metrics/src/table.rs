@@ -42,16 +42,6 @@ impl Table {
         Self { headers: headers.iter().map(|s| s.to_string()).collect(), rows: Vec::new(), aligns }
     }
 
-    /// Overrides column alignments.
-    ///
-    /// # Panics
-    /// Panics if `aligns` length differs from the header count.
-    pub fn with_aligns(mut self, aligns: Vec<Align>) -> Self {
-        assert_eq!(aligns.len(), self.headers.len());
-        self.aligns = aligns;
-        self
-    }
-
     /// Appends a row.
     ///
     /// # Panics

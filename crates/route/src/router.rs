@@ -184,11 +184,6 @@ impl Router {
         self.hot_onset.is_some()
     }
 
-    /// `true` when `s` is marked silently stalled.
-    pub fn is_stalled(&self, s: SnodeId) -> bool {
-        self.stalled.contains(&s)
-    }
-
     /// Declares (or re-declares) `s`'s capacity basis: its vnode
     /// enrollment at join time. First declaration wins — hot-spot moves
     /// later shrink the node's *quota*, not its capacity.

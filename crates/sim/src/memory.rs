@@ -10,9 +10,6 @@ use domus_core::{DhtEngine, GroupId, LocalDht, SnodeId};
 use domus_util::DomusRng;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Wire/storage size of one PDR row (matches `Pdr::wire_size_bytes`).
-const PDR_ENTRY_BYTES: u64 = 12;
-
 /// Per-snode record footprints.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecordFootprint {
@@ -26,11 +23,6 @@ impl RecordFootprint {
     /// Total replicated entries across the cluster.
     pub fn total_entries(&self) -> u64 {
         self.per_snode_entries.values().sum()
-    }
-
-    /// Total bytes across the cluster.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_entries() * PDR_ENTRY_BYTES
     }
 
     /// Largest per-snode entry count.

@@ -301,11 +301,6 @@ impl EventPricer {
         }
     }
 
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Resets the per-event accumulators (scratch capacity is kept).
     pub fn begin(&mut self) {
         self.transfers = 0;

@@ -22,7 +22,7 @@ fn main() {
     let mut nodes = Vec::new();
     for &(gen, weight, count) in &[("old", 1.0, 6), ("mid", 2.0, 4), ("new", 4.0, 2)] {
         for _ in 0..count {
-            let (s, _) = cluster.join(weight).expect("join");
+            let s = cluster.join(weight).expect("join");
             nodes.push((s, gen, weight));
         }
     }

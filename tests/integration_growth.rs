@@ -146,7 +146,7 @@ fn heterogeneous_cluster_end_to_end() {
         Cluster::with_policy(LocalDht::with_seed(cfg, 5), EnrollmentPolicy { unit: 4 });
     let mut ids = Vec::new();
     for w in [1.0, 1.0, 2.0, 4.0, 1.0, 2.0] {
-        ids.push(cluster.join(w).unwrap().0);
+        ids.push(cluster.join(w).unwrap());
     }
     // Quota per weight is flat-ish; total is exactly 1.
     let total: f64 = cluster.node_quotas().iter().map(|(_, q)| q).sum();
