@@ -23,6 +23,9 @@ const READ_BURST: usize = 64;
 /// measures sustained offered load (which scales with the reader count),
 /// not how fast one core can spin on an uncontended path.
 const READ_PACE: Duration = Duration::from_millis(1);
+/// Pause of the replay thread after every event while readers run: it
+/// stretches replay wall time so read windows sample a steady state.
+const WRITER_PACE: Duration = Duration::from_micros(500);
 /// Latency histogram buckets: bucket `i` holds nanosecond readings in
 /// `[2^(i-1), 2^i)` (bucket 0 is the zero reading).
 const LAT_BUCKETS: usize = 65;
@@ -124,8 +127,6 @@ pub(crate) struct ReadPlane {
     /// Reader threads; 0 = plane off, and every read column is a
     /// deterministic zero.
     pub(crate) threads: usize,
-    /// Pause after each replayed event.
-    writer_pace: Duration,
     stats: Arc<ReadStats>,
     /// Counters at the last window boundary, and when it was (wall clock
     /// — the serving plane runs in real time, unlike the event clock).
@@ -138,7 +139,6 @@ impl ReadPlane {
         let now = Instant::now();
         Self {
             threads: 0,
-            writer_pace: Duration::ZERO,
             stats: Arc::new(ReadStats {
                 reads: AtomicU64::new(0),
                 stale_retries: AtomicU64::new(0),
@@ -186,14 +186,6 @@ impl<E: DhtEngine> ChurnDriver<E> {
         self.plant.set_live(n > 0 || self.route.is_some());
         self
     }
-
-    /// Pauses the replay thread for `pace` after every event in reader
-    /// mode — a load-bench knob that stretches replay wall time so read
-    /// windows sample a steady state (ignored without readers).
-    pub fn with_writer_pace(mut self, pace: Duration) -> Self {
-        self.reads.writer_pace = pace;
-        self
-    }
 }
 
 impl<E: DhtEngine + Send + Sync> ChurnDriver<E> {
@@ -214,12 +206,9 @@ impl<E: DhtEngine + Send + Sync> ChurnDriver<E> {
             let now = Instant::now();
             self.reads.mark = (now, ReadCounters::ZERO);
             self.reads.started = now;
-            let writer_pace = self.reads.writer_pace;
             for e in stream.events() {
                 self.step(e);
-                if !writer_pace.is_zero() {
-                    std::thread::sleep(writer_pace);
-                }
+                std::thread::sleep(WRITER_PACE);
             }
             let outcome = self.finish(stream.horizon());
             // Scope exit joins the readers; release them first.

@@ -133,7 +133,7 @@ impl<E: DhtEngine> ChurnDriver<E> {
         // The deterministic client-cache probe: 64 grid points through
         // the cache. At most one refresh per published epoch lands as a
         // stale read — the ≤1-round repair contract, in the CSV.
-        let space = plane.cache.table().space();
+        let space = self.plant.with_engine(|e| e.config().hash_space());
         let before = plane.cache.stats().counters();
         for i in 0..64u64 {
             plane.cache.lookup(space.fold(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));

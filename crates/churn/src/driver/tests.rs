@@ -7,7 +7,6 @@ use crate::scenario::Scenario;
 use domus_core::{DhtConfig, GlobalDht, LocalDht};
 use domus_hashspace::HashSpace;
 use domus_route::RouterConfig;
-use std::time::Duration;
 
 fn local() -> LocalDht {
     LocalDht::with_seed(DhtConfig::new(HashSpace::full(), 8, 4).unwrap(), 0xC0)
@@ -213,9 +212,7 @@ fn replicated_replay_is_deterministic_and_parallel_across_backends() {
 #[test]
 fn readers_hammer_the_kv_serving_plane_without_errors() {
     let stream = small_scenario().build(7);
-    let driver = ChurnDriver::with_kv(local(), DriverConfig::default(), 1_000, 8)
-        .with_readers(2)
-        .with_writer_pace(Duration::from_micros(300));
+    let driver = ChurnDriver::with_kv(local(), DriverConfig::default(), 1_000, 8).with_readers(2);
     let outcome = driver.run(&stream);
     assert!(outcome.totals.reads > 0, "readers must complete reads during replay");
     assert_eq!(outcome.totals.read_errors, 0, "graceful churn must never fail a read");
@@ -247,9 +244,8 @@ fn readers_survive_crashes_on_the_replicated_plane_at_r2() {
             spread: SimTime::ZERO,
         })
         .build(13);
-    let driver = ChurnDriver::with_replication(local(), DriverConfig::default(), 800, 8, 2)
-        .with_readers(2)
-        .with_writer_pace(Duration::from_micros(300));
+    let driver =
+        ChurnDriver::with_replication(local(), DriverConfig::default(), 800, 8, 2).with_readers(2);
     let outcome = driver.run(&stream);
     assert!(outcome.totals.crashes > 0);
     assert_eq!(outcome.totals.keys_lost, 0);
@@ -260,9 +256,7 @@ fn readers_survive_crashes_on_the_replicated_plane_at_r2() {
 #[test]
 fn readers_route_on_the_bare_plane() {
     let stream = small_scenario().build(21);
-    let driver = ChurnDriver::new(local(), DriverConfig::default())
-        .with_readers(2)
-        .with_writer_pace(Duration::from_micros(300));
+    let driver = ChurnDriver::new(local(), DriverConfig::default()).with_readers(2);
     let outcome = driver.run(&stream);
     assert!(outcome.totals.reads > 0);
     assert_eq!(outcome.totals.read_errors, 0, "a published epoch always routes every point");

@@ -305,6 +305,42 @@ impl SnapshotCell {
         *cur = Arc::new(snap);
         self.epoch.store(epoch, Ordering::Release);
     }
+
+    /// A routed read with stale-route repair: `probe` reads through the
+    /// pinned epoch and, while `hit` says it missed, the pin is replaced
+    /// and the probe retried once per epoch the cell advanced past it.
+    /// `route` names the key's route at an epoch (owner or replica
+    /// chain). `snap` is left pinned to the epoch the read settled on;
+    /// the stale-route retries are recorded into `stats` and returned.
+    pub fn read_settled<T, K: PartialEq>(
+        &self,
+        snap: &mut Arc<EngineSnapshot>,
+        stats: &RouteStats,
+        probe: impl Fn(&EngineSnapshot) -> T,
+        hit: impl Fn(&T) -> bool,
+        route: impl Fn(&EngineSnapshot) -> K,
+    ) -> (T, u32) {
+        let mut retries = 0u32;
+        loop {
+            let read = probe(snap);
+            let found = hit(&read);
+            if found || !self.is_stale(snap) {
+                stats.record(retries, !found);
+                return (read, retries);
+            }
+            // The pin is behind, but a retry is only a *stale-route*
+            // retry when the key's route actually moved between the
+            // pinned and current epochs — a miss on a key whose route is
+            // identical at both epochs is an absent key caught
+            // mid-publish, not stale routing, and counting it would
+            // double-book every concurrent-epoch miss as stale.
+            let fresh = self.load();
+            if route(&fresh) != route(snap) {
+                retries += 1;
+            }
+            *snap = fresh;
+        }
+    }
 }
 
 /// Shared routing-read statistics: reads, stale refreshes, misses.

@@ -35,12 +35,7 @@ impl OnEngine for KvReplay {
     type Out = ChurnOutcome;
     fn on<E: DhtEngine + Send + Sync>(self, engine: E) -> ChurnOutcome {
         let Run { cfg, entries, stream, .. } = self.run;
-        let mut driver = ChurnDriver::with_kv(engine, cfg, entries, 16).with_readers(self.readers);
-        if self.readers > 0 {
-            // Stretch replay wall time so read windows sample steady load.
-            driver = driver.with_writer_pace(std::time::Duration::from_micros(500));
-        }
-        driver.run(&stream)
+        ChurnDriver::with_kv(engine, cfg, entries, 16).with_readers(self.readers).run(&stream)
     }
 }
 

@@ -17,6 +17,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bucket;
 pub mod replicated;
 pub mod service;
 pub mod store;

@@ -113,37 +113,21 @@ impl<E: DhtEngine> KvService<E> {
         self.inner.read().store.get_at(snap, key)
     }
 
-    /// Snapshot-routed read with stale-route detection: probes at the
-    /// pinned epoch and, on a miss, re-pins and retries once per epoch
-    /// the cell advanced past the pin (under steady churn that is a
-    /// single retry on the next epoch — the property the
-    /// `snapshot_consistency` suite asserts). `snap` is left pinned to
-    /// the epoch the read settled on, so a read loop amortises one pin
-    /// across many keys.
+    /// Snapshot-routed read with stale-route repair
+    /// ([`SnapshotCell::read_settled`] over the key's owner): under
+    /// steady churn a miss costs a single retry on the next epoch — the
+    /// property the `snapshot_consistency` suite asserts. `snap` is left
+    /// pinned to the epoch the read settled on, so a read loop amortises
+    /// one pin across many keys.
     pub fn get_routed(&self, snap: &mut Arc<EngineSnapshot>, key: &[u8]) -> RoutedGet {
-        let mut retries = 0u32;
-        loop {
-            let value = self.inner.read().store.get_at(snap, key);
-            if value.is_some() || !self.serve.is_stale(snap) {
-                self.stats.record(retries, value.is_none());
-                return RoutedGet { value, retries };
-            }
-            // The pin is behind, but the retry is only a *stale-route*
-            // retry when the key's owner actually moved between the pinned
-            // and current epochs. A miss whose route is identical at both
-            // epochs is an absent key caught mid-publish, not stale
-            // routing — counting it would double-book every
-            // concurrent-epoch miss as stale.
-            let fresh = self.serve.load();
-            let moved = {
-                let guard = self.inner.read();
-                guard.store.route_at(snap, key) != guard.store.route_at(&fresh, key)
-            };
-            *snap = fresh;
-            if moved {
-                retries += 1;
-            }
-        }
+        let (value, retries) = self.serve.read_settled(
+            snap,
+            &self.stats,
+            |at| self.get_at(at, key),
+            Option::is_some,
+            |at| self.inner.read().store.route_at(at, key),
+        );
+        RoutedGet { value, retries }
     }
 
     /// Exclusive write.

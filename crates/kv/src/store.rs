@@ -9,25 +9,17 @@
 //! elasticity with no materialised transfer list. Migration volume is
 //! surfaced per operation (the KV-MIGRATE experiment prices it).
 
+use crate::bucket::{
+    bucket_bytes, bucket_get, bucket_take, bucket_upsert, detach_span, slot_of, Bucket,
+};
 use bytes::Bytes;
 use domus_core::{
     CreateOutcome, DhtEngine, DhtError, EngineSnapshot, NullSink, RebalanceEvent, RebalanceSink,
-    RemoveOutcome, SnodeId, Transfer, VnodeId,
+    RemoveOutcome, SnodeId, Tee, Transfer, VnodeId,
 };
 use domus_hashspace::hasher::Fnv1aHasher;
 use domus_hashspace::{HashSpace, KeyHasher};
 use std::collections::BTreeMap;
-
-/// Per-point bucket: distinct keys hashing to the same point (rare but
-/// legal) are chained, **sorted by key** so probes are binary searches
-/// instead of linear scans.
-pub(crate) type Bucket = Vec<(Bytes, Bytes)>;
-
-/// Position of `key` in a sorted bucket (`Ok` = present).
-#[inline]
-pub(crate) fn bucket_search(bucket: &Bucket, key: &[u8]) -> Result<usize, usize> {
-    bucket.binary_search_by(|(k, _)| k.as_ref().cmp(key))
-}
 
 /// What a rebalancement event moved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,50 +33,25 @@ pub struct MigrationReport {
 }
 
 /// The in-line migration tap: applies every streamed [`Transfer`] to the
-/// entry maps *while the engine operation runs*, accumulates the
-/// [`MigrationReport`], and forwards every event to the caller's sink.
+/// entry maps *while the engine operation runs* and accumulates the
+/// [`MigrationReport`].
 struct MigrationSink<'a> {
     space: HashSpace,
     data: &'a mut Vec<BTreeMap<u64, Bucket>>,
-    out: &'a mut dyn RebalanceSink,
     moved: MigrationReport,
 }
 
-impl<'a> MigrationSink<'a> {
-    fn new(
-        space: HashSpace,
-        data: &'a mut Vec<BTreeMap<u64, Bucket>>,
-        out: &'a mut dyn RebalanceSink,
-    ) -> Self {
-        Self { space, data, out, moved: MigrationReport::default() }
-    }
-
-    fn report(&self) -> MigrationReport {
-        self.moved
-    }
-
+impl MigrationSink<'_> {
     /// Applies one partition transfer: every entry whose point falls in
-    /// the partition moves from `t.from` to `t.to` — pure range surgery
-    /// (`split_off`/`append`), never a per-key rescan of the donor.
+    /// the partition moves from `t.from` to `t.to`.
     fn apply_transfer(&mut self, t: &Transfer) {
         let start = t.partition.start(self.space);
         let end = t.partition.end(self.space); // u128: may be 2^Bh
-        let donor = slot_of(self.data, t.from);
-        // Detach [start, end) from the donor.
-        let mut moved = donor.split_off(&start);
-        if end <= u64::MAX as u128 {
-            let mut keep = moved.split_off(&(end as u64));
-            // Every key in `keep` (≥ end) exceeds every remaining donor key
-            // (< start), so this is an O(keep) ordered append, not
-            // re-insertion.
-            donor.append(&mut keep);
-        }
+        let moved = detach_span(slot_of(self.data, t.from), start, end);
         self.moved.transfers += 1;
         for bucket in moved.values() {
-            for (k, v) in bucket {
-                self.moved.entries += 1;
-                self.moved.bytes += (k.len() + v.len()) as u64;
-            }
+            self.moved.entries += bucket.len() as u64;
+            self.moved.bytes += bucket_bytes(bucket);
         }
         slot_of(self.data, t.to).extend(moved);
     }
@@ -95,19 +62,7 @@ impl RebalanceSink for MigrationSink<'_> {
         if let RebalanceEvent::Transfer(t) = e {
             self.apply_transfer(&t);
         }
-        self.out.event(e);
     }
-}
-
-/// The entry map of a vnode slot, growing the arena on demand.
-pub(crate) fn slot_of(
-    data: &mut Vec<BTreeMap<u64, Bucket>>,
-    v: VnodeId,
-) -> &mut BTreeMap<u64, Bucket> {
-    if data.len() <= v.index() {
-        data.resize_with(v.index() + 1, BTreeMap::new);
-    }
-    &mut data[v.index()]
 }
 
 /// A replicated-nothing, in-memory KV store routed by a DHT engine.
@@ -126,8 +81,7 @@ pub(crate) fn slot_of(
 #[derive(Debug, Clone)]
 pub struct KvStore<E: DhtEngine> {
     engine: E,
-    hasher: Fnv1aHasher,
-    /// Entry maps indexed by vnode arena slot.
+    /// Entry maps indexed by vnode arena slot (grown on demand).
     data: Vec<BTreeMap<u64, Bucket>>,
     entries: u64,
 }
@@ -136,9 +90,7 @@ impl<E: DhtEngine> KvStore<E> {
     /// Wraps an engine (which may already contain vnodes — empty stores
     /// are attached to them).
     pub fn new(engine: E) -> Self {
-        let mut slots = 0;
-        engine.for_each_vnode(&mut |v| slots = slots.max(v.index() + 1));
-        Self { engine, hasher: Fnv1aHasher, data: vec![BTreeMap::new(); slots], entries: 0 }
+        Self { engine, data: Vec::new(), entries: 0 }
     }
 
     /// The underlying engine.
@@ -156,13 +108,9 @@ impl<E: DhtEngine> KvStore<E> {
         self.entries == 0
     }
 
-    fn slot(&mut self, v: VnodeId) -> &mut BTreeMap<u64, Bucket> {
-        slot_of(&mut self.data, v)
-    }
-
     /// The vnode responsible for a key.
     pub fn route(&self, key: &[u8]) -> Option<VnodeId> {
-        let point = self.hasher.point(key, self.engine.config().hash_space());
+        let point = Fnv1aHasher.point(key, self.engine.config().hash_space());
         self.engine.lookup(point).map(|(_, v)| v)
     }
 
@@ -173,32 +121,24 @@ impl<E: DhtEngine> KvStore<E> {
     pub fn put(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) -> Option<Bytes> {
         let key = key.into();
         let value = value.into();
-        let point = self.hasher.point(&key, self.engine.config().hash_space());
+        let point = Fnv1aHasher.point(&key, self.engine.config().hash_space());
         let (_, v) = self.engine.lookup(point).expect("put on an empty DHT");
-        let bucket = self.slot(v).entry(point).or_default();
-        match bucket_search(bucket, &key) {
-            Ok(i) => Some(std::mem::replace(&mut bucket[i].1, value)),
-            Err(i) => {
-                bucket.insert(i, (key, value));
-                self.entries += 1;
-                None
-            }
-        }
+        let prev = bucket_upsert(slot_of(&mut self.data, v).entry(point).or_default(), key, value);
+        self.entries += u64::from(prev.is_none());
+        prev
     }
 
     /// Looks a key up.
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
-        let point = self.hasher.point(key, self.engine.config().hash_space());
+        let point = Fnv1aHasher.point(key, self.engine.config().hash_space());
         let (_, v) = self.engine.lookup(point)?;
-        let bucket = self.data.get(v.index())?.get(&point)?;
-        let i = bucket_search(bucket, key).ok()?;
-        Some(bucket[i].1.clone())
+        bucket_get(self.data.get(v.index())?.get(&point)?, key).cloned()
     }
 
     /// The vnode responsible for a key per a pinned routing snapshot
     /// (serving-plane route — never consults the live engine).
     pub fn route_at(&self, snap: &EngineSnapshot, key: &[u8]) -> Option<VnodeId> {
-        snap.owner_of(self.hasher.point(key, snap.space()))
+        snap.owner_of(Fnv1aHasher.point(key, snap.space()))
     }
 
     /// Looks a key up through a pinned routing snapshot: the bucket the
@@ -207,21 +147,18 @@ impl<E: DhtEngine> KvStore<E> {
     /// holding a [`domus_core::SnapshotCell`] disambiguate by re-pinning
     /// when the cell's epoch moved (see `KvService::get_routed`).
     pub fn get_at(&self, snap: &EngineSnapshot, key: &[u8]) -> Option<Bytes> {
-        let point = self.hasher.point(key, snap.space());
+        let point = Fnv1aHasher.point(key, snap.space());
         let v = snap.owner_of(point)?;
-        let bucket = self.data.get(v.index())?.get(&point)?;
-        let i = bucket_search(bucket, key).ok()?;
-        Some(bucket[i].1.clone())
+        bucket_get(self.data.get(v.index())?.get(&point)?, key).cloned()
     }
 
     /// Removes a key, returning its value.
     pub fn remove(&mut self, key: &[u8]) -> Option<Bytes> {
-        let point = self.hasher.point(key, self.engine.config().hash_space());
+        let point = Fnv1aHasher.point(key, self.engine.config().hash_space());
         let (_, v) = self.engine.lookup(point)?;
         let map = self.data.get_mut(v.index())?;
         let bucket = map.get_mut(&point)?;
-        let idx = bucket_search(bucket, key).ok()?;
-        let (_, value) = bucket.remove(idx);
+        let value = bucket_take(bucket, key)?;
         if bucket.is_empty() {
             map.remove(&point);
         }
@@ -245,14 +182,7 @@ impl<E: DhtEngine> KvStore<E> {
         snode: SnodeId,
         sink: &mut dyn RebalanceSink,
     ) -> Result<(CreateOutcome, MigrationReport), DhtError> {
-        let space = self.engine.config().hash_space();
-        let (outcome, mig) = {
-            let mut migrate = MigrationSink::new(space, &mut self.data, sink);
-            let outcome = self.engine.create_vnode_with(snode, &mut migrate)?;
-            (outcome, migrate.report())
-        };
-        let _ = self.slot(outcome.vnode); // ensure backing map exists
-        Ok((outcome, mig))
+        self.migrating(sink, |e, tap| e.create_vnode_with(snode, tap))
     }
 
     /// Removes a vnode and migrates its data out.
@@ -267,30 +197,33 @@ impl<E: DhtEngine> KvStore<E> {
         v: VnodeId,
         sink: &mut dyn RebalanceSink,
     ) -> Result<(RemoveOutcome, MigrationReport), DhtError> {
-        let space = self.engine.config().hash_space();
-        let (outcome, mig) = {
-            let mut migrate = MigrationSink::new(space, &mut self.data, sink);
-            let outcome = self.engine.remove_vnode_with(v, &mut migrate)?;
-            (outcome, migrate.report())
-        };
+        let moved = self.migrating(sink, |e, tap| e.remove_vnode_with(v, tap))?;
         debug_assert!(
             self.data.get(v.index()).map(BTreeMap::is_empty).unwrap_or(true),
             "transfers must drain the departing vnode"
         );
-        Ok((outcome, mig))
+        Ok(moved)
+    }
+
+    /// Runs one engine membership operation with the in-line migration
+    /// tap tee'd before `sink`.
+    fn migrating<T>(
+        &mut self,
+        sink: &mut dyn RebalanceSink,
+        op: impl FnOnce(&mut E, &mut dyn RebalanceSink) -> Result<T, DhtError>,
+    ) -> Result<(T, MigrationReport), DhtError> {
+        let space = self.engine.config().hash_space();
+        let moved = MigrationReport::default();
+        let mut migrate = MigrationSink { space, data: &mut self.data, moved };
+        let outcome = op(&mut self.engine, &mut Tee(&mut migrate, sink))?;
+        Ok((outcome, migrate.moved))
     }
 
     /// Every stored key, in deterministic (owner slot, hash point, chain)
     /// order — the iteration order is stable across runs with the same
     /// history, so snapshots are directly comparable.
     pub fn snapshot_keys(&self) -> Vec<Bytes> {
-        let mut out = Vec::with_capacity(self.entries as usize);
-        for map in &self.data {
-            for bucket in map.values() {
-                out.extend(bucket.iter().map(|(k, _)| k.clone()));
-            }
-        }
-        out
+        self.data.iter().flat_map(BTreeMap::values).flatten().map(|(k, _)| k.clone()).collect()
     }
 
     /// Verifies that every stored entry sits exactly where routing points
@@ -302,8 +235,7 @@ impl<E: DhtEngine> KvStore<E> {
             for (&point, bucket) in map {
                 for (key, _) in bucket {
                     count += 1;
-                    let expect = self.hasher.point(key, space);
-                    if expect != point {
+                    if Fnv1aHasher.point(key, space) != point {
                         return Err(format!("key stored under wrong point {point}"));
                     }
                     match self.engine.lookup(point) {
@@ -327,11 +259,8 @@ impl<E: DhtEngine> KvStore<E> {
     pub fn entries_per_vnode(&self) -> Vec<(VnodeId, u64)> {
         let mut out = Vec::with_capacity(self.engine.vnode_count());
         self.engine.for_each_vnode(&mut |v| {
-            let n = self
-                .data
-                .get(v.index())
-                .map(|m| m.values().map(|b| b.len() as u64).sum())
-                .unwrap_or(0);
+            let held = self.data.get(v.index());
+            let n = held.map_or(0, |m| m.values().map(|b| b.len() as u64).sum());
             out.push((v, n));
         });
         out

@@ -10,7 +10,7 @@
 //!
 //! | Module | Type | Role |
 //! |--------|------|------|
-//! | [`table`] | [`RouteTable`] / [`RouteCache`] | versioned shard maps; client caches with ≤1-round stale repair |
+//! | [`table`] | [`RouteVersion`] / [`RouteCache`] | shard-map versions; client caches with ≤1-round stale repair |
 //! | [`lease`] | [`Lease`] / [`LeaseTable`] | expiring per-vnode ownership on a deterministic sim clock |
 //! | [`router`] | [`Router`] | the per-window tick: renewal, failover, hot-spot scheduling |
 //!
@@ -34,7 +34,7 @@
 //! ```
 //! use domus_core::{DhtConfig, DhtEngine, LocalDht, SnapshotBuilder, SnapshotCell, SnodeId};
 //! use domus_hashspace::HashSpace;
-//! use domus_route::{RouteCache, RouteTable, Router, RouterConfig};
+//! use domus_route::{RouteCache, RouteVersion, Router, RouterConfig};
 //! use domus_sim::SimTime;
 //! use std::sync::Arc;
 //!
@@ -49,14 +49,15 @@
 //! }
 //! let cell = Arc::new(SnapshotCell::new(builder.snapshot()));
 //!
-//! // Clients route through a versioned table / cache…
-//! let table = RouteTable::pin(&cell);
-//! assert_eq!(table.snode_count(), 4);
+//! // Clients route through the pinned snapshot / a cache of it…
+//! let snap = cell.load();
+//! assert_eq!(snap.snode_count(), 4);
 //! let mut cache = RouteCache::new(Arc::clone(&cell));
-//! assert_eq!(cache.lookup(42), table.lookup(42));
+//! assert_eq!(cache.lookup(42), snap.lookup(42));
+//! assert_eq!(cache.version(), RouteVersion(snap.epoch()));
 //!
 //! // …while the control plane ticks the lease clock per window.
-//! let report = router.tick(SimTime::millis(30_000), table.loads());
+//! let report = router.tick(SimTime::millis(30_000), snap.loads());
 //! assert!(report.actions.is_empty(), "healthy fleet: nothing to do");
 //! assert_eq!(report.renewed, 4);
 //! ```
@@ -74,4 +75,4 @@ pub mod table;
 
 pub use lease::{Lease, LeaseTable};
 pub use router::{RouteAction, Router, RouterConfig, RouterTotals, TickReport};
-pub use table::{RouteCache, RouteTable, RouteVersion};
+pub use table::{RouteCache, RouteVersion};

@@ -1,31 +1,29 @@
-//! Versioned shard maps: [`RouteTable`] and the client-side
-//! [`RouteCache`].
+//! Route versions and the client-side [`RouteCache`].
 //!
-//! A `RouteTable` is the control plane's *unit of distribution*: one
-//! immutable, versioned view of "which vnode (and so which snode) serves
-//! each hash-space span". It wraps an [`EngineSnapshot`] pinned from the
-//! serving plane — the version **is** the snapshot epoch, so versions are
-//! monotone across publishes and comparable across clients.
+//! The control plane's *unit of distribution* is the serving plane's own
+//! [`EngineSnapshot`]: one immutable view of "which vnode (and so which
+//! snode) serves each hash-space span", whose epoch **is** its
+//! [`RouteVersion`] — monotone across publishes and comparable across
+//! clients.
 //!
-//! A `RouteCache` is what a client actually holds: the last table it
+//! A `RouteCache` is what a client actually holds: the last snapshot it
 //! pinned, the cell it pins from, and a dirty flag fed by streamed
 //! [`RebalanceEvent`]s. Every resolution repairs staleness in **at most
 //! one round**: if the cell's epoch moved past the pinned version (or an
 //! event invalidated the pin), the cache re-pins once and resolves on
-//! the fresh table — the generalization of the per-read retry in
+//! the fresh snapshot — the generalization of the per-read retry in
 //! `KvService::get_routed` to any routing consumer.
 
 use bytes::Bytes;
 use domus_core::{
     DhtEngine, EngineSnapshot, RebalanceEvent, RebalanceSink, RouteStats, SnapshotCell, SnodeId,
-    SnodeLoad, VnodeId,
+    VnodeId,
 };
-use domus_hashspace::HashSpace;
 use domus_kv::KvService;
 use std::sync::Arc;
 
-/// A monotone shard-map version — the serving-plane epoch of the
-/// snapshot the table was derived from. Orders naturally: a larger
+/// A monotone shard-map version — the serving-plane epoch of a pinned
+/// snapshot (`RouteVersion(snap.epoch())`). Orders naturally: a larger
 /// version supersedes a smaller one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RouteVersion(pub u64);
@@ -36,94 +34,10 @@ impl std::fmt::Display for RouteVersion {
     }
 }
 
-/// One immutable, versioned shard map.
-///
-/// A strict layer over [`EngineSnapshot`]: every resolution delegates to
-/// the snapshot, so routing through a table at version `v` is *bitwise*
-/// the routing of epoch-`v` snapshot — the `snapshot_consistency` suite
-/// asserts exactly that. Cloning shares the underlying snapshot.
-#[derive(Debug, Clone)]
-pub struct RouteTable {
-    snap: Arc<EngineSnapshot>,
-}
-
-impl RouteTable {
-    /// Wraps an already-pinned snapshot.
-    pub fn new(snap: Arc<EngineSnapshot>) -> Self {
-        Self { snap }
-    }
-
-    /// Pins the current table from a serving-plane cell.
-    pub fn pin(cell: &SnapshotCell) -> Self {
-        Self { snap: cell.load() }
-    }
-
-    /// The table's version (the snapshot epoch).
-    pub fn version(&self) -> RouteVersion {
-        RouteVersion(self.snap.epoch())
-    }
-
-    /// `true` when `cell` has published a newer version.
-    pub fn is_stale(&self, cell: &SnapshotCell) -> bool {
-        cell.is_stale(&self.snap)
-    }
-
-    /// The wrapped snapshot (for APIs that want the raw view).
-    pub fn snapshot(&self) -> &Arc<EngineSnapshot> {
-        &self.snap
-    }
-
-    /// The hash space the table tiles.
-    pub fn space(&self) -> HashSpace {
-        self.snap.space()
-    }
-
-    /// `true` when no vnode exists at this version.
-    pub fn is_empty(&self) -> bool {
-        self.snap.is_empty()
-    }
-
-    /// Vnodes at this version.
-    pub fn vnode_count(&self) -> usize {
-        self.snap.vnode_count()
-    }
-
-    /// Distinct snodes at this version.
-    pub fn snode_count(&self) -> usize {
-        self.snap.snode_count()
-    }
-
-    /// Routes a hash point to its serving `(vnode, snode)`.
-    pub fn lookup(&self, point: u64) -> Option<(VnodeId, SnodeId)> {
-        self.snap.lookup(point)
-    }
-
-    /// The vnode owning a hash point.
-    pub fn owner_of(&self, point: u64) -> Option<VnodeId> {
-        self.snap.owner_of(point)
-    }
-
-    /// The replica chain of a point: the owner, then the first vnode of
-    /// each subsequent distinct snode, up to `r` entries.
-    pub fn replicas(&self, point: u64, r: usize) -> Vec<VnodeId> {
-        self.snap.replicas(point, r)
-    }
-
-    /// Per-snode load at this version (vnodes hosted, quota share).
-    pub fn loads(&self) -> &[SnodeLoad] {
-        self.snap.loads()
-    }
-
-    /// The quota share of one snode, `None` when it hosts nothing.
-    pub fn quota_of(&self, snode: SnodeId) -> Option<f64> {
-        self.snap.quota_of(snode)
-    }
-}
-
 /// A client-side route cache with ≤1-round stale-route repair.
 ///
-/// Holds the last [`RouteTable`] pinned from a [`SnapshotCell`] plus a
-/// dirty flag. [`RouteCache::lookup`] resolves against the pinned table
+/// Holds the last snapshot pinned from a [`SnapshotCell`] plus a dirty
+/// flag. [`RouteCache::lookup`] resolves against the pinned snapshot
 /// after at most one refresh: the pin is replaced exactly when the cell
 /// published a newer version or a streamed event marked the cache dirty
 /// (feed the cache as a [`RebalanceSink`], or call
@@ -155,11 +69,6 @@ impl RouteCache {
         RouteVersion(self.pinned.epoch())
     }
 
-    /// The pinned view as a [`RouteTable`] (shares the snapshot).
-    pub fn table(&self) -> RouteTable {
-        RouteTable::new(Arc::clone(&self.pinned))
-    }
-
     /// The stat block resolutions are tallied into.
     pub fn stats(&self) -> &Arc<RouteStats> {
         &self.stats
@@ -186,7 +95,7 @@ impl RouteCache {
     }
 
     /// Routes a hash point through the cache: at most one refresh, then
-    /// a lookup on the pinned table. Records one read (stale iff a
+    /// a lookup on the pinned snapshot. Records one read (stale iff a
     /// refresh happened) into the stat block.
     pub fn lookup(&mut self, point: u64) -> Option<(VnodeId, SnodeId)> {
         let refreshed = self.refresh();
@@ -216,6 +125,7 @@ impl RebalanceSink for RouteCache {
 mod tests {
     use super::*;
     use domus_core::{DhtConfig, LocalDht, SnapshotBuilder};
+    use domus_hashspace::HashSpace;
     use domus_kv::KvStore;
 
     fn space() -> HashSpace {
@@ -234,38 +144,19 @@ mod tests {
     }
 
     #[test]
-    fn table_is_a_strict_layer_over_the_snapshot() {
-        let (dht, _, cell) = grown(6);
-        let table = RouteTable::pin(&cell);
-        assert_eq!(table.version(), RouteVersion(0));
-        assert_eq!(table.vnode_count(), 6);
-        assert_eq!(table.snode_count(), 6);
-        assert!(!table.is_empty());
-        let snap = table.snapshot();
-        for i in 0..512u64 {
-            let point = table.space().fold(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            assert_eq!(table.lookup(point), snap.lookup(point), "table must delegate");
-            assert_eq!(table.owner_of(point), snap.owner_of(point));
-            assert_eq!(table.replicas(point, 2), snap.replicas(point, 2));
-            // And the snapshot agrees with the live engine at this epoch.
-            let (_, owner) = dht.lookup(point).unwrap();
-            assert_eq!(table.owner_of(point), Some(owner));
-        }
-        assert_eq!(table.loads(), snap.loads());
-        let q: f64 = table.loads().iter().map(|l| l.quota).sum();
-        assert!((q - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn versions_are_monotone_across_publishes() {
         let (mut dht, mut builder, cell) = grown(4);
-        let mut last = RouteTable::pin(&cell).version();
+        let cell = Arc::new(cell);
+        let mut cache = RouteCache::new(Arc::clone(&cell));
+        let mut last = cache.version();
         for s in 4..10u32 {
             let out = dht.create_vnode_with(SnodeId(s), &mut builder).unwrap();
             builder.note_create(out.vnode, SnodeId(s));
             builder.publish(&cell);
-            let v = RouteTable::pin(&cell).version();
+            assert!(cache.refresh(), "a publish must stale the pin");
+            let v = cache.version();
             assert!(v > last, "versions must be monotone: {v} after {last}");
+            assert_eq!(v, RouteVersion(cell.epoch()));
             last = v;
         }
     }

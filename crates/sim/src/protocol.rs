@@ -6,7 +6,7 @@
 //! of the DHT" (§3) — into numbers.
 //!
 //! For every creation performed by a real engine, [`SimDriver`] prices the
-//! event from the operation report and the engine's own records:
+//! event from the operation's event stream and the engine's own records:
 //!
 //! 1. **Victim lookup** (local approach only): one request to the snode
 //!    owning the random point, answered with the victim group's LPDR.
@@ -30,10 +30,7 @@
 
 use crate::net::ClusterNet;
 use crate::time::SimTime;
-use domus_core::{
-    CreateReport, DhtEngine, GroupId, GroupSplit, RebalanceEvent, RebalanceSink, RemoveReport,
-    SnodeId, Transfer, VnodeId,
-};
+use domus_core::{DhtEngine, GroupId, GroupSplit, RebalanceEvent, RebalanceSink, SnodeId, VnodeId};
 use std::collections::BTreeMap;
 
 /// CPU cost parameters (2004-era cluster node).
@@ -96,31 +93,6 @@ impl CostModel {
         EventCost { messages, bytes, duration, participants }
     }
 
-    /// The donor-run shape of a transfer list: `(count, worst donor
-    /// total)` — everything [`CostModel::transfer_cost_parts`] needs.
-    fn transfer_stats(transfers: &[Transfer]) -> (u64, u64) {
-        if transfers.is_empty() {
-            return (0, 0);
-        }
-        // Transfers arrive in event order, so a donor's sends form runs;
-        // count per run instead of touching the map once per transfer.
-        let mut per_donor: BTreeMap<VnodeId, u64> = BTreeMap::new();
-        let mut run_from = transfers[0].from;
-        let mut run_len = 0u64;
-        for t in transfers {
-            if t.from == run_from {
-                run_len += 1;
-            } else {
-                *per_donor.entry(run_from).or_insert(0) += run_len;
-                run_from = t.from;
-                run_len = 1;
-            }
-        }
-        *per_donor.entry(run_from).or_insert(0) += run_len;
-        let worst = per_donor.values().max().copied().unwrap_or(0);
-        (transfers.len() as u64, worst)
-    }
-
     /// Transfer streaming from pre-aggregated stats: donors send in
     /// parallel, each donor serialises its own sends (`worst` is the
     /// busiest donor's total).
@@ -140,10 +112,8 @@ impl CostModel {
 
     /// Prices one creation from its accumulated parts: the governing
     /// record's shape, whether a victim lookup ran, the split-cascade
-    /// size, and the transfer stats. This is the kernel both
-    /// [`CostModel::price_create`] (over a materialised report) and the
-    /// streaming [`EventPricer`] resolve to, so the two surfaces price
-    /// identically by construction.
+    /// size, and the transfer stats — the kernel the streaming
+    /// [`EventPricer`] resolves to.
     #[allow(clippy::too_many_arguments)] // the event's full shape, flattened for the hot path
     pub fn price_create_parts(
         &self,
@@ -208,62 +178,16 @@ impl CostModel {
         cost.duration += t.duration;
         cost
     }
-
-    /// Prices one vnode creation from a materialised report
-    /// ([`CostModel::price_create_parts`] over the report's fields).
-    pub fn price_create(
-        &self,
-        net: &ClusterNet,
-        record_len: u64,
-        participants: u64,
-        report: &CreateReport,
-    ) -> EventCost {
-        let (count, worst) = Self::transfer_stats(&report.transfers);
-        self.price_create_parts(
-            net,
-            record_len,
-            participants,
-            report.lookup_point.is_some(),
-            report.partition_splits,
-            count,
-            worst,
-        )
-    }
-
-    /// Prices one vnode removal from a materialised report
-    /// ([`CostModel::price_remove_parts`] over the report's fields).
-    pub fn price_remove(
-        &self,
-        net: &ClusterNet,
-        record_len: u64,
-        participants: u64,
-        report: &RemoveReport,
-    ) -> EventCost {
-        let (count, worst) = Self::transfer_stats(&report.transfers);
-        self.price_remove_parts(
-            net,
-            record_len,
-            participants,
-            report.migrated.is_some(),
-            report.partition_merges,
-            count,
-            worst,
-        )
-    }
 }
 
 /// A [`RebalanceSink`] that prices a membership event *while it runs* —
-/// the streaming replacement for materialising a report and handing it
-/// to [`CostModel::price_create`]/[`CostModel::price_remove`].
+/// no report is ever materialised.
 ///
 /// Per event: call [`EventPricer::begin`], run the engine operation with
 /// the pricer as its sink, then [`EventPricer::finish_create`] or
 /// [`EventPricer::finish_remove`] with the governing record's shape. The
 /// internal per-donor scratch is reused across events, so a replay loop
-/// prices millions of events with no per-event allocation. Both finish
-/// paths resolve to the same `*_parts` kernels the report pricers use,
-/// so streamed and materialised pricing agree to the bit (asserted by a
-/// test below and the cross-crate churn suite).
+/// prices millions of events with no per-event allocation.
 #[derive(Debug, Clone)]
 pub struct EventPricer {
     net: ClusterNet,
@@ -366,8 +290,7 @@ impl EventPricer {
     }
 
     /// Prices the accumulated removal. Harmonisation `PartitionSplit`s
-    /// are ignored, exactly as [`CostModel::price_remove`] ignores them
-    /// (the legacy report never carried them).
+    /// are ignored (the legacy report never carried them).
     pub fn finish_remove(&mut self, record_len: u64, participants: u64) -> EventCost {
         let worst = self.worst_donor();
         self.cost.price_remove_parts(
@@ -654,61 +577,23 @@ mod tests {
         let net = ClusterNet::default();
         let victim = dht.vnodes()[7];
         let report = dht.remove_vnode(victim).unwrap();
-        let priced = cost.price_remove(&net, 8, 4, &report);
+        let transfers = report.transfers.len() as u64;
+        let price = |participants| {
+            let migrated = report.migrated.is_some();
+            let merges = report.partition_merges;
+            cost.price_remove_parts(&net, 8, participants, migrated, merges, transfers, transfers)
+        };
+        let priced = price(4);
         // A removal with transfers must price messages, bytes and time.
-        assert!(!report.transfers.is_empty());
+        assert!(transfers > 0);
         assert!(priced.messages > 0 && priced.bytes > 0);
         assert!(priced.duration > SimTime::ZERO);
         assert_eq!(priced.participants, 4);
         // Deterministic: identical inputs price identically.
-        assert_eq!(priced, cost.price_remove(&net, 8, 4, &report));
+        assert_eq!(priced, price(4));
         // More participants cost strictly more sync traffic.
-        let wider = cost.price_remove(&net, 8, 9, &report);
+        let wider = price(9);
         assert!(wider.messages > priced.messages && wider.duration > priced.duration);
-    }
-
-    #[test]
-    fn streamed_pricing_matches_report_pricing() {
-        // Two identical engines: one priced through the EventPricer sink,
-        // one through materialised reports — bit-identical EventCosts.
-        let cost = CostModel::default();
-        let net = ClusterNet::default();
-        let mut streamed = local(2);
-        let mut reported = local(2);
-        let mut pricer = EventPricer::new(net, cost);
-        for i in 0..40u32 {
-            let snode = SnodeId(i % 5);
-            pricer.begin();
-            let out = streamed.create_vnode_with(snode, &mut pricer).unwrap();
-            let (rl, pa) = streamed.record_shape_of(out.vnode).unwrap();
-            let via_sink = pricer.finish_create(rl, pa);
-
-            let (v, report) = reported.create_vnode(snode).unwrap();
-            let (rl2, pa2) = reported.record_shape_of(v).unwrap();
-            let via_report = cost.price_create(&net, rl2, pa2, &report);
-            assert_eq!(via_sink, via_report, "creation {i}");
-        }
-        for i in 0..20u32 {
-            let victim = streamed.vnodes()[(i as usize * 3) % streamed.vnode_count()];
-            pricer.begin();
-            streamed.remove_vnode_with(victim, &mut pricer).unwrap();
-            let shape = |e: &LocalDht, v| e.record_shape_of(v).unwrap();
-            let (rl, pa) = match pricer.first_receiver() {
-                Some(to) => shape(&streamed, to),
-                None => (1, 1),
-            };
-            let via_sink = pricer.finish_remove(rl, pa);
-
-            let victim2 = reported.vnodes()[(i as usize * 3) % reported.vnode_count()];
-            assert_eq!(victim, victim2, "twin engines stay in lockstep");
-            let report = reported.remove_vnode(victim2).unwrap();
-            let (rl2, pa2) = match report.transfers.first() {
-                Some(t) => shape(&reported, t.to),
-                None => (1, 1),
-            };
-            let via_report = cost.price_remove(&net, rl2, pa2, &report);
-            assert_eq!(via_sink, via_report, "removal {i}");
-        }
     }
 
     #[test]

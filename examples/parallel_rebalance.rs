@@ -7,7 +7,7 @@
 //! maintenance op migrates real data and publishes the next routing
 //! epoch while it still holds the write lock), while N reader threads
 //! each hold a [`RouteCache`] — the control plane's client-side pin of a
-//! versioned [`RouteTable`] — and resolve every key through it,
+//! published routing epoch — and resolve every key through it,
 //! re-pinning exactly when the published version moved under them. All
 //! caches tally into the service's shared [`RouteStats`] block. The
 //! invariant on display: **no read ever fails**, no matter how the
@@ -70,7 +70,7 @@ fn main() {
             added.push(v);
             println!(
                 "route {}: snode {n} joined as {v} — {} entries migrated",
-                RouteTable::pin(svc.serve()).version(),
+                RouteVersion(svc.serve().epoch()),
                 mig.entries
             );
         }
@@ -78,7 +78,7 @@ fn main() {
             let mig = svc.leave(v).expect("leave");
             println!(
                 "route {}: {v} retired — {} entries migrated back",
-                RouteTable::pin(svc.serve()).version(),
+                RouteVersion(svc.serve().epoch()),
                 mig.entries
             );
         }
@@ -95,7 +95,7 @@ fn main() {
     );
     println!(
         "final route {} at {} vnodes; every read served through live rebalance",
-        RouteTable::pin(svc.serve()).version(),
+        RouteVersion(svc.serve().epoch()),
         svc.with_read(|s| s.engine().balance_snapshot().vnodes)
     );
     assert!(c.reads > 0, "readers must observe the rebalance");

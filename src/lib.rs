@@ -91,7 +91,7 @@ pub mod prelude {
     };
     pub use domus_metrics::{rel_std_dev_pct, Series, Table, Welford};
     pub use domus_route::{
-        Lease, LeaseTable, RouteAction, RouteCache, RouteTable, RouteVersion, Router, RouterConfig,
+        Lease, LeaseTable, RouteAction, RouteCache, RouteVersion, Router, RouterConfig,
         RouterTotals, TickReport,
     };
     pub use domus_sim::{ClusterNet, CostModel, EventPricer, SimDriver, SimTime};

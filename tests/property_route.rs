@@ -256,7 +256,7 @@ fn run_cache_parity<E: DhtEngine>(
     let cell = Arc::new(SnapshotCell::new(builder.snapshot()));
     let mut cache = RouteCache::new(Arc::clone(&cell));
     let grid: Vec<u64> = {
-        let space = cache.table().space();
+        let space = dht.config().hash_space();
         (0..48u64).map(|i| space.fold(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))).collect()
     };
 

@@ -8,16 +8,12 @@
 //! grow/shrink storm and, at **every** published epoch, replays a dense
 //! probe grid through both the pinned view and the live engine's
 //! [`DhtEngine::lookup`]; any divergence at any epoch on any backend is
-//! a failure. The pinned view is consumed through the [`RouteTable`]
-//! wrapper — the control plane's versioned shard map — which is asserted
-//! to be a *strict* layer: every table resolution is bitwise the
-//! snapshot's. A property test then asserts the retry contract the
+//! a failure. A property test then asserts the retry contract the
 //! serving plane's readers rely on: a pin left one epoch behind always
 //! converges in at most one re-pin.
 
 use domus::prelude::*;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Probe points: a dense even grid plus the span edges' neighbours.
 fn probe_points(space: HashSpace) -> Vec<u64> {
@@ -27,17 +23,13 @@ fn probe_points(space: HashSpace) -> Vec<u64> {
     pts
 }
 
-/// One epoch's parity check, routed through the [`RouteTable`] wrapper:
-/// the table and the live engine must route every probe point to the
-/// same vnode, the table's snode must be the vnode's actual host, and
-/// the table must be a strict layer over the snapshot it wraps.
-fn assert_parity<E: DhtEngine + ?Sized>(engine: &E, snap: &Arc<EngineSnapshot>, ctx: &str) {
-    let table = RouteTable::new(Arc::clone(snap));
-    assert_eq!(table.version(), RouteVersion(snap.epoch()), "{ctx}: version is the epoch");
-    for p in probe_points(table.space()) {
+/// One epoch's parity check: the pinned snapshot and the live engine
+/// must route every probe point to the same vnode, and the snapshot's
+/// snode must be the vnode's actual host.
+fn assert_parity<E: DhtEngine + ?Sized>(engine: &E, snap: &EngineSnapshot, ctx: &str) {
+    for p in probe_points(snap.space()) {
         let live = engine.lookup(p).map(|(_, v)| v);
-        let served = table.lookup(p);
-        assert_eq!(served, snap.lookup(p), "{ctx}: the table must be a strict layer");
+        let served = snap.lookup(p);
         assert_eq!(
             served.map(|(v, _)| v),
             live,
@@ -83,13 +75,9 @@ fn storm<E: DhtEngine>(mut engine: E, seed: u64, ctx: &str) {
             builder.note_create(out.vnode, snode);
         }
         let epoch = builder.publish(&cell);
-        let table = RouteTable::pin(&cell);
-        assert_eq!(
-            table.version(),
-            RouteVersion(epoch),
-            "{ctx}: the cell serves the published epoch"
-        );
-        assert_parity(&engine, table.snapshot(), ctx);
+        let snap = cell.load();
+        assert_eq!(snap.epoch(), epoch, "{ctx}: the cell serves the published epoch");
+        assert_parity(&engine, &snap, ctx);
     }
 }
 
@@ -126,7 +114,7 @@ fn snapshots_stay_immutable_once_pinned() {
     builder.note_create(out.vnode, SnodeId(0));
     builder.publish(&cell);
 
-    let pinned = RouteTable::pin(&cell);
+    let pinned = cell.load();
     let before: Vec<_> = probe_points(pinned.space()).iter().map(|&p| pinned.lookup(p)).collect();
     for s in 1..6u32 {
         let out = engine.create_vnode_with(SnodeId(s), &mut builder).unwrap();
@@ -134,10 +122,10 @@ fn snapshots_stay_immutable_once_pinned() {
         builder.publish(&cell);
     }
     let after: Vec<_> = probe_points(pinned.space()).iter().map(|&p| pinned.lookup(p)).collect();
-    assert_eq!(before, after, "a pinned table changed under its reader");
-    assert!(pinned.is_stale(&cell), "five publishes later the pin must read as stale");
+    assert_eq!(before, after, "a pinned snapshot changed under its reader");
+    assert!(cell.is_stale(&pinned), "five publishes later the pin must read as stale");
     assert!(
-        RouteTable::pin(&cell).version() > pinned.version(),
+        RouteVersion(cell.load().epoch()) > RouteVersion(pinned.epoch()),
         "a re-pin supersedes the stale version"
     );
 }
