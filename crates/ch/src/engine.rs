@@ -13,7 +13,7 @@
 //! * `create_vnode_with(snode, sink)` joins one physical node with the
 //!   configured number of virtual servers and streams one `Transfer`
 //!   event per partition piece the newcomer pulled from its previous
-//!   owners (the report shim materialises the same list on demand).
+//!   owners (a `CollectReport` sink materialises the same list).
 //! * `remove_vnode_with` leaves the ring and streams the pieces
 //!   inherited by the surviving successors the same way.
 //! * `lookup`/`partitions_of` expose the current arc set as partitions,
@@ -47,13 +47,13 @@ use std::collections::BTreeMap;
 ///
 /// ```
 /// use domus_ch::ChEngine;
-/// use domus_core::{DhtConfig, DhtEngine, SnodeId};
+/// use domus_core::{DhtConfig, DhtEngine, NullSink, SnodeId};
 /// use domus_hashspace::HashSpace;
 ///
 /// let cfg = DhtConfig::new(HashSpace::new(32), 32, 1).unwrap();
 /// let mut dht = ChEngine::with_seed(cfg, 8, 7);
 /// for s in 0..4u32 {
-///     dht.create_vnode(SnodeId(s)).unwrap();
+///     dht.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
 /// }
 /// let (partition, owner) = dht.lookup(0xBEEF).unwrap();
 /// assert!(dht.partitions_of(owner).unwrap().contains(&partition));
@@ -433,6 +433,7 @@ impl DhtEngine for ChEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use domus_core::{CollectReport, CountOnly, NullSink};
 
     fn engine(seed: u64) -> ChEngine {
         let cfg = DhtConfig::new(HashSpace::new(32), 32, 1).unwrap();
@@ -442,9 +443,11 @@ mod tests {
     #[test]
     fn first_vnode_owns_everything_with_no_transfers() {
         let mut e = engine(1);
-        let (v, rep) = e.create_vnode(SnodeId(0)).unwrap();
-        assert!(rep.transfers.is_empty(), "nobody to take from");
-        assert_eq!(rep.group, Some(GroupId::FIRST));
+        let mut counts = CountOnly::default();
+        let created = e.create_vnode_with(SnodeId(0), &mut counts).unwrap();
+        let v = created.vnode;
+        assert_eq!(counts.transfers, 0, "nobody to take from");
+        assert_eq!(created.group, Some(GroupId::FIRST));
         assert_eq!(e.quota_of(v).unwrap(), 1.0);
         let total: u128 = e.partitions_of(v).unwrap().iter().map(|p| p.size(e.space())).sum();
         assert_eq!(total, e.space().size());
@@ -454,14 +457,15 @@ mod tests {
     #[test]
     fn transfers_move_exactly_the_claimed_quota() {
         let mut e = engine(2);
-        e.create_vnode(SnodeId(0)).unwrap();
+        e.create_vnode_with(SnodeId(0), &mut NullSink).unwrap();
         let before = e.quotas();
-        let (v, rep) = e.create_vnode(SnodeId(1)).unwrap();
-        assert!(!rep.transfers.is_empty(), "a second node must claim arcs");
+        let mut rep = CollectReport::new();
+        let v = e.create_vnode_with(SnodeId(1), &mut rep).unwrap().vnode;
+        assert!(!rep.transfers().is_empty(), "a second node must claim arcs");
         let space = e.space();
-        let moved: u128 = rep.transfers.iter().map(|t| t.partition.size(space)).sum();
+        let moved: u128 = rep.transfers().iter().map(|t| t.partition.size(space)).sum();
         assert_eq!(moved, e.ring().arc_of(ChNodeId(v.0)), "transfer volume == quota claimed");
-        assert!(rep.transfers.iter().all(|t| t.to == v));
+        assert!(rep.transfers().iter().all(|t| t.to == v));
         assert_eq!(before.iter().sum::<f64>(), 1.0);
         e.check_invariants().unwrap();
     }
@@ -470,7 +474,7 @@ mod tests {
     fn lookup_agrees_with_partition_lists() {
         let mut e = engine(3);
         for s in 0..6u32 {
-            e.create_vnode(SnodeId(s)).unwrap();
+            e.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
         }
         let space = e.space();
         for key in (0..space.max_point()).step_by(1 << 24) {
@@ -485,15 +489,16 @@ mod tests {
         let mut e = engine(4);
         let mut vs = Vec::new();
         for s in 0..5u32 {
-            vs.push(e.create_vnode(SnodeId(s)).unwrap().0);
+            vs.push(e.create_vnode_with(SnodeId(s), &mut NullSink).unwrap().vnode);
         }
         let victim = vs[2];
         let arc = e.ring().arc_of(ChNodeId(victim.0));
-        let rep = e.remove_vnode(victim).unwrap();
+        let mut rep = CollectReport::new();
+        e.remove_vnode_with(victim, &mut rep).unwrap();
         let space = e.space();
-        let moved: u128 = rep.transfers.iter().map(|t| t.partition.size(space)).sum();
+        let moved: u128 = rep.transfers().iter().map(|t| t.partition.size(space)).sum();
         assert_eq!(moved, arc, "everything the victim held must move out");
-        assert!(rep.transfers.iter().all(|t| t.from == victim && t.to != victim));
+        assert!(rep.transfers().iter().all(|t| t.from == victim && t.to != victim));
         assert_eq!(e.lookup(0).map(|(_, v)| v == victim), Some(false));
         assert!(matches!(e.quota_of(victim), Err(DhtError::UnknownVnode(_))));
         e.check_invariants().unwrap();
@@ -504,13 +509,15 @@ mod tests {
         let mut e = engine(12);
         let mut live = Vec::new();
         for s in 0..10u32 {
-            live.push(e.create_vnode(SnodeId(s)).unwrap().0);
+            live.push(e.create_vnode_with(SnodeId(s), &mut NullSink).unwrap().vnode);
         }
         for round in 0..6usize {
             let v = live.remove(round % live.len());
-            e.remove_vnode(v).unwrap();
+            e.remove_vnode_with(v, &mut NullSink).unwrap();
             e.check_invariants().unwrap_or_else(|err| panic!("round {round}: {err}"));
-            live.push(e.create_vnode(SnodeId(90 + round as u32)).unwrap().0);
+            live.push(
+                e.create_vnode_with(SnodeId(90 + round as u32), &mut NullSink).unwrap().vnode,
+            );
             e.check_invariants().unwrap_or_else(|err| panic!("round {round}: {err}"));
         }
     }
@@ -518,17 +525,20 @@ mod tests {
     #[test]
     fn last_vnode_cannot_leave() {
         let mut e = engine(5);
-        let (v, _) = e.create_vnode(SnodeId(0)).unwrap();
-        assert_eq!(e.remove_vnode(v), Err(DhtError::LastVnode));
-        assert!(matches!(e.remove_vnode(VnodeId(99)), Err(DhtError::UnknownVnode(_))));
+        let v = e.create_vnode_with(SnodeId(0), &mut NullSink).unwrap().vnode;
+        assert_eq!(e.remove_vnode_with(v, &mut NullSink), Err(DhtError::LastVnode));
+        assert!(matches!(
+            e.remove_vnode_with(VnodeId(99), &mut NullSink),
+            Err(DhtError::UnknownVnode(_))
+        ));
     }
 
     #[test]
     fn canonical_names_count_per_snode() {
         let mut e = engine(6);
-        let (a, _) = e.create_vnode(SnodeId(7)).unwrap();
-        let (b, _) = e.create_vnode(SnodeId(7)).unwrap();
-        let (c, _) = e.create_vnode(SnodeId(2)).unwrap();
+        let a = e.create_vnode_with(SnodeId(7), &mut NullSink).unwrap().vnode;
+        let b = e.create_vnode_with(SnodeId(7), &mut NullSink).unwrap().vnode;
+        let c = e.create_vnode_with(SnodeId(2), &mut NullSink).unwrap().vnode;
         assert_eq!(e.name_of(a).unwrap().to_string(), "7.0");
         assert_eq!(e.name_of(b).unwrap().to_string(), "7.1");
         assert_eq!(e.name_of(c).unwrap().to_string(), "2.0");
@@ -539,7 +549,7 @@ mod tests {
     fn pdr_covers_every_live_node() {
         let mut e = engine(7);
         for s in 0..4u32 {
-            e.create_vnode(SnodeId(s)).unwrap();
+            e.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
         }
         let v = e.vnodes()[1];
         let pdr = e.pdr_of(v).unwrap();
@@ -554,7 +564,7 @@ mod tests {
         let cfg = DhtConfig::paper_default();
         let mut e = ChEngine::with_seed(cfg, 32, 11);
         for s in 0..8u32 {
-            e.create_vnode(SnodeId(s)).unwrap();
+            e.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
         }
         e.check_invariants().unwrap();
         let sum: f64 = e.quotas().iter().sum();
@@ -567,7 +577,7 @@ mod tests {
         // straight from the ring's arc endpoints yields the same pieces.
         let mut e = engine(21);
         for s in 0..8u32 {
-            e.create_vnode(SnodeId(s)).unwrap();
+            e.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
         }
         let space = e.space();
         for v in e.vnodes() {

@@ -152,8 +152,16 @@ impl<E: DhtEngine> Cluster<E> {
     }
 
     /// Withdraws a node entirely, removing all its vnodes.
+    ///
+    /// Fails with [`DhtError::LastVnode`] when the node hosts every live
+    /// vnode — checked before anything mutates, as
+    /// [`DhtEngine::fail_snode`] does.
     pub fn leave(&mut self, s: SnodeId) -> Result<(), DhtError> {
-        let mut pending = self.nodes.remove(&s).ok_or(DhtError::EmptySnode(s))?.vnodes;
+        let hosted = self.nodes.get(&s).ok_or(DhtError::EmptySnode(s))?.vnodes.len();
+        if hosted == self.engine.vnode_count() {
+            return Err(DhtError::LastVnode);
+        }
+        let mut pending = self.nodes.remove(&s).expect("checked above").vnodes;
         while let Some(v) = pending.pop() {
             // A migration may have renamed one of this node's own pending
             // vnodes; patch the local work list as well as other nodes'.
@@ -275,6 +283,23 @@ mod tests {
         assert_eq!(c.engine().vnode_count(), 4);
         assert_eq!(c.node_count(), 1);
         assert!(c.vnodes_of(a).is_some());
+        c.engine().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn last_node_cannot_leave_and_nothing_mutates() {
+        let mut c = cluster();
+        let s = c.join(1.0).unwrap();
+        let vnodes = c.vnodes_of(s).unwrap().to_vec();
+        let quotas = c.engine().quotas();
+        assert_eq!(c.leave(s), Err(DhtError::LastVnode));
+        assert_eq!(c.node_count(), 1);
+        assert_eq!(c.vnodes_of(s), Some(vnodes.as_slice()));
+        assert_eq!(c.engine().vnodes(), vnodes);
+        assert_eq!(c.engine().quotas(), quotas);
+        assert_eq!(c.node_quotas(), vec![(s, 1.0)]);
+        // The node is still reachable through the cluster.
+        assert_eq!(c.leave(s), Err(DhtError::LastVnode));
         c.engine().check_invariants().unwrap();
     }
 

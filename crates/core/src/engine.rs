@@ -1,14 +1,13 @@
 //! The engine abstraction shared by the global and local approaches, plus
 //! the operation surface consumed by the simulator and the KV layer.
 //!
-//! Membership operations stream typed [`RebalanceEvent`]s into a
-//! caller-supplied [`RebalanceSink`] while they run
-//! ([`DhtEngine::create_vnode_with`] / [`DhtEngine::remove_vnode_with`] /
-//! the batched [`DhtEngine::apply`]). Library code passes a sink —
+//! Each membership operation has exactly one call:
+//! [`DhtEngine::create_vnode_with`] / [`DhtEngine::remove_vnode_with`]
+//! stream typed [`RebalanceEvent`]s into a caller-supplied
+//! [`RebalanceSink`] while they run. Callers pick the sink —
 //! [`crate::NullSink`] when only the outcome matters, [`crate::CountOnly`]
-//! for tallies; the report-returning [`DhtEngine::create_vnode`] /
-//! [`DhtEngine::remove_vnode`] remain as provided shims over the
-//! [`crate::CollectReport`] sink for tests, benches and examples.
+//! for tallies, [`crate::CollectReport`] to materialise a
+//! [`CreateReport`] / [`RemoveReport`].
 //! The trait is dyn-compatible: `&mut dyn DhtEngine` drives any backend.
 
 use crate::config::DhtConfig;
@@ -17,7 +16,7 @@ use crate::group_id::GroupId;
 use crate::ids::{CanonicalName, SnodeId, VnodeId};
 use crate::invariants::InvariantViolation;
 use crate::record::Pdr;
-use crate::sink::{CollectReport, RebalanceEvent, RebalanceSink};
+use crate::sink::{RebalanceEvent, RebalanceSink};
 use crate::stats::BalanceSnapshot;
 use domus_hashspace::Partition;
 use std::collections::BTreeSet;
@@ -93,9 +92,9 @@ pub struct RejoinOutcome {
 }
 
 /// Observes [`RebalanceEvent::VnodeMigrated`] renames passing through a
-/// removal, forwarding everything — shared by [`DhtEngine::apply`],
-/// [`DhtEngine::fail_snode`] and [`crate::Cluster`], whose pending-op
-/// patching must follow the rename.
+/// removal, forwarding everything — shared by [`DhtEngine::fail_snode`]
+/// and [`crate::Cluster`], whose pending-victim patching must follow the
+/// rename.
 pub(crate) struct RenameWatch<'a> {
     pub(crate) out: &'a mut dyn RebalanceSink,
     pub(crate) renamed: Option<(VnodeId, VnodeId)>,
@@ -110,44 +109,11 @@ impl RebalanceSink for RenameWatch<'_> {
     }
 }
 
-/// One membership operation for [`DhtEngine::apply`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DhtOp {
-    /// Create a vnode hosted by the snode.
-    Create(SnodeId),
-    /// Remove the vnode.
-    Remove(VnodeId),
-}
-
-/// The result of one [`DhtEngine::apply`] batch.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchOutcome {
-    /// Handles of the vnodes created, in op order.
-    pub created: Vec<VnodeId>,
-    /// Removals applied.
-    pub removed: usize,
-    /// Ops that failed, as `(op index, error)` — the batch continues past
-    /// failures (a dead handle in a bulk decommission is routine).
-    pub failed: Vec<(usize, DhtError)>,
-}
-
-impl BatchOutcome {
-    /// `true` when every op applied.
-    pub fn is_complete(&self) -> bool {
-        self.failed.is_empty()
-    }
-
-    /// Ops applied successfully.
-    pub fn applied(&self) -> usize {
-        self.created.len() + self.removed
-    }
-}
-
 /// Everything that happened while creating one vnode.
 ///
-/// Legacy materialised view: the streaming surface
-/// ([`DhtEngine::create_vnode_with`]) emits the same facts as
-/// [`RebalanceEvent`]s without allocating; this struct remains for
+/// Materialised view: [`DhtEngine::create_vnode_with`] emits the same
+/// facts as [`RebalanceEvent`]s without allocating; a
+/// [`crate::CollectReport`] sink assembles them into this struct for
 /// consumers that want the event list as data.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CreateReport {
@@ -230,84 +196,6 @@ pub trait DhtEngine {
         v: VnodeId,
         sink: &mut dyn RebalanceSink,
     ) -> Result<RemoveOutcome, DhtError>;
-
-    /// Creates a vnode, materialising the event stream as a
-    /// [`CreateReport`] (compatibility shim over
-    /// [`DhtEngine::create_vnode_with`]).
-    fn create_vnode(&mut self, snode: SnodeId) -> Result<(VnodeId, CreateReport), DhtError> {
-        let mut collect = CollectReport::new();
-        let outcome = self.create_vnode_with(snode, &mut collect)?;
-        Ok((outcome.vnode, collect.into_create_report(&outcome)))
-    }
-
-    /// Removes a vnode, materialising the event stream as a
-    /// [`RemoveReport`] (compatibility shim over
-    /// [`DhtEngine::remove_vnode_with`]).
-    fn remove_vnode(&mut self, v: VnodeId) -> Result<RemoveReport, DhtError> {
-        let mut collect = CollectReport::new();
-        let outcome = self.remove_vnode_with(v, &mut collect)?;
-        Ok(collect.into_remove_report(&outcome))
-    }
-
-    /// Applies a batch of membership operations through one sink.
-    ///
-    /// The batch continues past per-op failures (recorded in
-    /// [`BatchOutcome::failed`]); a removal that internally migrates a
-    /// vnode emits [`RebalanceEvent::VnodeMigrated`], and `apply` patches
-    /// both the *remaining* `Remove` ops of the batch and any
-    /// already-recorded [`BatchOutcome::created`] handle to the renamed
-    /// vnode — the same bookkeeping every replay roster performs, so the
-    /// returned handles are all live.
-    ///
-    /// ```
-    /// use domus_core::{DhtConfig, DhtEngine, DhtOp, LocalDht, NullSink, SnodeId};
-    /// use domus_hashspace::HashSpace;
-    ///
-    /// let cfg = DhtConfig::new(HashSpace::new(32), 4, 2).unwrap();
-    /// let mut dht = LocalDht::with_seed(cfg, 3);
-    /// let ops: Vec<DhtOp> = (0..6).map(|s| DhtOp::Create(SnodeId(s))).collect();
-    /// let batch = dht.apply(&ops, &mut NullSink);
-    /// assert!(batch.is_complete());
-    /// assert_eq!(batch.created.len(), 6);
-    /// assert_eq!(dht.vnode_count(), 6);
-    /// ```
-    fn apply(&mut self, ops: &[DhtOp], sink: &mut dyn RebalanceSink) -> BatchOutcome {
-        let mut outcome = BatchOutcome::default();
-        let mut pending: Vec<DhtOp> = ops.to_vec();
-        let mut i = 0;
-        while i < pending.len() {
-            let op = pending[i];
-            match op {
-                DhtOp::Create(s) => match self.create_vnode_with(s, sink) {
-                    Ok(o) => outcome.created.push(o.vnode),
-                    Err(e) => outcome.failed.push((i, e)),
-                },
-                DhtOp::Remove(v) => {
-                    let mut watch = RenameWatch { out: sink, renamed: None };
-                    match self.remove_vnode_with(v, &mut watch) {
-                        Ok(_) => outcome.removed += 1,
-                        Err(e) => outcome.failed.push((i, e)),
-                    }
-                    if let Some((old, new)) = watch.renamed {
-                        for later in pending.iter_mut().skip(i + 1) {
-                            if *later == DhtOp::Remove(old) {
-                                *later = DhtOp::Remove(new);
-                            }
-                        }
-                        // A handle created earlier in this batch may be the
-                        // one retired; keep the returned handles live.
-                        for created in &mut outcome.created {
-                            if *created == old {
-                                *created = new;
-                            }
-                        }
-                    }
-                }
-            }
-            i += 1;
-        }
-        outcome
-    }
 
     /// The vnode responsible for `point`, with the containing partition.
     fn lookup(&self, point: u64) -> Option<(Partition, VnodeId)>;
@@ -423,7 +311,7 @@ pub trait DhtEngine {
     /// mirroring [`DhtEngine::fail_snode`]'s refusal to crash a snode
     /// that hosts nothing. A mid-sequence creation error propagates;
     /// vnodes already enrolled stay live (the caller sees them in the
-    /// engine, exactly like a partially applied [`DhtEngine::apply`]).
+    /// engine).
     fn rejoin_snode(
         &mut self,
         s: SnodeId,

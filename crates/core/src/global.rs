@@ -28,13 +28,13 @@ use domus_util::{DomusRng, Xoshiro256pp};
 /// A DHT balanced with the global approach.
 ///
 /// ```
-/// use domus_core::{DhtConfig, GlobalDht, DhtEngine, SnodeId};
+/// use domus_core::{DhtConfig, GlobalDht, DhtEngine, NullSink, SnodeId};
 /// use domus_hashspace::HashSpace;
 ///
 /// let cfg = DhtConfig::new(HashSpace::new(32), 4, 1).unwrap();
 /// let mut dht = GlobalDht::with_seed(cfg, 42);
 /// for s in 0..8 {
-///     dht.create_vnode(SnodeId(s)).unwrap();
+///     dht.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
 /// }
 /// // V = 8 is a power of two: invariant G5 says perfect balance.
 /// assert_eq!(dht.vnode_quota_relstd_pct(), 0.0);
@@ -323,6 +323,7 @@ impl<R: DomusRng> DhtEngine for GlobalDht<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::{CollectReport, NullSink};
     use domus_hashspace::HashSpace;
     use domus_metrics::rel_std_dev_pct;
 
@@ -333,7 +334,7 @@ mod tests {
     fn grow(pmin: u64, n: usize, seed: u64) -> GlobalDht {
         let mut dht = GlobalDht::with_seed(cfg(pmin), seed);
         for i in 0..n {
-            dht.create_vnode(SnodeId(i as u32)).unwrap();
+            dht.create_vnode_with(SnodeId(i as u32), &mut NullSink).unwrap();
         }
         dht
     }
@@ -354,7 +355,7 @@ mod tests {
         // Invariant G5: at V ∈ {1, 2, 4, 8, ...} every vnode holds Pmin.
         let mut dht = GlobalDht::with_seed(cfg(8), 7);
         for i in 0..64u32 {
-            dht.create_vnode(SnodeId(i)).unwrap();
+            dht.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
             let v = dht.vnode_count() as u64;
             if v.is_power_of_two() {
                 for &m in &dht.vnodes() {
@@ -392,7 +393,7 @@ mod tests {
     fn invariants_hold_through_growth() {
         let mut dht = GlobalDht::with_seed(cfg(4), 11);
         for i in 0..100u32 {
-            dht.create_vnode(SnodeId(i)).unwrap();
+            dht.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
             dht.check_invariants().unwrap_or_else(|e| panic!("after vnode {i}: {e}"));
         }
     }
@@ -414,7 +415,7 @@ mod tests {
         let victims = dht.vnodes();
         // Delete back down to 1 vnode, checking invariants at each size.
         for &v in victims.iter().take(8) {
-            dht.remove_vnode(v).unwrap();
+            dht.remove_vnode_with(v, &mut NullSink).unwrap();
             dht.check_invariants().unwrap_or_else(|e| panic!("after removing {v}: {e}"));
         }
         assert_eq!(dht.vnode_count(), 1);
@@ -428,16 +429,19 @@ mod tests {
     fn removing_last_vnode_is_refused() {
         let mut dht = grow(8, 1, 1);
         let v = dht.vnodes()[0];
-        assert_eq!(dht.remove_vnode(v), Err(DhtError::LastVnode));
+        assert_eq!(dht.remove_vnode_with(v, &mut NullSink), Err(DhtError::LastVnode));
     }
 
     #[test]
     fn removing_unknown_vnode_is_refused() {
         let mut dht = grow(8, 2, 1);
-        assert_eq!(dht.remove_vnode(VnodeId(999)), Err(DhtError::UnknownVnode(VnodeId(999))));
+        assert_eq!(
+            dht.remove_vnode_with(VnodeId(999), &mut NullSink),
+            Err(DhtError::UnknownVnode(VnodeId(999)))
+        );
         let v = dht.vnodes()[0];
-        dht.remove_vnode(v).unwrap();
-        assert_eq!(dht.remove_vnode(v), Err(DhtError::UnknownVnode(v)));
+        dht.remove_vnode_with(v, &mut NullSink).unwrap();
+        assert_eq!(dht.remove_vnode_with(v, &mut NullSink), Err(DhtError::UnknownVnode(v)));
     }
 
     #[test]
@@ -445,11 +449,11 @@ mod tests {
         let mut dht = GlobalDht::with_seed(cfg(4), 99);
         let mut live = Vec::new();
         for i in 0..40u32 {
-            let (v, _) = dht.create_vnode(SnodeId(i % 5)).unwrap();
+            let v = dht.create_vnode_with(SnodeId(i % 5), &mut NullSink).unwrap().vnode;
             live.push(v);
             if i % 3 == 2 {
                 let victim = live.remove((i as usize * 7) % live.len());
-                dht.remove_vnode(victim).unwrap();
+                dht.remove_vnode_with(victim, &mut NullSink).unwrap();
             }
             dht.check_invariants().unwrap_or_else(|e| panic!("step {i}: {e}"));
         }
@@ -470,10 +474,10 @@ mod tests {
     fn sawtooth_between_powers_of_two() {
         // σ̄ rises right after a power of two and returns to 0 at the next.
         let mut dht = GlobalDht::with_seed(cfg(32), 2);
-        dht.create_vnode(SnodeId(0)).unwrap();
+        dht.create_vnode_with(SnodeId(0), &mut NullSink).unwrap();
         let mut prev = 0.0;
         for i in 1..16u32 {
-            dht.create_vnode(SnodeId(i)).unwrap();
+            dht.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
             let v = dht.vnode_count() as u64;
             let m = dht.vnode_quota_relstd_pct();
             if v.is_power_of_two() {
@@ -489,7 +493,9 @@ mod tests {
     #[test]
     fn transfers_reported_match_quota_motion() {
         let mut dht = grow(8, 4, 41);
-        let (_, report) = dht.create_vnode(SnodeId(9)).unwrap();
+        let mut collect = CollectReport::new();
+        let created = dht.create_vnode_with(SnodeId(9), &mut collect).unwrap();
+        let report = collect.into_create_report(&created);
         // V went 4 → 5 through a power of two: a split cascade must have run
         // and the new vnode received everything it owns via transfers.
         assert!(report.partition_splits > 0);

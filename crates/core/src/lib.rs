@@ -44,7 +44,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use domus_core::{DhtConfig, LocalDht, DhtEngine, SnodeId};
+//! use domus_core::{DhtConfig, LocalDht, DhtEngine, NullSink, SnodeId};
 //! use domus_hashspace::HashSpace;
 //!
 //! // The paper's reference parameterization is Pmin = Vmin = 32; use a
@@ -55,7 +55,7 @@
 //! // Three cluster nodes enroll four vnodes each.
 //! for round in 0..4 {
 //!     for snode in 0..3 {
-//!         dht.create_vnode(SnodeId(snode)).unwrap();
+//!         dht.create_vnode_with(SnodeId(snode), &mut NullSink).unwrap();
 //!     }
 //!     let _ = round;
 //! }
@@ -92,8 +92,8 @@ pub mod stats;
 pub use cluster::{Cluster, EnrollmentPolicy};
 pub use config::{ContainerChoice, DhtConfig, SplitSelection, VictimPartitionPolicy};
 pub use engine::{
-    BatchOutcome, CreateOutcome, CreateReport, DhtEngine, DhtOp, FailOutcome, GroupSplit,
-    RejoinOutcome, RemoveOutcome, RemoveReport, Transfer,
+    CreateOutcome, CreateReport, DhtEngine, FailOutcome, GroupSplit, RejoinOutcome, RemoveOutcome,
+    RemoveReport, Transfer,
 };
 pub use errors::DhtError;
 pub use global::GlobalDht;

@@ -38,14 +38,14 @@ use domus_util::{DomusRng, Xoshiro256pp};
 /// A DHT balanced with the local approach.
 ///
 /// ```
-/// use domus_core::{DhtConfig, LocalDht, DhtEngine, SnodeId};
+/// use domus_core::{DhtConfig, LocalDht, DhtEngine, NullSink, SnodeId};
 /// use domus_hashspace::HashSpace;
 ///
 /// // Pmin = Vmin = 4 on a 32-bit space.
 /// let cfg = DhtConfig::new(HashSpace::new(32), 4, 4).unwrap();
 /// let mut dht = LocalDht::with_seed(cfg, 7);
 /// for s in 0..32 {
-///     dht.create_vnode(SnodeId(s)).unwrap();
+///     dht.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
 /// }
 /// assert!(dht.group_count() >= 2, "32 vnodes exceed one group's Vmax = 8");
 /// assert!(dht.vnode_quota_relstd_pct() < 50.0);
@@ -451,6 +451,7 @@ impl<R: DomusRng> DhtEngine for LocalDht<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::{CollectReport, NullSink};
     use domus_hashspace::HashSpace;
     use domus_metrics::rel_std_dev_pct;
 
@@ -461,7 +462,7 @@ mod tests {
     fn grow(c: DhtConfig, n: usize, seed: u64) -> LocalDht {
         let mut dht = LocalDht::with_seed(c, seed);
         for i in 0..n {
-            dht.create_vnode(SnodeId(i as u32)).unwrap();
+            dht.create_vnode_with(SnodeId(i as u32), &mut NullSink).unwrap();
         }
         dht
     }
@@ -470,13 +471,15 @@ mod tests {
     fn single_group_until_vmax() {
         let mut dht = LocalDht::with_seed(cfg(4, 4), 1);
         for i in 0..8u32 {
-            dht.create_vnode(SnodeId(i)).unwrap();
+            dht.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
             assert_eq!(dht.group_count(), 1, "one group while V ≤ Vmax");
         }
         // The 9th vnode forces the first split (victim group full).
-        let (_, report) = dht.create_vnode(SnodeId(8)).unwrap();
+        let mut collect = CollectReport::new();
+        let created = dht.create_vnode_with(SnodeId(8), &mut collect).unwrap();
         assert_eq!(dht.group_count(), 2);
-        let split = report.group_split.expect("split must be reported");
+        let split =
+            collect.into_create_report(&created).group_split.expect("split must be reported");
         assert_eq!(split.parent, GroupId::FIRST);
     }
 
@@ -504,7 +507,7 @@ mod tests {
     fn invariants_hold_through_growth() {
         let mut dht = LocalDht::with_seed(cfg(4, 2), 7);
         for i in 0..120u32 {
-            dht.create_vnode(SnodeId(i)).unwrap();
+            dht.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
             dht.check_invariants().unwrap_or_else(|e| panic!("after vnode {i}: {e}"));
         }
         assert!(dht.group_count() > 1);
@@ -553,8 +556,8 @@ mod tests {
         let mut local = LocalDht::with_seed(c_local, 23);
         let mut global = GlobalDht::with_seed(c_global, 23);
         for i in 0..100u32 {
-            local.create_vnode(SnodeId(i)).unwrap();
-            global.create_vnode(SnodeId(i)).unwrap();
+            local.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
+            global.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
             let a = local.vnode_quota_relstd_pct();
             let b = global.vnode_quota_relstd_pct();
             assert!((a - b).abs() < 1e-9, "V={}: local {a} vs global {b}", i + 1);
@@ -577,7 +580,9 @@ mod tests {
     #[test]
     fn report_carries_victim_and_point() {
         let mut dht = grow(cfg(4, 4), 5, 29);
-        let (_, report) = dht.create_vnode(SnodeId(99)).unwrap();
+        let mut collect = CollectReport::new();
+        let created = dht.create_vnode_with(SnodeId(99), &mut collect).unwrap();
+        let report = collect.into_create_report(&created);
         let r = report.lookup_point.expect("victim point drawn");
         let victim = report.victim.expect("victim vnode identified");
         // The victim owned the point at selection time; it may have handed
@@ -605,7 +610,7 @@ mod tests {
         let c = cfg(4, 2).with_container_choice(ContainerChoice::OwningHalf);
         let mut dht = LocalDht::with_seed(c, 31);
         for i in 0..50u32 {
-            dht.create_vnode(SnodeId(i)).unwrap();
+            dht.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
         }
         dht.check_invariants().unwrap();
         // Behavioural check happens in the ablation experiment; here we

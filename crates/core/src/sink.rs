@@ -10,9 +10,8 @@
 //!
 //! * [`NullSink`] — discard everything (pure throughput).
 //! * [`CountOnly`] — tally events per kind, no payloads retained.
-//! * [`CollectReport`] — reconstitute the legacy report structs; the
-//!   compatibility shim [`crate::DhtEngine::create_vnode`] /
-//!   [`crate::DhtEngine::remove_vnode`] is built on it, and the
+//! * [`CollectReport`] — reconstitute the [`CreateReport`] /
+//!   [`RemoveReport`] structs for callers that read report fields; the
 //!   `sink_parity` golden test asserts the reconstruction is
 //!   field-identical to the pre-redesign inline reports.
 //! * [`Tee`] — fan one event stream out to two sinks.
@@ -41,9 +40,9 @@ use domus_hashspace::Quota;
 
 /// One rebalancement step, emitted while a membership operation runs.
 ///
-/// The variants cover everything the legacy reports recorded — plus the
-/// level-harmonisation splits of group merges, which the old
-/// [`RemoveReport`] silently dropped.
+/// The variants cover everything the report structs record — plus the
+/// level-harmonisation splits of group merges, which [`RemoveReport`]
+/// does not record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RebalanceEvent {
     /// One partition changed hands (greedy handover, drain, co-location).
@@ -173,12 +172,13 @@ impl<A: RebalanceSink, B: RebalanceSink> RebalanceSink for Tee<A, B> {
     }
 }
 
-/// Reconstitutes the legacy report structs from the event stream.
+/// Reconstitutes the report structs from the event stream.
 ///
-/// The compatibility shim ([`crate::DhtEngine::create_vnode`] /
-/// [`crate::DhtEngine::remove_vnode`]) runs every operation through one
-/// of these; call [`CollectReport::clear`] between operations to reuse
-/// the transfer buffer's capacity.
+/// Pass one as the sink of [`crate::DhtEngine::create_vnode_with`] /
+/// [`crate::DhtEngine::remove_vnode_with`], then assemble the report with
+/// [`CollectReport::into_create_report`] /
+/// [`CollectReport::into_remove_report`]; call [`CollectReport::clear`]
+/// between operations to reuse the transfer buffer's capacity.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CollectReport {
     lookup_point: Option<u64>,
@@ -215,7 +215,7 @@ impl CollectReport {
         self.transfers.clear();
     }
 
-    /// Assembles the legacy [`CreateReport`] for a finished creation.
+    /// Assembles the [`CreateReport`] for a finished creation.
     pub fn into_create_report(self, outcome: &CreateOutcome) -> CreateReport {
         CreateReport {
             group: outcome.group,
@@ -228,10 +228,10 @@ impl CollectReport {
         }
     }
 
-    /// Assembles the legacy [`RemoveReport`] for a finished removal.
+    /// Assembles the [`RemoveReport`] for a finished removal.
     ///
     /// Level-harmonisation `PartitionSplit`s (emitted by group merges)
-    /// are dropped, exactly as the legacy report dropped them.
+    /// are dropped, exactly as the pre-redesign inline report dropped them.
     pub fn into_remove_report(self, outcome: &RemoveOutcome) -> RemoveReport {
         RemoveReport {
             group: outcome.group,

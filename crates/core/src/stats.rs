@@ -84,6 +84,7 @@ mod tests {
     use crate::config::DhtConfig;
     use crate::global::GlobalDht;
     use crate::local::LocalDht;
+    use crate::sink::NullSink;
     use domus_hashspace::HashSpace;
 
     #[test]
@@ -91,7 +92,7 @@ mod tests {
         let cfg = DhtConfig::new(HashSpace::new(32), 4, 4).unwrap();
         let mut dht = LocalDht::with_seed(cfg, 3);
         for i in 0..20u32 {
-            dht.create_vnode(SnodeId(i % 5)).unwrap();
+            dht.create_vnode_with(SnodeId(i % 5), &mut NullSink).unwrap();
         }
         let q = snode_quotas(&dht);
         assert_eq!(q.len(), 5);
@@ -104,7 +105,7 @@ mod tests {
         let cfg = DhtConfig::new(HashSpace::new(32), 4, 4).unwrap();
         let mut dht = LocalDht::with_seed(cfg, 7);
         for i in 0..24u32 {
-            dht.create_vnode(SnodeId(i % 6)).unwrap();
+            dht.create_vnode_with(SnodeId(i % 6), &mut NullSink).unwrap();
         }
         let snap = BalanceSnapshot::capture(&dht);
         assert_eq!(snap.vnodes, 24);
@@ -125,7 +126,7 @@ mod tests {
         let cfg = DhtConfig::new(HashSpace::new(32), 8, 1).unwrap();
         let mut dht = GlobalDht::with_seed(cfg, 5);
         for i in 0..17u32 {
-            dht.create_vnode(SnodeId(i)).unwrap();
+            dht.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
         }
         let a = snode_quota_relstd_pct(&dht);
         let b = dht.vnode_quota_relstd_pct();

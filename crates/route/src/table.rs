@@ -7,18 +7,14 @@
 //! clients.
 //!
 //! A `RouteCache` is what a client actually holds: the last snapshot it
-//! pinned, the cell it pins from, and a dirty flag fed by streamed
-//! [`RebalanceEvent`]s. Every resolution repairs staleness in **at most
-//! one round**: if the cell's epoch moved past the pinned version (or an
-//! event invalidated the pin), the cache re-pins once and resolves on
-//! the fresh snapshot — the generalization of the per-read retry in
-//! `KvService::get_routed` to any routing consumer.
+//! pinned and the cell it pins from. Every resolution repairs staleness
+//! in **at most one round**: if the cell's epoch moved past the pinned
+//! version, the cache re-pins once and resolves on the fresh snapshot —
+//! the generalization of the per-read retry in `KvService::get_routed`
+//! to any routing consumer.
 
 use bytes::Bytes;
-use domus_core::{
-    DhtEngine, EngineSnapshot, RebalanceEvent, RebalanceSink, RouteStats, SnapshotCell, SnodeId,
-    VnodeId,
-};
+use domus_core::{DhtEngine, EngineSnapshot, RouteStats, SnapshotCell, SnodeId, VnodeId};
 use domus_kv::KvService;
 use std::sync::Arc;
 
@@ -36,19 +32,16 @@ impl std::fmt::Display for RouteVersion {
 
 /// A client-side route cache with ≤1-round stale-route repair.
 ///
-/// Holds the last snapshot pinned from a [`SnapshotCell`] plus a dirty
-/// flag. [`RouteCache::lookup`] resolves against the pinned snapshot
-/// after at most one refresh: the pin is replaced exactly when the cell
-/// published a newer version or a streamed event marked the cache dirty
-/// (feed the cache as a [`RebalanceSink`], or call
-/// [`RouteCache::invalidate`]). Every resolution lands in a shared
+/// Holds the last snapshot pinned from a [`SnapshotCell`].
+/// [`RouteCache::lookup`] resolves against the pinned snapshot after at
+/// most one refresh: the pin is replaced exactly when the cell published
+/// a newer version. Every resolution lands in a shared
 /// [`RouteStats`] block — pass the service's own block to
 /// [`RouteCache::with_stats`] to tally cache and service reads together.
 #[derive(Debug)]
 pub struct RouteCache {
     cell: Arc<SnapshotCell>,
     pinned: Arc<EngineSnapshot>,
-    dirty: bool,
     stats: Arc<RouteStats>,
 }
 
@@ -61,7 +54,7 @@ impl RouteCache {
     /// A cache recording into a caller-shared stat block.
     pub fn with_stats(cell: Arc<SnapshotCell>, stats: Arc<RouteStats>) -> Self {
         let pinned = cell.load();
-        Self { cell, pinned, dirty: false, stats }
+        Self { cell, pinned, stats }
     }
 
     /// The version currently pinned.
@@ -74,20 +67,11 @@ impl RouteCache {
         &self.stats
     }
 
-    /// Marks the pin suspect: the next resolution re-pins even if the
-    /// epoch check alone would not force it. Streamed rebalance events
-    /// call this through the [`RebalanceSink`] impl.
-    pub fn invalidate(&mut self) {
-        self.dirty = true;
-    }
-
-    /// Re-pins if (and only if) the pin is dirty or the cell moved on.
-    /// Returns `true` when a refresh happened — the "stale" half of the
-    /// hit/stale ratio.
+    /// Re-pins if (and only if) the cell moved on. Returns `true` when a
+    /// refresh happened — the "stale" half of the hit/stale ratio.
     pub fn refresh(&mut self) -> bool {
-        if self.dirty || self.cell.is_stale(&self.pinned) {
+        if self.cell.is_stale(&self.pinned) {
             self.pinned = self.cell.load();
-            self.dirty = false;
             true
         } else {
             false
@@ -110,21 +94,14 @@ impl RouteCache {
     /// combined tally). The pin is left on the epoch the read settled
     /// on, so a read loop amortises one refresh across many keys.
     pub fn get<E: DhtEngine>(&mut self, svc: &KvService<E>, key: &[u8]) -> Option<Bytes> {
-        self.dirty = false; // get_routed repairs staleness itself
         svc.get_routed(&mut self.pinned, key).value
-    }
-}
-
-impl RebalanceSink for RouteCache {
-    fn event(&mut self, _e: RebalanceEvent) {
-        self.invalidate();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use domus_core::{DhtConfig, LocalDht, SnapshotBuilder};
+    use domus_core::{DhtConfig, LocalDht, NullSink, SnapshotBuilder};
     use domus_hashspace::HashSpace;
     use domus_kv::KvStore;
 
@@ -136,7 +113,7 @@ mod tests {
         let cfg = DhtConfig::new(space(), 4, 2).unwrap();
         let mut dht = LocalDht::with_seed(cfg, 2004);
         for s in 0..snodes {
-            dht.create_vnode(SnodeId(s)).unwrap();
+            dht.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
         }
         let builder = SnapshotBuilder::from_engine(&dht);
         let cell = SnapshotCell::new(builder.snapshot());
@@ -186,22 +163,6 @@ mod tests {
         assert_eq!(delta.reads, 64);
         assert_eq!(delta.stale_reads, 1, "≤1-round repair: one refresh per epoch, not per read");
         assert_eq!(cache.version(), RouteVersion(cell.epoch()));
-    }
-
-    #[test]
-    fn streamed_events_invalidate_the_cache() {
-        let (mut dht, mut builder, cell) = grown(4);
-        let cell = Arc::new(cell);
-        let mut cache = RouteCache::new(Arc::clone(&cell));
-        cache.lookup(0);
-        // Stream the events of a membership change straight into the
-        // cache (as a sink): the pin goes dirty even before a publish.
-        let out = dht.create_vnode_with(SnodeId(5), &mut cache).unwrap();
-        builder.note_create(out.vnode, SnodeId(5));
-        let before = cache.stats().counters();
-        builder.publish(&cell);
-        cache.lookup(0);
-        assert_eq!(cache.stats().counters().since(before).stale_reads, 1);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub fn local_footprint<R: DomusRng>(dht: &LocalDht<R>) -> RecordFootprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use domus_core::{DhtConfig, GlobalDht, SnodeId};
+    use domus_core::{DhtConfig, GlobalDht, NullSink, SnodeId};
     use domus_hashspace::HashSpace;
 
     #[test]
@@ -88,7 +88,7 @@ mod tests {
         let cfg = DhtConfig::new(HashSpace::new(32), 4, 1).unwrap();
         let mut dht = GlobalDht::with_seed(cfg, 1);
         for i in 0..40u32 {
-            dht.create_vnode(SnodeId(i % 8)).unwrap();
+            dht.create_vnode_with(SnodeId(i % 8), &mut NullSink).unwrap();
         }
         let fp = global_footprint(&dht);
         assert_eq!(fp.total_entries(), 8 * 40);
@@ -101,7 +101,7 @@ mod tests {
         let cfg = DhtConfig::new(HashSpace::new(32), 4, 4).unwrap();
         let mut dht = domus_core::LocalDht::with_seed(cfg, 1);
         for i in 0..200u32 {
-            dht.create_vnode(SnodeId(i % 16)).unwrap();
+            dht.create_vnode_with(SnodeId(i % 16), &mut NullSink).unwrap();
         }
         let local = local_footprint(&dht);
         let global_equiv = global_footprint(&dht);
@@ -120,7 +120,7 @@ mod tests {
         // One snode hosts everything: it participates in every group, so
         // its entries equal V and its record count equals G.
         for _ in 0..32 {
-            dht.create_vnode(SnodeId(0)).unwrap();
+            dht.create_vnode_with(SnodeId(0), &mut NullSink).unwrap();
         }
         let fp = local_footprint(&dht);
         assert_eq!(fp.per_snode_entries[&SnodeId(0)], 32);

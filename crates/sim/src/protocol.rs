@@ -25,8 +25,8 @@
 //! its governing record exclusively — the single GPDR for the global
 //! approach, the container group's LPDR for the local one (the parent
 //! group when the event split it). Events on disjoint groups overlap;
-//! the schedule replays the engine's creation order under
-//! "start when released and the resource is free".
+//! the schedule replays the engine's creation order, every event released
+//! at time 0, under "start when the resource is free".
 
 use crate::net::ClusterNet;
 use crate::time::SimTime;
@@ -93,89 +93,42 @@ impl CostModel {
         EventCost { messages, bytes, duration, participants }
     }
 
-    /// Transfer streaming from pre-aggregated stats: donors send in
-    /// parallel, each donor serialises its own sends (`worst` is the
-    /// busiest donor's total).
-    fn transfer_cost_parts(&self, net: &ClusterNet, count: u64, worst: u64) -> EventCost {
-        let mut cost =
-            EventCost { messages: 0, bytes: 0, duration: SimTime::ZERO, participants: 0 };
-        if count == 0 {
-            return cost;
-        }
-        let payload = HEADER_BYTES + self.payload_per_partition;
-        cost.messages += count;
-        cost.bytes += count * payload;
-        cost.duration += net.fan_out(worst, payload);
-        cost.duration += SimTime(self.per_transfer.nanos() * count);
-        cost
-    }
-
-    /// Prices one creation from its accumulated parts: the governing
-    /// record's shape, whether a victim lookup ran, the split-cascade
-    /// size, and the transfer stats — the kernel the streaming
-    /// [`EventPricer`] resolves to.
-    #[allow(clippy::too_many_arguments)] // the event's full shape, flattened for the hot path
-    pub fn price_create_parts(
+    /// Prices one membership event from its accumulated parts — the
+    /// kernel [`EventPricer::finish_create`] and
+    /// [`EventPricer::finish_remove`] resolve to:
+    ///
+    /// * the sync round on the governing record, whose `shape` is
+    ///   `(entries, participant snodes)`;
+    /// * one extra round trip carrying the record when `extra_round_trip`
+    ///   (a creation's victim lookup, a removal's internal vnode migration);
+    /// * `per_split` per partition of the `cascade` (merges are binary
+    ///   splits run in reverse, so they share the charge);
+    /// * the transfers: donors send in parallel, each serialising its own
+    ///   sends (`worst_donor` is the busiest donor's count).
+    fn price_parts(
         &self,
         net: &ClusterNet,
-        record_len: u64,
-        participants: u64,
-        probed: bool,
-        partition_splits: u64,
-        transfer_count: u64,
+        (record_len, participants): (u64, u64),
+        extra_round_trip: bool,
+        cascade: u64,
+        transfers: u64,
         worst_donor: u64,
     ) -> EventCost {
         let record_bytes = record_len * PDR_ENTRY_BYTES;
         let mut cost = self.sync_round(net, record_len, participants);
-
-        // Victim lookup (the local approach's random point routing).
-        if probed {
+        if extra_round_trip {
             cost.messages += 2;
             cost.bytes += HEADER_BYTES + record_bytes;
             cost.duration += net.round_trip(HEADER_BYTES, record_bytes);
         }
-
-        // Split cascade bookkeeping.
-        cost.duration += SimTime(self.per_split.nanos() * partition_splits);
-
-        let t = self.transfer_cost_parts(net, transfer_count, worst_donor);
-        cost.messages += t.messages;
-        cost.bytes += t.bytes;
-        cost.duration += t.duration;
-        cost
-    }
-
-    /// Prices one removal from its accumulated parts, symmetrically to
-    /// [`CostModel::price_create_parts`]: merge-cascade bookkeeping
-    /// (merges are binary splits run in reverse, so they share
-    /// `per_split`), the redistribution transfers, and one extra round
-    /// trip when the removal forced an internal vnode migration.
-    #[allow(clippy::too_many_arguments)] // the event's full shape, flattened for the hot path
-    pub fn price_remove_parts(
-        &self,
-        net: &ClusterNet,
-        record_len: u64,
-        participants: u64,
-        migrated: bool,
-        partition_merges: u64,
-        transfer_count: u64,
-        worst_donor: u64,
-    ) -> EventCost {
-        let record_bytes = record_len * PDR_ENTRY_BYTES;
-        let mut cost = self.sync_round(net, record_len, participants);
-
-        cost.duration += SimTime(self.per_split.nanos() * partition_merges);
-
-        if migrated {
-            cost.messages += 2;
-            cost.bytes += HEADER_BYTES + record_bytes;
-            cost.duration += net.round_trip(HEADER_BYTES, record_bytes);
+        cost.duration += SimTime(self.per_split.nanos() * cascade);
+        if transfers > 0 {
+            let payload = HEADER_BYTES + self.payload_per_partition;
+            cost.messages += transfers;
+            cost.bytes += transfers * payload;
+            cost.duration += net.fan_out(worst_donor, payload);
+            cost.duration += SimTime(self.per_transfer.nanos() * transfers);
         }
-
-        let t = self.transfer_cost_parts(net, transfer_count, worst_donor);
-        cost.messages += t.messages;
-        cost.bytes += t.bytes;
-        cost.duration += t.duration;
         cost
     }
 }
@@ -278,30 +231,16 @@ impl EventPricer {
     /// shape (`record_len` entries over `participants` snodes).
     pub fn finish_create(&mut self, record_len: u64, participants: u64) -> EventCost {
         let worst = self.worst_donor();
-        self.cost.price_create_parts(
-            &self.net,
-            record_len,
-            participants,
-            self.probed,
-            self.splits,
-            self.transfers,
-            worst,
-        )
+        let shape = (record_len, participants);
+        self.cost.price_parts(&self.net, shape, self.probed, self.splits, self.transfers, worst)
     }
 
     /// Prices the accumulated removal. Harmonisation `PartitionSplit`s
     /// are ignored (the legacy report never carried them).
     pub fn finish_remove(&mut self, record_len: u64, participants: u64) -> EventCost {
         let worst = self.worst_donor();
-        self.cost.price_remove_parts(
-            &self.net,
-            record_len,
-            participants,
-            self.migrated.is_some(),
-            self.merges,
-            self.transfers,
-            worst,
-        )
+        let (shape, migrated) = ((record_len, participants), self.migrated.is_some());
+        self.cost.price_parts(&self.net, shape, migrated, self.merges, self.transfers, worst)
     }
 }
 
@@ -351,9 +290,7 @@ pub struct ScheduledEvent {
     pub vnode: VnodeId,
     /// The record/group resource the event occupied.
     pub resource: GroupId,
-    /// Release time (arrival), start, and completion.
-    pub released: SimTime,
-    /// Start of service.
+    /// Start of service (every event is released at time 0).
     pub start: SimTime,
     /// Completion.
     pub done: SimTime,
@@ -419,27 +356,17 @@ pub struct SimDriver<E: DhtEngine> {
     /// Per-resource next-free time.
     busy: BTreeMap<GroupId, SimTime>,
     trace: SimTrace,
-    clock: SimTime,
-    /// Gap between successive event releases (0 ⇒ all released at once,
-    /// maximal pressure on the resources).
-    pub release_interval: SimTime,
 }
 
 impl<E: DhtEngine> SimDriver<E> {
-    /// Wraps `engine` with the default network/cost models.
+    /// Wraps `engine` with the default network/cost models. Every event is
+    /// released at time 0 — maximal pressure on the resources.
     pub fn new(engine: E) -> Self {
-        Self::with_models(engine, ClusterNet::default(), CostModel::default())
-    }
-
-    /// Wraps `engine` with explicit models.
-    pub fn with_models(engine: E, net: ClusterNet, cost: CostModel) -> Self {
         Self {
             engine,
-            pricer: EventPricer::new(net, cost),
+            pricer: EventPricer::new(ClusterNet::default(), CostModel::default()),
             busy: BTreeMap::new(),
             trace: SimTrace::default(),
-            clock: SimTime::ZERO,
-            release_interval: SimTime::ZERO,
         }
     }
 
@@ -468,10 +395,7 @@ impl<E: DhtEngine> SimDriver<E> {
         let group_split = self.pricer.group_split();
         let resource = group_split.map(|s| s.parent).unwrap_or(container);
 
-        let released = self.clock;
-        self.clock += self.release_interval;
-        let free = self.busy.get(&resource).copied().unwrap_or(SimTime::ZERO);
-        let start = released.max(free);
+        let start = self.busy.get(&resource).copied().unwrap_or(SimTime::ZERO);
         let done = start + cost.duration;
         self.busy.insert(resource, done);
         if let Some(split) = group_split {
@@ -479,7 +403,7 @@ impl<E: DhtEngine> SimDriver<E> {
             self.busy.insert(split.child0, done);
             self.busy.insert(split.child1, done);
         }
-        self.trace.events.push(ScheduledEvent { vnode, resource, released, start, done, cost });
+        self.trace.events.push(ScheduledEvent { vnode, resource, start, done, cost });
         Ok(vnode)
     }
 
@@ -495,7 +419,7 @@ impl<E: DhtEngine> SimDriver<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use domus_core::{DhtConfig, GlobalDht, LocalDht};
+    use domus_core::{CountOnly, DhtConfig, GlobalDht, LocalDht, NullSink};
     use domus_hashspace::HashSpace;
 
     fn local(vmin: u64) -> LocalDht {
@@ -548,16 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn release_interval_spreads_arrivals() {
-        let mut a = SimDriver::new(local(4));
-        a.grow(32, 4).unwrap();
-        let mut b = SimDriver::new(local(4));
-        b.release_interval = SimTime::millis(10);
-        b.grow(32, 4).unwrap();
-        assert!(b.trace().makespan() > a.trace().makespan());
-    }
-
-    #[test]
     fn deterministic_trace() {
         let run = || {
             let mut sim = SimDriver::new(local(4));
@@ -571,17 +485,18 @@ mod tests {
     fn remove_pricing_mirrors_create_pricing() {
         let mut dht = local(4);
         for i in 0..24u32 {
-            dht.create_vnode(SnodeId(i % 6)).unwrap();
+            dht.create_vnode_with(SnodeId(i % 6), &mut NullSink).unwrap();
         }
         let cost = CostModel::default();
         let net = ClusterNet::default();
         let victim = dht.vnodes()[7];
-        let report = dht.remove_vnode(victim).unwrap();
-        let transfers = report.transfers.len() as u64;
+        let mut counts = CountOnly::default();
+        dht.remove_vnode_with(victim, &mut counts).unwrap();
+        let transfers = counts.transfers;
         let price = |participants| {
-            let migrated = report.migrated.is_some();
-            let merges = report.partition_merges;
-            cost.price_remove_parts(&net, 8, participants, migrated, merges, transfers, transfers)
+            let migrated = counts.migrations > 0;
+            let merges = counts.partition_merges;
+            cost.price_parts(&net, (8, participants), migrated, merges, transfers, transfers)
         };
         let priced = price(4);
         // A removal with transfers must price messages, bytes and time.
@@ -594,6 +509,47 @@ mod tests {
         // More participants cost strictly more sync traffic.
         let wider = price(9);
         assert!(wider.messages > priced.messages && wider.duration > priced.duration);
+    }
+
+    /// Pins creation and removal pricing over a grid of event shapes. The
+    /// digest was captured against the two pre-merge pricers
+    /// (`price_create_parts` / `price_remove_parts`), one pass each; both
+    /// now resolve to the one kernel.
+    #[test]
+    fn pricing_kernel_digest() {
+        let net = ClusterNet::default();
+        let costs = [
+            CostModel::default(),
+            CostModel {
+                per_split: SimTime(7),
+                payload_per_partition: 4096,
+                ..CostModel::default()
+            },
+        ];
+        let mut digest = 0u64;
+        let mut fold = |x: u64| digest = domus_util::SplitMix64::mix(digest ^ x);
+        for cost in &costs {
+            for _pricer in ["create", "remove"] {
+                for record_len in [0u64, 1, 2, 7, 64, 1000] {
+                    for participants in [0u64, 1, 2, 5, 33] {
+                        for extra in [false, true] {
+                            for cascade in [0u64, 1, 16] {
+                                for (transfers, worst) in [(0u64, 0u64), (1, 1), (5, 2), (40, 40)] {
+                                    let shape = (record_len, participants);
+                                    let c = cost
+                                        .price_parts(&net, shape, extra, cascade, transfers, worst);
+                                    fold(c.messages);
+                                    fold(c.bytes);
+                                    fold(c.duration.nanos());
+                                    fold(c.participants);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, 0x2e82_4a29_5f40_b7c6);
     }
 
     #[test]

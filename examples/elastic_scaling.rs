@@ -19,29 +19,29 @@ fn main() {
 
     println!("phase 1: scale out to 160 vnodes");
     for i in 0..160u32 {
-        dht.create_vnode(SnodeId(i % 20)).expect("create");
+        dht.create_vnode_with(SnodeId(i % 20), &mut NullSink).expect("create");
     }
     report(&dht, "after scale-out");
 
     println!("\nphase 2: scale in to 40 vnodes (watch groups merge)");
-    let mut merges = 0u32;
-    let mut migrations = 0u32;
+    let mut counts = CountOnly::default();
     while dht.vnode_count() > 40 {
         let vnodes = dht.vnodes();
         let victim = vnodes[rng.index(vnodes.len())];
-        let rep = dht.remove_vnode(victim).expect("remove");
-        merges += rep.group_merge.is_some() as u32;
-        migrations += rep.migrated.is_some() as u32;
+        dht.remove_vnode_with(victim, &mut counts).expect("remove");
     }
-    println!("  group merges: {merges}, internal vnode migrations: {migrations}");
+    println!(
+        "  group merges: {}, internal vnode migrations: {}",
+        counts.group_merges, counts.migrations
+    );
     report(&dht, "after scale-in");
 
     println!("\nphase 3: sustained churn (40 rounds of join+leave)");
     for round in 0..40u32 {
-        dht.create_vnode(SnodeId(round % 20)).expect("create");
+        dht.create_vnode_with(SnodeId(round % 20), &mut NullSink).expect("create");
         let vnodes = dht.vnodes();
         let victim = vnodes[rng.index(vnodes.len())];
-        dht.remove_vnode(victim).expect("remove");
+        dht.remove_vnode_with(victim, &mut NullSink).expect("remove");
         dht.check_invariants().expect("invariants under churn");
     }
     report(&dht, "after churn");

@@ -7,7 +7,7 @@
 //! The engines stream every rebalancement step — partition transfers,
 //! split/merge cascades, group splits and merges, internal migrations —
 //! into a [`RebalanceSink`] *during* `create_vnode_with` /
-//! `remove_vnode_with` / the batched `apply`. Nothing is materialised:
+//! `remove_vnode_with`. Nothing is materialised:
 //! an observer reacts to each event as it happens, exactly like the
 //! simulator's pricing sink and the KV store's in-line migration do.
 
@@ -73,37 +73,31 @@ fn main() {
         println!("    {v}: {n}");
     }
 
-    // Grow in one batch: `apply` drives many ops through one sink. Tee
-    // fans the stream out — tallies on one side, the narrator (cascade
-    // and group events only) on the other.
-    println!("\nbatched growth to 40 vnodes (cascades and group events shown):");
-    let ops: Vec<DhtOp> = (0..36u32).map(|i| DhtOp::Create(SnodeId(i % 8))).collect();
+    // Grow through one sink for many ops. Tee fans the stream out —
+    // tallies on one side, the narrator (cascade and group events only)
+    // on the other.
+    println!("\ngrowth to 40 vnodes (cascades and group events shown):");
     let mut tee = Tee(CountOnly::default(), Narrator::default());
-    let batch = dht.apply(&ops, &mut tee);
-    assert!(batch.is_complete());
+    for i in 0..36u32 {
+        dht.create_vnode_with(SnodeId(i % 8), &mut tee).expect("creation");
+    }
     let counts = tee.0;
     println!(
-        "  {} transfers, {} partitions split, {} group splits across {} creations",
-        counts.transfers,
-        counts.partition_splits,
-        counts.group_splits,
-        batch.created.len()
+        "  {} transfers, {} partitions split, {} group splits across 36 creations",
+        counts.transfers, counts.partition_splits, counts.group_splits
     );
 
     // Shrink through the same surface; removals narrate merges/migrations.
-    println!("\nbatched decommission of 12 vnodes:");
-    let victims: Vec<DhtOp> =
-        dht.vnodes().into_iter().step_by(3).take(12).map(DhtOp::Remove).collect();
+    // Each victim comes from the live roster: a migration may rename one.
+    println!("\ndecommission of 12 vnodes:");
     let mut tee = Tee(CountOnly::default(), Narrator::default());
-    let batch = dht.apply(&victims, &mut tee);
-    assert!(batch.is_complete());
+    for i in 0..12 {
+        let live = dht.vnodes();
+        dht.remove_vnode_with(live[(3 * i) % live.len()], &mut tee).expect("removal");
+    }
     println!(
-        "  {} transfers, {} pairs merged, {} group merges, {} migrations across {} removals",
-        tee.0.transfers,
-        tee.0.partition_merges,
-        tee.0.group_merges,
-        tee.0.migrations,
-        batch.removed
+        "  {} transfers, {} pairs merged, {} group merges, {} migrations across 12 removals",
+        tee.0.transfers, tee.0.partition_merges, tee.0.group_merges, tee.0.migrations
     );
 
     // The pricing sink from domus-sim consumes the same stream: price one

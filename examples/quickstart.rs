@@ -17,7 +17,7 @@ fn main() {
     println!("growing a DHT over 16 cluster nodes, 8 vnodes each…\n");
     for round in 0..8 {
         for snode in 0..16u32 {
-            dht.create_vnode(SnodeId(snode)).expect("creation");
+            dht.create_vnode_with(SnodeId(snode), &mut NullSink).expect("creation");
         }
         println!(
             "after round {}: V = {:>3}, groups = {:>2}, σ̄(Qv) = {:>5.2}%",

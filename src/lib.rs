@@ -42,7 +42,7 @@
 //! let mut dht = LocalDht::with_seed(cfg, 2004);
 //!
 //! for snode in 0..12u32 {
-//!     dht.create_vnode(SnodeId(snode)).unwrap();
+//!     dht.create_vnode_with(SnodeId(snode), &mut NullSink).unwrap();
 //! }
 //!
 //! // Quality of balancement, exactly as the paper measures it:
@@ -78,11 +78,11 @@ pub mod prelude {
         Capacity, ChurnDriver, ChurnEvent, DriverConfig, EventStream, Lifetime, Process, Scenario,
     };
     pub use domus_core::{
-        BalanceSnapshot, BatchOutcome, Cluster, CollectReport, ContainerChoice, CountOnly,
-        CreateOutcome, DhtConfig, DhtEngine, DhtError, DhtOp, EngineSnapshot, EnrollmentPolicy,
-        FailOutcome, GlobalDht, GroupId, LocalDht, NullSink, OwnerSpan, Pdr, RebalanceEvent,
-        RebalanceSink, RejoinOutcome, RemoveOutcome, RouteCounters, RouteStats, SnapshotBuilder,
-        SnapshotCell, SnodeId, SnodeLoad, SplitSelection, Tee, VictimPartitionPolicy, VnodeId,
+        BalanceSnapshot, Cluster, CollectReport, ContainerChoice, CountOnly, CreateOutcome,
+        DhtConfig, DhtEngine, DhtError, EngineSnapshot, EnrollmentPolicy, FailOutcome, GlobalDht,
+        GroupId, LocalDht, NullSink, OwnerSpan, Pdr, RebalanceEvent, RebalanceSink, RejoinOutcome,
+        RemoveOutcome, RouteCounters, RouteStats, SnapshotBuilder, SnapshotCell, SnodeId,
+        SnodeLoad, SplitSelection, Tee, VictimPartitionPolicy, VnodeId,
     };
     pub use domus_hashspace::{HashSpace, OwnerMap, Partition, Quota};
     pub use domus_kv::{

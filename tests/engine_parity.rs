@@ -37,26 +37,29 @@ fn probes() -> Vec<u64> {
 /// contract after every phase.
 fn run_script<E: DhtEngine>(label: &str, mut dht: E) {
     // Phase 1: sixteen vnodes round-robin over five snodes.
+    let mut report = CollectReport::new();
     for i in 0..16u32 {
-        let (v, report) = dht.create_vnode(SnodeId(i % 5)).unwrap();
-        // Reports must name the created vnode's container group and only
+        report.clear();
+        let created = dht.create_vnode_with(SnodeId(i % 5), &mut report).unwrap();
+        // Creations must name the created vnode's container group and only
         // move partitions *to* somewhere (joins pull, never push).
-        assert!(report.group.is_some(), "{label}: creation must report a group");
-        for t in &report.transfers {
+        assert!(created.group.is_some(), "{label}: creation must report a group");
+        for t in report.transfers() {
             assert_ne!(t.from, t.to, "{label}: self-transfer in report");
         }
-        assert!(dht.vnodes().contains(&v), "{label}: fresh vnode listed");
+        assert!(dht.vnodes().contains(&created.vnode), "{label}: fresh vnode listed");
     }
     assert_contract(label, &dht, 16);
 
     // Phase 2: remove five vnodes (every third), re-assert.
     let victims: Vec<VnodeId> = dht.vnodes().into_iter().step_by(3).take(5).collect();
     for v in victims {
-        let report = dht.remove_vnode(v).unwrap();
+        report.clear();
+        dht.remove_vnode_with(v, &mut report).unwrap();
         // A removal may also carry merge co-location moves between other
         // vnodes (local approach), but never hands anything *to* the
         // departing vnode.
-        for t in &report.transfers {
+        for t in report.transfers() {
             assert_ne!(t.to, v, "{label}: leave transfer back to the departing vnode");
             assert_ne!(t.from, t.to, "{label}: self-transfer in report");
         }
@@ -124,22 +127,24 @@ fn run_interleaved<E: DhtEngine>(label: &str, mut dht: E) {
     // step once enough vnodes exist, plus a mid-script mass failure.
     let mut live = 0usize;
     let mut next_snode = 0u32;
+    let mut report = CollectReport::new();
     for round in 0..30u32 {
         if round % 3 == 2 && live > 4 {
             // Remove a rank-selected victim, like a churn Leave event.
             let victims = dht.vnodes();
             let v = victims[(round as usize * 7) % victims.len()];
-            let report = dht.remove_vnode(v).unwrap();
-            for t in &report.transfers {
+            report.clear();
+            dht.remove_vnode_with(v, &mut report).unwrap();
+            for t in report.transfers() {
                 assert_ne!(t.to, v, "{label}: transfer back to the departing vnode");
                 assert_ne!(t.from, t.to, "{label}: self-transfer");
             }
             live -= 1;
         } else {
-            let (v, report) = dht.create_vnode(SnodeId(next_snode % 7)).unwrap();
+            let created = dht.create_vnode_with(SnodeId(next_snode % 7), &mut NullSink).unwrap();
             next_snode += 1;
-            assert!(report.group.is_some(), "{label}: creation must report a group");
-            assert!(dht.vnodes().contains(&v), "{label}: fresh vnode listed");
+            assert!(created.group.is_some(), "{label}: creation must report a group");
+            assert!(dht.vnodes().contains(&created.vnode), "{label}: fresh vnode listed");
             live += 1;
         }
         assert_contract(label, &dht, live);
@@ -149,7 +154,7 @@ fn run_interleaved<E: DhtEngine>(label: &str, mut dht: E) {
     // (group-merge migration), so pre-collected handles can go stale.
     for _ in 0..4 {
         let v = dht.vnodes()[2];
-        dht.remove_vnode(v).unwrap();
+        dht.remove_vnode_with(v, &mut NullSink).unwrap();
         live -= 1;
         assert_contract(label, &dht, live);
     }
@@ -163,67 +168,59 @@ fn interleaved_churn_parity_across_backends() {
 }
 
 /// The trait is dyn-compatible: one `&mut dyn DhtEngine` handle drives
-/// any backend through the batched `apply` surface, the default
-/// `balance_snapshot`, and the report shim — the satellite fix for the
-/// old `where Self: Sized` bound that made trait objects unusable.
+/// any backend through the streaming membership calls and the default
+/// `balance_snapshot` — the satellite fix for the old `where Self: Sized`
+/// bound that made trait objects unusable.
 fn drive_dyn(label: &str, dht: &mut dyn DhtEngine) {
-    let ops: Vec<DhtOp> = (0..12u32).map(|s| DhtOp::Create(SnodeId(s % 4))).collect();
     let mut counts = CountOnly::default();
-    let batch = dht.apply(&ops, &mut counts);
-    assert!(batch.is_complete(), "{label}: {:?}", batch.failed);
-    assert_eq!(batch.created.len(), 12, "{label}");
+    for s in 0..12u32 {
+        dht.create_vnode_with(SnodeId(s % 4), &mut counts).unwrap();
+    }
     assert_eq!(dht.vnode_count(), 12, "{label}");
     assert!(counts.transfers > 0, "{label}: growth must move partitions");
 
-    // Batched removal through the same dyn handle; `apply` patches any
-    // handles a group-merge migration renames mid-batch.
-    let victims: Vec<DhtOp> =
-        dht.vnodes().into_iter().step_by(3).take(4).map(DhtOp::Remove).collect();
-    let batch = dht.apply(&victims, &mut NullSink);
-    assert!(batch.is_complete(), "{label}: {:?}", batch.failed);
-    assert_eq!(batch.removed, 4, "{label}");
+    // Removals through the same dyn handle. Victims come from the live
+    // roster: a group-merge migration may rename a survivor.
+    for i in 0..4 {
+        let live = dht.vnodes();
+        dht.remove_vnode_with(live[(3 * i) % live.len()], &mut NullSink).unwrap();
+    }
     assert_eq!(dht.vnode_count(), 8, "{label}");
 
-    // The default balance_snapshot and the report shims are object-safe.
     let snap = dht.balance_snapshot();
     assert_eq!(snap.vnodes, 8, "{label}");
-    let (_, report) = dht.create_vnode(SnodeId(9)).unwrap();
-    assert!(report.group.is_some(), "{label}");
+    let created = dht.create_vnode_with(SnodeId(9), &mut NullSink).unwrap();
+    assert!(created.group.is_some(), "{label}");
     let victim = dht.vnodes()[0];
-    dht.remove_vnode(victim).unwrap();
+    dht.remove_vnode_with(victim, &mut NullSink).unwrap();
     dht.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
 }
 
 /// A deep shrink with `Vmin = 2` forces group merges and internal
-/// migrations; a creation interleaved into the batch can be the very
-/// vnode a later migration retires. `apply` must patch the recorded
-/// created handles along with the pending ops, so everything it hands
-/// back is live.
+/// migrations, with fresh creations interleaved. Each victim is picked
+/// from the live roster, so a handle a migration retired is never used.
 #[test]
-fn apply_keeps_created_handles_live_across_renames() {
+fn deep_shrink_picks_live_victims_across_renames() {
     let mut renames_seen = 0u64;
     for seed in 0..20u64 {
         let cfg = DhtConfig::new(HashSpace::new(32), 4, 2).unwrap();
         let mut dht = LocalDht::with_seed(cfg, seed);
-        let grow: Vec<DhtOp> = (0..32u32).map(|s| DhtOp::Create(SnodeId(s % 6))).collect();
-        let grown = dht.apply(&grow, &mut NullSink);
-        assert!(grown.is_complete());
+        for s in 0..32u32 {
+            dht.create_vnode_with(SnodeId(s % 6), &mut NullSink).unwrap();
+        }
 
         // Decommission most of the fleet with fresh creates interleaved.
-        let mut ops = Vec::new();
-        for (i, &v) in grown.created.iter().enumerate().take(28) {
-            ops.push(DhtOp::Remove(v));
+        let mut counts = CountOnly::default();
+        for i in 0..28u32 {
+            let v = dht.vnodes()[0];
+            dht.remove_vnode_with(v, &mut counts)
+                .unwrap_or_else(|e| panic!("seed {seed}: removing {v}: {e}"));
             if i % 5 == 0 {
-                ops.push(DhtOp::Create(SnodeId(100 + i as u32)));
+                dht.create_vnode_with(SnodeId(100 + i), &mut counts).unwrap();
             }
         }
-        let mut counts = CountOnly::default();
-        let batch = dht.apply(&ops, &mut counts);
-        assert!(batch.is_complete(), "seed {seed}: {:?}", batch.failed);
         renames_seen += counts.migrations;
-        for &v in &batch.created {
-            assert!(dht.name_of(v).is_ok(), "seed {seed}: batch handed back dead handle {v}");
-        }
+        assert_eq!(dht.vnode_count(), 32 - 28 + 6, "seed {seed}");
         dht.check_invariants().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
     assert!(renames_seen > 0, "the scenario must exercise the rename path");
@@ -247,7 +244,7 @@ fn dyn_engine_objects_drive_all_backends() {
 fn run_fail_snode<E: DhtEngine>(label: &str, mut dht: E) {
     // Eighteen vnodes round-robin over six snodes: every snode hosts 3.
     for i in 0..18u32 {
-        dht.create_vnode(SnodeId(i % 6)).unwrap();
+        dht.create_vnode_with(SnodeId(i % 6), &mut NullSink).unwrap();
     }
     let mut live = 18usize;
     for victim in [2u32, 4, 0] {
@@ -304,7 +301,7 @@ fn fail_snode_parity_across_backends() {
 fn fail_snode_is_deterministic_per_seed() {
     fn crash_script<E: DhtEngine>(mut dht: E) -> String {
         for i in 0..20u32 {
-            dht.create_vnode(SnodeId(i % 7)).unwrap();
+            dht.create_vnode_with(SnodeId(i % 7), &mut NullSink).unwrap();
         }
         for s in [3u32, 0, 5] {
             dht.fail_snode(SnodeId(s), &mut NullSink).unwrap();
@@ -340,7 +337,7 @@ fn fail_snode_is_deterministic_per_seed() {
 fn successor_walk_parity_across_backends() {
     fn walk<E: DhtEngine>(label: &str, mut dht: E) {
         for i in 0..12u32 {
-            dht.create_vnode(SnodeId(i % 5)).unwrap();
+            dht.create_vnode_with(SnodeId(i % 5), &mut NullSink).unwrap();
         }
         for point in probes() {
             let (_, primary) = dht.lookup(point).unwrap();

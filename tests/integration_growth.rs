@@ -43,7 +43,7 @@ fn engine_greedy_matches_literal_paper_algorithm() {
     // count multiset with the literal algorithm and compare.
     let cfg = DhtConfig::new(HashSpace::new(32), 8, 1).unwrap();
     let mut dht = GlobalDht::with_seed(cfg, 77);
-    dht.create_vnode(SnodeId(0)).unwrap();
+    dht.create_vnode_with(SnodeId(0), &mut NullSink).unwrap();
     for i in 1..80u32 {
         let mut counts: Vec<u64> =
             dht.vnodes().iter().map(|&v| dht.partition_count(v).unwrap()).collect();
@@ -54,7 +54,7 @@ fn engine_greedy_matches_literal_paper_algorithm() {
             }
         }
         let expected = sorted(paper_greedy_reference(counts));
-        dht.create_vnode(SnodeId(i)).unwrap();
+        dht.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
         let actual: Vec<u64> =
             sorted(dht.vnodes().iter().map(|&v| dht.partition_count(v).unwrap()).collect());
         assert_eq!(actual, expected, "count multiset diverged at V={}", i + 1);
@@ -65,7 +65,7 @@ fn engine_greedy_matches_literal_paper_algorithm() {
 fn both_engines_satisfy_the_same_generic_contract() {
     fn exercise<E: DhtEngine>(mut dht: E, n: u32) {
         for i in 0..n {
-            dht.create_vnode(SnodeId(i % 7)).unwrap();
+            dht.create_vnode_with(SnodeId(i % 7), &mut NullSink).unwrap();
         }
         // Full coverage, exact quota sum, invariants.
         let quotas = dht.quotas();
@@ -81,7 +81,7 @@ fn both_engines_satisfy_the_same_generic_contract() {
         // Shrink to one vnode and verify again.
         while dht.vnode_count() > 1 {
             let v = dht.vnodes()[0];
-            dht.remove_vnode(v).unwrap();
+            dht.remove_vnode_with(v, &mut NullSink).unwrap();
         }
         dht.check_invariants().unwrap();
         assert!((dht.quotas()[0] - 1.0).abs() < 1e-12);
@@ -97,7 +97,7 @@ fn facade_prelude_covers_the_workflow() {
     let cfg = DhtConfig::new(HashSpace::new(32), 4, 4).unwrap();
     let mut dht = LocalDht::with_seed(cfg, 1);
     for i in 0..16u32 {
-        dht.create_vnode(SnodeId(i)).unwrap();
+        dht.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
     }
     let _sigma = dht.vnode_quota_relstd_pct();
 
@@ -129,8 +129,8 @@ fn global_and_local_zone1_equality_is_exact_per_run() {
     let mut local = LocalDht::with_seed(local_cfg, 1111);
     let mut global = GlobalDht::with_seed(global_cfg, 2222);
     for i in 0..32u32 {
-        local.create_vnode(SnodeId(i)).unwrap();
-        global.create_vnode(SnodeId(i)).unwrap();
+        local.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
+        global.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
         assert!(
             (local.vnode_quota_relstd_pct() - global.vnode_quota_relstd_pct()).abs() < 1e-9,
             "diverged at V={}",

@@ -9,7 +9,7 @@ fn gpdr_registers_every_vnode_with_true_counts() {
     let cfg = DhtConfig::new(HashSpace::new(32), 8, 1).unwrap();
     let mut dht = GlobalDht::with_seed(cfg, 3);
     for i in 0..25u32 {
-        dht.create_vnode(SnodeId(i % 4)).unwrap();
+        dht.create_vnode_with(SnodeId(i % 4), &mut NullSink).unwrap();
         let gpdr = dht.gpdr();
         assert_eq!(gpdr.len(), dht.vnode_count());
         // Row counts equal the actual partition lists.
@@ -32,7 +32,7 @@ fn lpdr_is_the_downsized_gpdr_of_one_group() {
     let cfg = DhtConfig::new(HashSpace::new(32), 4, 4).unwrap();
     let mut dht = LocalDht::with_seed(cfg, 9);
     for i in 0..40u32 {
-        dht.create_vnode(SnodeId(i % 6)).unwrap();
+        dht.create_vnode_with(SnodeId(i % 6), &mut NullSink).unwrap();
     }
     assert!(dht.group_count() > 1);
     let mut total_rows = 0;
@@ -62,13 +62,14 @@ fn pdr_victim_is_what_the_greedy_would_drain() {
     let cfg = DhtConfig::new(HashSpace::new(32), 8, 1).unwrap();
     let mut dht = GlobalDht::with_seed(cfg, 31);
     for i in 0..11u32 {
-        dht.create_vnode(SnodeId(i)).unwrap();
+        dht.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
     }
     let victim_count = dht.gpdr().victim().unwrap().partitions;
     let max_count = dht.gpdr().entries().iter().map(|e| e.partitions).max().unwrap();
     assert_eq!(victim_count, max_count);
-    let (_, report) = dht.create_vnode(SnodeId(99)).unwrap();
-    if let Some(first) = report.transfers.first() {
+    let mut report = CollectReport::new();
+    dht.create_vnode_with(SnodeId(99), &mut report).unwrap();
+    if let Some(first) = report.transfers().first() {
         // The first donor held the maximum at the moment of the transfer
         // (post-cascade if one ran).
         let donor_count_now = dht.partition_count(first.from).unwrap();
@@ -81,7 +82,7 @@ fn pdr_of_returns_group_scoped_views_locally() {
     let cfg = DhtConfig::new(HashSpace::new(32), 4, 2).unwrap();
     let mut dht = LocalDht::with_seed(cfg, 17);
     for i in 0..24u32 {
-        dht.create_vnode(SnodeId(i % 3)).unwrap();
+        dht.create_vnode_with(SnodeId(i % 3), &mut NullSink).unwrap();
     }
     for v in dht.vnodes() {
         let pdr = dht.pdr_of(v).unwrap();
@@ -97,10 +98,10 @@ fn pdr_of_returns_group_scoped_views_locally() {
 fn wire_size_tracks_row_count() {
     let cfg = DhtConfig::new(HashSpace::new(32), 4, 4).unwrap();
     let mut dht = LocalDht::with_seed(cfg, 23);
-    dht.create_vnode(SnodeId(0)).unwrap();
+    dht.create_vnode_with(SnodeId(0), &mut NullSink).unwrap();
     let one = dht.pdr_of(dht.vnodes()[0]).unwrap().wire_size_bytes();
     for i in 1..8u32 {
-        dht.create_vnode(SnodeId(i)).unwrap();
+        dht.create_vnode_with(SnodeId(i), &mut NullSink).unwrap();
     }
     let eight = dht.pdr_of(dht.vnodes()[0]).unwrap().wire_size_bytes();
     assert_eq!(eight, 8 * one, "record wire size is linear in rows");

@@ -57,13 +57,13 @@ fn churn_and_compare<E: DhtEngine>(mut dht: E, script: &[Op]) -> Result<(), Test
     for (step, op) in script.iter().enumerate() {
         match *op {
             Op::Create(s) => {
-                dht.create_vnode(SnodeId(s)).unwrap();
+                dht.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
             }
             Op::Remove(pos) => {
                 let live = dht.vnodes();
                 if live.len() > 1 {
                     let v = live[pos as usize % live.len()];
-                    dht.remove_vnode(v).unwrap();
+                    dht.remove_vnode_with(v, &mut NullSink).unwrap();
                 }
             }
         }
@@ -131,16 +131,16 @@ fn balance_snapshot_overrides_agree_with_capture() {
     let mut global = GlobalDht::with_seed(DhtConfig::new(space, 8, 1).unwrap(), 11);
     let mut ch = ChEngine::with_seed(DhtConfig::new(space, 8, 1).unwrap(), 8, 11);
     for i in 0..60u32 {
-        local.create_vnode(SnodeId(i % 17)).unwrap();
-        global.create_vnode(SnodeId(i % 17)).unwrap();
-        ch.create_vnode(SnodeId(i % 17)).unwrap();
+        local.create_vnode_with(SnodeId(i % 17), &mut NullSink).unwrap();
+        global.create_vnode_with(SnodeId(i % 17), &mut NullSink).unwrap();
+        ch.create_vnode_with(SnodeId(i % 17), &mut NullSink).unwrap();
         if i % 5 == 4 {
             let v = local.vnodes()[(i as usize * 7) % local.vnode_count()];
-            local.remove_vnode(v).unwrap();
+            local.remove_vnode_with(v, &mut NullSink).unwrap();
             let v = global.vnodes()[(i as usize * 7) % global.vnode_count()];
-            global.remove_vnode(v).unwrap();
+            global.remove_vnode_with(v, &mut NullSink).unwrap();
             let v = ch.vnodes()[(i as usize * 7) % ch.vnode_count()];
-            ch.remove_vnode(v).unwrap();
+            ch.remove_vnode_with(v, &mut NullSink).unwrap();
         }
         snapshot_parity(&local);
         snapshot_parity(&global);

@@ -45,13 +45,13 @@ proptest! {
         for op in script {
             match op {
                 Op::Create(s) => {
-                    dht.create_vnode(SnodeId(s)).unwrap();
+                    dht.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
                 }
                 Op::Remove(pos) => {
                     let live = dht.vnodes();
                     if live.len() > 1 {
                         let v = live[pos as usize % live.len()];
-                        dht.remove_vnode(v).unwrap();
+                        dht.remove_vnode_with(v, &mut NullSink).unwrap();
                     }
                 }
             }
@@ -76,13 +76,13 @@ proptest! {
         for op in script {
             match op {
                 Op::Create(s) => {
-                    dht.create_vnode(SnodeId(s)).unwrap();
+                    dht.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
                 }
                 Op::Remove(pos) => {
                     let live = dht.vnodes();
                     if live.len() > 1 {
                         let v = live[pos as usize % live.len()];
-                        dht.remove_vnode(v).unwrap();
+                        dht.remove_vnode_with(v, &mut NullSink).unwrap();
                     }
                 }
             }
@@ -102,7 +102,7 @@ proptest! {
         let cfg = DhtConfig::new(HashSpace::new(32), pmin, vmin).unwrap();
         let mut dht = LocalDht::with_seed(cfg, seed);
         for i in 0..64u32 {
-            dht.create_vnode(SnodeId(i % 4)).unwrap();
+            dht.create_vnode_with(SnodeId(i % 4), &mut NullSink).unwrap();
             let v = dht.vnode_count() as u64;
             if v.is_power_of_two() && dht.group_count() == 1 {
                 // Single-group case: G5' applies to the whole DHT.
@@ -125,7 +125,7 @@ proptest! {
         let cfg = DhtConfig::new(space, pmin, vmin).unwrap();
         let mut dht = LocalDht::with_seed(cfg, seed);
         for i in 0..n {
-            dht.create_vnode(SnodeId(i as u32 % 5)).unwrap();
+            dht.create_vnode_with(SnodeId(i as u32 % 5), &mut NullSink).unwrap();
         }
         for p in probes {
             let point = p & space.max_point();
@@ -147,7 +147,7 @@ proptest! {
         let cfg = DhtConfig::new(HashSpace::new(32), 8, vmin).unwrap();
         let mut dht = LocalDht::with_seed(cfg, seed);
         for i in 0..n {
-            dht.create_vnode(SnodeId(i as u32 % 6)).unwrap();
+            dht.create_vnode_with(SnodeId(i as u32 % 6), &mut NullSink).unwrap();
         }
         for v in dht.vnodes() {
             let pdr = dht.pdr_of(v).unwrap();
@@ -165,7 +165,7 @@ proptest! {
         let build = || {
             let mut dht = LocalDht::with_seed(cfg, seed);
             for i in 0..n {
-                dht.create_vnode(SnodeId(i as u32)).unwrap();
+                dht.create_vnode_with(SnodeId(i as u32), &mut NullSink).unwrap();
             }
             (dht.quotas(), dht.group_count())
         };

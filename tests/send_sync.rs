@@ -61,8 +61,8 @@ fn boxed_engine_crosses_threads() {
     let cfg = DhtConfig::new(HashSpace::new(32), 4, 2).expect("valid config");
     let mut engine: Box<dyn DhtEngine + Send + Sync> = Box::new(LocalDht::with_seed(cfg, 3));
     let snap = std::thread::spawn(move || {
-        engine.create_vnode(SnodeId(0)).expect("create");
-        engine.create_vnode(SnodeId(1)).expect("create");
+        engine.create_vnode_with(SnodeId(0), &mut NullSink).expect("create");
+        engine.create_vnode_with(SnodeId(1), &mut NullSink).expect("create");
         EngineSnapshot::from_engine(&*engine, 1)
     })
     .join()

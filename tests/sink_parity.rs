@@ -1,13 +1,13 @@
-//! Sink parity: the streaming event surface must reproduce the legacy
-//! report structs *field-identically*.
+//! Sink parity: the streaming event surface must reproduce the
+//! pre-redesign report structs *field-identically*.
 //!
 //! The golden digests below were captured from the pre-redesign engines
 //! (reports built inline by `create_vnode`/`remove_vnode`) on fixed
 //! churn scenarios. After the event-sink redesign the same reports are
-//! reconstituted by the `CollectReport` sink behind the compatibility
-//! shim — replaying the identical fingerprinted stream must therefore
-//! reproduce the identical digests, or a field was lost or reordered on
-//! the way through the sink.
+//! reconstituted by the `CollectReport` sink passed to
+//! `create_vnode_with`/`remove_vnode_with` — replaying the identical
+//! fingerprinted stream must therefore reproduce the identical digests,
+//! or a field was lost or reordered on the way through the sink.
 
 use domus::churn::{EventKind, NodeTag};
 use domus::prelude::*;
@@ -82,7 +82,7 @@ fn scenario() -> Scenario {
 
 /// Replays the stream with the churn driver's roster semantics (tag- and
 /// rank-based victim selection, rename patching, keep-one guard) while
-/// digesting every report the legacy surface yields.
+/// digesting every report a `CollectReport` sink assembles.
 fn replay_digest<E: DhtEngine>(mut dht: E, stream: &EventStream) -> u64 {
     let space = dht.config().hash_space();
     let mut h = 0x0409_2004_u64;
@@ -101,7 +101,10 @@ fn replay_digest<E: DhtEngine>(mut dht: E, stream: &EventStream) -> u64 {
                 h = mix(h, 0x5817);
                 continue;
             }
-            let rep = dht.remove_vnode(v).expect("golden replay: remove failed");
+            let mut collect = CollectReport::new();
+            let outcome =
+                dht.remove_vnode_with(v, &mut collect).expect("golden replay: remove failed");
+            let rep = collect.into_remove_report(&outcome);
             h = mix_remove(h, space, &rep);
             roster.retain(|&(_, rv)| rv != v);
             if let Some((old, new)) = rep.migrated {
@@ -124,7 +127,11 @@ fn replay_digest<E: DhtEngine>(mut dht: E, stream: &EventStream) -> u64 {
         match e.kind {
             EventKind::Join { node, vnodes } => {
                 for _ in 0..vnodes.max(1) {
-                    let (v, rep) = dht.create_vnode(SnodeId(node.0)).expect("golden replay");
+                    let mut collect = CollectReport::new();
+                    let outcome = dht
+                        .create_vnode_with(SnodeId(node.0), &mut collect)
+                        .expect("golden replay");
+                    let (v, rep) = (outcome.vnode, collect.into_create_report(&outcome));
                     h = mix_create(h, space, v, &rep);
                     roster.push((node, v));
                 }
