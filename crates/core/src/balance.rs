@@ -15,8 +15,8 @@
 //!   one partition from the most-loaded vnode and give it to the new vnode
 //!   while that strictly decreases `σ(Pv)`.
 //! * [`greedy_remove`] / [`merge_all`] / [`rebalance_spread`] — the inverse
-//!   operations used by the deletion extension (not in the paper; see
-//!   DESIGN.md §2 item 7).
+//!   operations used by the deletion extension (the paper admits deletion,
+//!   §1 and §2.1.3, but details only creation).
 //!
 //! ## The O(1) σ-decrease test
 //!
@@ -234,9 +234,11 @@ pub fn greedy_add<R: DomusRng>(
 /// least-loaded remaining members (each move is the σ-minimising choice),
 /// then expels the victim from the region.
 ///
-/// The caller guarantees at least one other member exists and — by the
-/// power-of-two capacity argument in DESIGN.md §3 — the remaining members
-/// can absorb everything within `Pmax`.
+/// The caller guarantees at least one other member exists, and the
+/// remaining members can absorb everything within `Pmax` by the
+/// power-of-two capacity argument: `P_g/Pmin` is a power of two in
+/// `[V_g, 2·V_g)` (all members at `Pmax` would make `V_g` a power of two,
+/// which G5' forbids), so `P_g ≤ (V_g − 1)·Pmax`.
 pub fn greedy_remove<R: DomusRng>(
     vs: &mut VnodeStore,
     routing: &mut OwnerMap<VnodeId>,
@@ -276,9 +278,10 @@ pub fn greedy_remove<R: DomusRng>(
 }
 
 /// Error from [`merge_all`]: the region's partition set is not closed under
-/// siblings at the current level, so a binary merge is impossible. By the
-/// birth-level argument (DESIGN.md §3) this is unreachable from any legal
-/// operation sequence; it exists to fail loudly instead of corrupting state.
+/// siblings at the current level, so a binary merge is impossible. Merges
+/// only run above a region's birth level, where its partitions came from
+/// its own binary splits, so this is unreachable from any legal operation
+/// sequence; it exists to fail loudly instead of corrupting state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NotSiblingClosed {
     /// A parent index with only one present child.

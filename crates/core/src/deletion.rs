@@ -1,4 +1,4 @@
-//! vnode deletion for the local approach (extension).
+//! vnode deletion (extension), for both approaches.
 //!
 //! The paper's base model admits deletion ("cluster nodes may dynamically
 //! join *or leave* the DHT", §1; partition counts fluctuate "during the
@@ -7,7 +7,8 @@
 //! invariant of §2.2/§3.3 — including the derived spread-≤-1 theorem —
 //! still holds after every removal. Policy, in order of preference:
 //!
-//! 1. **Intra-group removal** (`V_g > Vmin`, or the single-group case):
+//! 1. **Intra-group removal** (`V_g > Vmin`, or the single-group case —
+//!    always, in the global approach's one region):
 //!    drain the victim's partitions to the least-loaded members; if that
 //!    saturates everyone at `Pmax` (which the power-of-two arithmetic shows
 //!    happens exactly when the surviving count is a power of two), run the
@@ -32,15 +33,15 @@ use crate::engine::RemoveOutcome;
 use crate::errors::DhtError;
 use crate::group_id::GroupId;
 use crate::ids::VnodeId;
-use crate::local::LocalDht;
+use crate::local::{BalancedDht, RegionPolicy};
 use crate::sink::{LedgeredSink, RebalanceEvent, RebalanceSink};
 use domus_util::DomusRng;
 
-/// Entry point used by [`LocalDht::remove_vnode_with`]. Every quota
+/// Entry point used by [`BalancedDht::remove_vnode_with`]. Every quota
 /// motion (drain, cascades, migration) streams through `sink` in
 /// chronological order, ledgered as it happens.
-pub(crate) fn remove_local<R: DomusRng>(
-    dht: &mut LocalDht<R>,
+pub(crate) fn remove<P: RegionPolicy, R: DomusRng>(
+    dht: &mut BalancedDht<P, R>,
     v: VnodeId,
     sink: &mut dyn RebalanceSink,
 ) -> Result<RemoveOutcome, DhtError> {
@@ -49,66 +50,56 @@ pub(crate) fn remove_local<R: DomusRng>(
         return Err(DhtError::LastVnode);
     }
     let snode = dht.vs.get(v).name.snode;
-    let outcome = remove_local_inner(dht, v, sink)?;
+    let outcome = RemoveOutcome { group: Some(dht.groups[dht.vs.get(v).group as usize].gid) };
+    make_room(dht, v, sink)?;
+    intra_group_remove(dht, dht.vs.get(v).group, v, sink);
     dht.ledger.vnode_killed(snode);
     dht.debug_check();
     Ok(outcome)
 }
 
-/// The removal state machine, without the victim's ledger kill or the
-/// final invariant sweep (both owned by [`remove_local`]).
-fn remove_local_inner<R: DomusRng>(
-    dht: &mut LocalDht<R>,
+/// Cases 2–4: when `v`'s group sits at `Vmin` beside other groups, merge
+/// or migrate until `v`'s group can lose a member (case 1).
+fn make_room<P: RegionPolicy, R: DomusRng>(
+    dht: &mut BalancedDht<P, R>,
     v: VnodeId,
     sink: &mut dyn RebalanceSink,
-) -> Result<RemoveOutcome, DhtError> {
+) -> Result<(), DhtError> {
     let slot = dht.vs.get(v).group;
-    let outcome = RemoveOutcome { group: Some(dht.groups[slot as usize].gid) };
-
-    let vg = dht.groups[slot as usize].len() as u64;
-    if dht.live_slots.len() == 1 || vg > dht.cfg.vmin {
-        intra_group_remove(dht, slot, v, sink);
-        return Ok(outcome);
+    if dht.live_slots.len() == 1 || dht.groups[slot as usize].len() as u64 > dht.cfg.vmin {
+        return Ok(());
     }
-
-    // V_g == Vmin with other groups around: make room first.
     let gid = dht.groups[slot as usize].gid;
     let sibling_slot = gid.sibling().and_then(|sib| find_live_group(dht, sib));
     if let Some(sib) = sibling_slot {
         if dht.groups[sib as usize].len() as u64 == dht.cfg.vmin {
-            let merged = merge_groups(dht, slot, sib, sink)?;
-            intra_group_remove(dht, merged, v, sink);
-            return Ok(outcome);
+            merge_groups(dht, slot, sib, sink)?;
+            return Ok(());
         }
     }
     if let Some(donor) = find_donor_group(dht, slot) {
-        migrate_one(dht, donor, slot, sink)?;
-        intra_group_remove(dht, dht.vs.get(v).group, v, sink);
-        return Ok(outcome);
+        return migrate_one(dht, donor, slot, sink);
     }
 
     // Every live group is at Vmin: merge the deepest sibling pair.
     let (a, b) = deepest_sibling_pair(dht);
     let merged = merge_groups(dht, a, b, sink)?;
     let v_slot = dht.vs.get(v).group;
-    if v_slot == merged {
-        intra_group_remove(dht, merged, v, sink);
-    } else {
+    if v_slot != merged {
         migrate_one(dht, merged, v_slot, sink)?;
-        intra_group_remove(dht, dht.vs.get(v).group, v, sink);
     }
-    Ok(outcome)
+    Ok(())
 }
 
 /// Case 1: drain, kill, and run the merge cascade if it saturated `Pmax`.
-fn intra_group_remove<R: DomusRng>(
-    dht: &mut LocalDht<R>,
+fn intra_group_remove<P, R: DomusRng>(
+    dht: &mut BalancedDht<P, R>,
     slot: u32,
     v: VnodeId,
     sink: &mut dyn RebalanceSink,
 ) {
     {
-        let LocalDht { vs, groups, routing, ledger, rng, cfg, .. } = dht;
+        let BalancedDht { vs, groups, routing, ledger, rng, cfg, .. } = dht;
         let mut ls = LedgeredSink::new(sink, ledger);
         balance::greedy_remove(vs, routing, &mut groups[slot as usize], v, cfg, rng, &mut ls);
     }
@@ -116,23 +107,23 @@ fn intra_group_remove<R: DomusRng>(
     let saturated = balance::all_at_pmax(&dht.groups[slot as usize], &dht.cfg);
     if saturated {
         let pairs = {
-            let LocalDht { vs, groups, routing, ledger, rng, cfg, .. } = dht;
+            let BalancedDht { vs, groups, routing, ledger, rng, cfg, .. } = dht;
             let mut ls = LedgeredSink::new(sink, ledger);
             balance::merge_all(vs, routing, &mut groups[slot as usize], cfg, rng, &mut ls)
-                .expect("saturation only occurs above the region's closure floor (DESIGN.md §3)")
+                .expect("at its birth level a region all at Pmax would hold Vmin/2 members")
         };
         sink.event(RebalanceEvent::PartitionMerge { pairs });
     }
 }
 
 /// Finds the live-group slot with identifier `gid`, if any.
-fn find_live_group<R: DomusRng>(dht: &LocalDht<R>, gid: GroupId) -> Option<u32> {
+fn find_live_group<P, R: DomusRng>(dht: &BalancedDht<P, R>, gid: GroupId) -> Option<u32> {
     dht.live_slots.iter().copied().find(|&s| dht.groups[s as usize].gid == gid)
 }
 
 /// Picks the largest group (ties: smallest identifier value, then slot)
 /// that can legally lose a member — excluding `except`.
-fn find_donor_group<R: DomusRng>(dht: &LocalDht<R>, except: u32) -> Option<u32> {
+fn find_donor_group<P, R: DomusRng>(dht: &BalancedDht<P, R>, except: u32) -> Option<u32> {
     let mut best: Option<(usize, u64, u32)> = None; // (len, gid value, slot)
     for &i in &dht.live_slots {
         let g = &dht.groups[i as usize];
@@ -151,7 +142,7 @@ fn find_donor_group<R: DomusRng>(dht: &LocalDht<R>, except: u32) -> Option<u32> 
 
 /// When every group sits at `Vmin`, the deepest leaf's sibling must itself
 /// be a live leaf (a deeper descendant would contradict depth maximality).
-fn deepest_sibling_pair<R: DomusRng>(dht: &LocalDht<R>) -> (u32, u32) {
+fn deepest_sibling_pair<P, R: DomusRng>(dht: &BalancedDht<P, R>) -> (u32, u32) {
     let deepest = dht
         .live_slots
         .iter()
@@ -173,8 +164,8 @@ fn deepest_sibling_pair<R: DomusRng>(dht: &LocalDht<R>) -> (u32, u32) {
 /// `PartitionSplit` events, which the legacy report never recorded),
 /// members are pooled, and counts are re-levelled to spread ≤ 1 — which
 /// the equal-quota law places inside `[Pmin, Pmax]`.
-fn merge_groups<R: DomusRng>(
-    dht: &mut LocalDht<R>,
+fn merge_groups<P: RegionPolicy, R: DomusRng>(
+    dht: &mut BalancedDht<P, R>,
     a: u32,
     b: u32,
     sink: &mut dyn RebalanceSink,
@@ -215,7 +206,7 @@ fn merge_groups<R: DomusRng>(
 
     // Harmonisation may have pushed the raised side past Pmax; re-level.
     {
-        let LocalDht { vs, groups, routing, ledger, rng, cfg, .. } = dht;
+        let BalancedDht { vs, groups, routing, ledger, rng, cfg, .. } = dht;
         let mut ls = LedgeredSink::new(sink, ledger);
         balance::rebalance_spread(
             vs,
@@ -232,8 +223,8 @@ fn merge_groups<R: DomusRng>(
 /// Case 3: migrate one vnode from `donor` into `dest` (remove + re-create
 /// under the same snode), announcing the handle change as a
 /// `VnodeMigrated` event.
-fn migrate_one<R: DomusRng>(
-    dht: &mut LocalDht<R>,
+fn migrate_one<P: RegionPolicy, R: DomusRng>(
+    dht: &mut BalancedDht<P, R>,
     donor: u32,
     dest: u32,
     sink: &mut dyn RebalanceSink,
@@ -255,6 +246,7 @@ mod tests {
     use crate::config::DhtConfig;
     use crate::engine::DhtEngine;
     use crate::ids::SnodeId;
+    use crate::local::LocalDht;
     use crate::sink::{CountOnly, NullSink};
     use domus_hashspace::HashSpace;
 

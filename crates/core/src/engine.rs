@@ -153,6 +153,9 @@ pub struct RemoveReport {
 /// Common interface of [`crate::GlobalDht`], [`crate::LocalDht`] and the
 /// `domus-ch` Consistent-Hashing adapter.
 ///
+/// The two model engines are one, [`crate::local::BalancedDht`], over a
+/// region policy: `GlobalDht` keeps one region and draws no victim probe.
+///
 /// Downstream layers (simulator, KV store, churn replay, experiments)
 /// are generic over this trait — or hold a `&mut dyn DhtEngine` — so
 /// every experiment runs against any backend.
@@ -163,7 +166,8 @@ pub trait DhtEngine {
     /// Number of live vnodes `V`.
     fn vnode_count(&self) -> usize;
 
-    /// Number of live groups `G` (always 1 for the global approach).
+    /// Number of live groups `G` (always 1 for the global approach; an
+    /// empty DHT has one empty root group).
     fn group_count(&self) -> usize;
 
     /// Creates a vnode hosted by `snode` and rebalances per the model,
@@ -188,9 +192,10 @@ pub trait DhtEngine {
         sink: &mut dyn RebalanceSink,
     ) -> Result<CreateOutcome, DhtError>;
 
-    /// Removes a vnode and rebalances (deletion extension; see
-    /// `DESIGN.md` §2 item 7), streaming every rebalancement step into
-    /// `sink` as it happens.
+    /// Removes a vnode and rebalances, streaming every rebalancement step
+    /// into `sink` as it happens. The paper's model admits deletion (§1,
+    /// §2.1.3) but details only creation; removal is this crate's
+    /// extension, the inverse of the §2.5 creation algorithm.
     fn remove_vnode_with(
         &mut self,
         v: VnodeId,

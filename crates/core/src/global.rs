@@ -1,29 +1,27 @@
-//! The **global approach** (§2 of the paper; the base model of ref. \[7\]).
+//! The **global approach** (§2 of the paper; the base model of ref. \[7\])
+//! as the one-region policy of [`BalancedDht`].
 //!
 //! One replicated GPDR covers every vnode; every snode participates in
 //! every creation, so creations are serial and require global knowledge.
-//! The balancement algorithm itself is the shared kernel in
-//! [`crate::balance`], run over a single region that spans the entire DHT.
+//! The engine is the local approach's, run over a single region that
+//! spans the entire DHT and never splits: a creation draws no victim
+//! probe, and a removal always takes the deletion extension's intra-group
+//! case, which is exactly the global approach's drain and merge cascade.
 //!
 //! Because all partitions share one size `S = 2^Bh / P` (invariant G3),
 //! `σ̄(Qv) = σ̄(Pv)` here (§2.4) — the engine exposes both, and the test
 //! suite confirms they coincide.
 
-use crate::balance;
-use crate::config::DhtConfig;
-use crate::engine::{CreateOutcome, DhtEngine, RemoveOutcome};
-use crate::errors::DhtError;
-use crate::group_id::GroupId;
-use crate::ids::{CanonicalName, SnodeId, VnodeId};
-use crate::invariants::{self, InvariantViolation};
-use crate::ledger::SnodeLedger;
-use crate::record::{Pdr, PdrEntry};
-use crate::sink::{LedgeredSink, RebalanceEvent, RebalanceSink};
-use crate::state::{GroupState, VnodeStore};
-use crate::stats::BalanceSnapshot;
-use domus_hashspace::{OwnerMap, Partition, Quota};
+use crate::local::{BalancedDht, RegionPolicy};
+use crate::record::Pdr;
+use crate::sink::RebalanceSink;
+use crate::state::GroupState;
 use domus_metrics::relstd::rel_std_dev_counts_pct;
 use domus_util::{DomusRng, Xoshiro256pp};
+
+/// The global approach's policy: every vnode joins the one region.
+#[derive(Debug, Clone)]
+pub struct OneRegion;
 
 /// A DHT balanced with the global approach.
 ///
@@ -39,284 +37,38 @@ use domus_util::{DomusRng, Xoshiro256pp};
 /// // V = 8 is a power of two: invariant G5 says perfect balance.
 /// assert_eq!(dht.vnode_quota_relstd_pct(), 0.0);
 /// ```
-#[derive(Debug, Clone)]
-pub struct GlobalDht<R: DomusRng = Xoshiro256pp> {
-    cfg: DhtConfig,
-    vs: VnodeStore,
-    region: GroupState,
-    routing: OwnerMap<VnodeId>,
-    ledger: SnodeLedger,
-    rng: R,
-}
+pub type GlobalDht<R = Xoshiro256pp> = BalancedDht<OneRegion, R>;
 
-impl GlobalDht<Xoshiro256pp> {
-    /// A DHT seeded from a single `u64` (deterministic).
-    pub fn with_seed(cfg: DhtConfig, seed: u64) -> Self {
-        Self::with_rng(cfg, Xoshiro256pp::seed_from_u64(seed))
+impl RegionPolicy for OneRegion {
+    const GROUP_LAWS: bool = false;
+
+    fn container<R: DomusRng>(dht: &mut GlobalDht<R>, _: &mut dyn RebalanceSink) -> u32 {
+        dht.live_slots[0]
     }
 }
 
 impl<R: DomusRng> GlobalDht<R> {
-    /// A DHT using the supplied RNG stream.
-    pub fn with_rng(cfg: DhtConfig, rng: R) -> Self {
-        let space = cfg.hash_space();
-        Self {
-            cfg,
-            vs: VnodeStore::new(),
-            region: GroupState::new(GroupId::FIRST, cfg.initial_level()),
-            routing: OwnerMap::new(space),
-            ledger: SnodeLedger::new(),
-            rng,
-        }
-    }
-
-    /// The incremental per-snode quota ledger.
-    pub fn ledger(&self) -> &SnodeLedger {
-        &self.ledger
+    /// The one region spanning the whole DHT.
+    fn region(&self) -> &GroupState {
+        &self.groups[self.live_slots[0] as usize]
     }
 
     /// `σ̄(Pv, P̄v)` in percent — the count-based shortcut metric of §2.4,
     /// valid only in the global approach.
     pub fn partition_count_relstd_pct(&self) -> f64 {
         let counts: Vec<u64> =
-            self.region.members.iter().map(|&m| self.vs.get(m).count()).collect();
+            self.region().members.iter().map(|&m| self.vs.get(m).count()).collect();
         rel_std_dev_counts_pct(&counts)
     }
 
     /// The common splitlevel `l` of all partitions.
     pub fn splitlevel(&self) -> u32 {
-        self.region.level
+        self.region().level
     }
 
     /// The replicated GPDR (§2.1.4) as every snode would see it.
     pub fn gpdr(&self) -> Pdr {
-        Pdr::new(
-            self.region
-                .members
-                .iter()
-                .map(|&m| PdrEntry {
-                    vnode: self.vs.get(m).name,
-                    partitions: self.vs.get(m).count(),
-                })
-                .collect(),
-        )
-    }
-
-    fn ensure_alive(&self, v: VnodeId) -> Result<(), DhtError> {
-        if self.vs.is_alive(v) {
-            Ok(())
-        } else {
-            Err(DhtError::UnknownVnode(v))
-        }
-    }
-
-    #[cfg(debug_assertions)]
-    fn debug_check(&self) {
-        if let Err(e) = self.check_invariants() {
-            panic!("invariant violated after GlobalDht operation: {e}");
-        }
-    }
-
-    #[cfg(not(debug_assertions))]
-    fn debug_check(&self) {}
-}
-
-impl<R: DomusRng> DhtEngine for GlobalDht<R> {
-    fn config(&self) -> &DhtConfig {
-        &self.cfg
-    }
-
-    fn vnode_count(&self) -> usize {
-        self.vs.alive_count()
-    }
-
-    fn group_count(&self) -> usize {
-        1
-    }
-
-    fn create_vnode_with(
-        &mut self,
-        snode: SnodeId,
-        sink: &mut dyn RebalanceSink,
-    ) -> Result<CreateOutcome, DhtError> {
-        if self.vs.alive_count() == 0 {
-            let v = self.vs.create(snode, 0);
-            balance::seed_first(&mut self.vs, &mut self.routing, &mut self.region, v, &self.cfg);
-            self.ledger.vnode_created(snode);
-            self.ledger.gain(snode, Quota::ONE);
-            self.debug_check();
-            return Ok(CreateOutcome {
-                vnode: v,
-                group: Some(self.region.gid),
-                group_size_after: 1,
-            });
-        }
-
-        // §2.5: when V is a power of two every vnode holds Pmin (G5), and
-        // the handover would drop a vnode below Pmin — so every older vnode
-        // binary-splits its partitions first.
-        if balance::all_at_pmin(&self.vs, &self.region, &self.cfg) {
-            let count = balance::split_all(&mut self.vs, &mut self.routing, &mut self.region)?;
-            sink.event(RebalanceEvent::PartitionSplit { count });
-        }
-        let v = self.vs.create(snode, 0);
-        self.region.admit(v, 0);
-        self.ledger.vnode_created(snode);
-        {
-            let mut ls = LedgeredSink::new(sink, &mut self.ledger);
-            balance::greedy_add(
-                &mut self.vs,
-                &mut self.routing,
-                &mut self.region,
-                v,
-                &self.cfg,
-                &mut self.rng,
-                &mut ls,
-            );
-        }
-        self.debug_check();
-        Ok(CreateOutcome {
-            vnode: v,
-            group: Some(self.region.gid),
-            group_size_after: self.region.len(),
-        })
-    }
-
-    fn remove_vnode_with(
-        &mut self,
-        v: VnodeId,
-        sink: &mut dyn RebalanceSink,
-    ) -> Result<RemoveOutcome, DhtError> {
-        self.ensure_alive(v)?;
-        if self.vs.alive_count() == 1 {
-            return Err(DhtError::LastVnode);
-        }
-        {
-            let mut ls = LedgeredSink::new(sink, &mut self.ledger);
-            balance::greedy_remove(
-                &mut self.vs,
-                &mut self.routing,
-                &mut self.region,
-                v,
-                &self.cfg,
-                &mut self.rng,
-                &mut ls,
-            );
-        }
-        self.vs.kill(v);
-        // If redistribution saturated everyone at Pmax, the member count is
-        // a power of two (capacity arithmetic — DESIGN.md §3) and G5
-        // requires the merge cascade back to Pmin.
-        if balance::all_at_pmax(&self.region, &self.cfg) {
-            let pairs = {
-                let mut ls = LedgeredSink::new(sink, &mut self.ledger);
-                balance::merge_all(
-                    &mut self.vs,
-                    &mut self.routing,
-                    &mut self.region,
-                    &self.cfg,
-                    &mut self.rng,
-                    &mut ls,
-                )
-                .expect("the global region spans R_h and is sibling-closed at every level")
-            };
-            sink.event(RebalanceEvent::PartitionMerge { pairs });
-        }
-        self.ledger.vnode_killed(self.vs.get(v).name.snode);
-        self.debug_check();
-        Ok(RemoveOutcome { group: Some(self.region.gid) })
-    }
-
-    fn lookup(&self, point: u64) -> Option<(Partition, VnodeId)> {
-        self.routing.lookup(point).map(|(p, &v)| (p, v))
-    }
-
-    fn for_each_successor(&self, point: u64, f: &mut dyn FnMut(VnodeId) -> bool) {
-        for (_, &v) in self.routing.successors(point) {
-            if !f(v) {
-                return;
-            }
-        }
-    }
-
-    fn for_each_vnode(&self, f: &mut dyn FnMut(VnodeId)) {
-        self.vs.iter_alive().for_each(f);
-    }
-
-    fn name_of(&self, v: VnodeId) -> Result<CanonicalName, DhtError> {
-        self.ensure_alive(v)?;
-        Ok(self.vs.get(v).name)
-    }
-
-    fn snode_of(&self, v: VnodeId) -> Result<SnodeId, DhtError> {
-        self.ensure_alive(v)?;
-        Ok(self.vs.get(v).name.snode)
-    }
-
-    fn partitions_of(&self, v: VnodeId) -> Result<Vec<Partition>, DhtError> {
-        self.ensure_alive(v)?;
-        Ok(self.vs.get(v).partitions.clone())
-    }
-
-    fn partition_count(&self, v: VnodeId) -> Result<u64, DhtError> {
-        self.ensure_alive(v)?;
-        Ok(self.vs.get(v).count())
-    }
-
-    fn quota_of(&self, v: VnodeId) -> Result<f64, DhtError> {
-        self.ensure_alive(v)?;
-        Ok(self.vs.get(v).count() as f64 / (self.region.level as f64).exp2())
-    }
-
-    fn for_each_quota(&self, f: &mut dyn FnMut(f64)) {
-        let denom = (self.region.level as f64).exp2();
-        self.vs.iter_alive().for_each(|v| f(self.vs.get(v).count() as f64 / denom));
-    }
-
-    fn vnode_quota_relstd_pct(&self) -> f64 {
-        let v = self.vs.alive_count() as f64;
-        if v == 0.0 {
-            return 0.0;
-        }
-        // σ̄² = V·ΣQv² − 1 with Qv = Pv/2^l (module docs of `state`).
-        let sum_sq_q = self.region.sumsq_quota_f64();
-        100.0 * (v * sum_sq_q - 1.0).max(0.0).sqrt()
-    }
-
-    fn pdr_of(&self, v: VnodeId) -> Result<Pdr, DhtError> {
-        self.ensure_alive(v)?;
-        Ok(self.gpdr())
-    }
-
-    fn record_shape_of(&self, v: VnodeId) -> Result<(u64, u64), DhtError> {
-        self.ensure_alive(v)?;
-        // GPDR shape: every live vnode is an entry, every hosting snode a
-        // participant — both maintained incrementally, O(1).
-        Ok((self.region.len() as u64, self.ledger.snode_count() as u64))
-    }
-
-    fn balance_snapshot(&self) -> BalanceSnapshot {
-        let v = self.vs.alive_count();
-        let max_quota = self.region.max_count() as f64 / (self.region.level as f64).exp2();
-        BalanceSnapshot {
-            vnodes: v,
-            groups: 1,
-            snodes: self.ledger.snode_count(),
-            vnode_relstd_pct: self.vnode_quota_relstd_pct(),
-            snode_relstd_pct: self.ledger.relstd_pct(),
-            max_quota_over_ideal: max_quota * v as f64,
-        }
-    }
-
-    fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        invariants::check(
-            &self.cfg,
-            &self.vs,
-            std::slice::from_ref(&self.region),
-            &self.routing,
-            &self.ledger,
-            true,
-        )
+        self.record_of(self.region())
     }
 }
 
@@ -324,6 +76,7 @@ impl<R: DomusRng> DhtEngine for GlobalDht<R> {
 mod tests {
     use super::*;
     use crate::sink::{CollectReport, NullSink};
+    use crate::{DhtConfig, DhtEngine, DhtError, SnodeId, VnodeId};
     use domus_hashspace::HashSpace;
     use domus_metrics::rel_std_dev_pct;
 

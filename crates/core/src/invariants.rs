@@ -182,15 +182,16 @@ impl std::error::Error for InvariantViolation {}
 /// Runs the full invariant suite over engine internals.
 ///
 /// `groups` is the group arena (dead slots included — they are skipped);
-/// `single_region` relaxes L2 and the quota law for the global approach
-/// (whose one region is not a paper "group").
+/// `group_laws` ([`crate::local::RegionPolicy::GROUP_LAWS`]) says whether
+/// L2, the quota law and prefix-freeness bind (the global approach's one
+/// region is not a paper "group").
 pub fn check(
     cfg: &DhtConfig,
     vs: &VnodeStore,
     groups: &[GroupState],
     routing: &OwnerMap<VnodeId>,
     ledger: &SnodeLedger,
-    single_region: bool,
+    group_laws: bool,
 ) -> Result<(), InvariantViolation> {
     let live: Vec<&GroupState> = groups.iter().filter(|g| g.alive).collect();
 
@@ -342,7 +343,7 @@ pub fn check(
             });
         }
         // L2 and the quota law are local-approach specific.
-        if !single_region {
+        if group_laws {
             let (vmin, vmax) = (cfg.vmin, cfg.vmax());
             let n = g.members.len() as u64;
             let exempt_first_group = live.len() == 1 && g.gid == GroupId::FIRST;
@@ -378,7 +379,7 @@ pub fn check(
     }
 
     // --- Prefix-freeness of live group ids.
-    if !single_region {
+    if group_laws {
         for a in &live {
             for b in &live {
                 if a.gid != b.gid && a.gid.is_ancestor_of(&b.gid) {

@@ -32,8 +32,8 @@
 //! | [`group_id`] | §3.7.1 | decentralized binary-prefix group identifiers |
 //! | [`record`] | §2.1.4, §3.2 | GPDR/LPDR tables |
 //! | [`balance`] | §2.5 | the greedy reassignment kernel + cascades |
-//! | [`global`] | §2 | [`GlobalDht`] |
-//! | [`local`] | §3 | [`LocalDht`], group split, victim selection |
+//! | [`global`] | §2 | the one-region policy: [`GlobalDht`] |
+//! | [`local`] | §3 | the balanced engine over a region policy; the group policy: [`LocalDht`], group split, victim selection |
 //! | `deletion` | extension | vnode removal, group merges, migration |
 //! | [`cluster`] | §1, §2.1.2 | heterogeneous enrollment on any engine |
 //! | [`invariants`] | §2.2, §3.3 | exhaustive invariant checker |

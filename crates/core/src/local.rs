@@ -1,4 +1,11 @@
-//! The **local approach** (§3 of the paper — its primary contribution).
+//! The balanced engine, and the **local approach** (§3 of the paper — its
+//! primary contribution) as its group policy.
+//!
+//! [`BalancedDht`] is the one engine of both approaches: the shared kernel
+//! of [`crate::balance`] run per region, with a [`RegionPolicy`] choosing
+//! the container of each creation and whether the group laws bind.
+//! [`crate::GlobalDht`] keeps one region (§2); [`LocalDht`] runs groups.
+//! Every engine starts with one empty root group.
 //!
 //! The vnode set is fully divided into *groups* (invariant L1) whose sizes
 //! are bounded by `Vmin ≤ V_g ≤ Vmax = 2·Vmin` (L2). Each group balances
@@ -34,6 +41,41 @@ use crate::state::{GroupState, VnodeStore};
 use crate::stats::BalanceSnapshot;
 use domus_hashspace::{OwnerMap, Partition, Quota};
 use domus_util::{DomusRng, Xoshiro256pp};
+use std::marker::PhantomData;
+
+/// How a [`BalancedDht`] divides its vnodes into balancement regions —
+/// the only thing the global and local approaches do differently.
+pub trait RegionPolicy: Sized {
+    /// Whether the paper's group laws bind: L2, the group quota law and
+    /// prefix-free group identifiers.
+    const GROUP_LAWS: bool;
+
+    /// Picks the live group slot that admits a new vnode into a non-empty
+    /// DHT, streaming any victim probe or group split into `sink`.
+    fn container<R: DomusRng>(dht: &mut BalancedDht<Self, R>, sink: &mut dyn RebalanceSink) -> u32;
+}
+
+/// The local approach's policy: the §3.6 victim probe picks the container
+/// group, and a full one splits first (§3.7).
+#[derive(Debug, Clone)]
+pub struct Groups;
+
+/// The one balanced engine, over the region policy `P`.
+#[derive(Debug, Clone)]
+pub struct BalancedDht<P, R: DomusRng = Xoshiro256pp> {
+    pub(crate) cfg: DhtConfig,
+    pub(crate) vs: VnodeStore,
+    pub(crate) groups: Vec<GroupState>,
+    pub(crate) routing: OwnerMap<VnodeId>,
+    pub(crate) ledger: SnodeLedger,
+    pub(crate) rng: R,
+    /// Slots of the live groups, ascending (fresh slots are always
+    /// appended at the end of the arena, so pushes preserve the order).
+    /// Retired slots stay in `groups` as tombstones; every hot iteration
+    /// walks this list instead of the ever-growing arena.
+    pub(crate) live_slots: Vec<u32>,
+    policy: PhantomData<P>,
+}
 
 /// A DHT balanced with the local approach.
 ///
@@ -50,20 +92,7 @@ use domus_util::{DomusRng, Xoshiro256pp};
 /// assert!(dht.group_count() >= 2, "32 vnodes exceed one group's Vmax = 8");
 /// assert!(dht.vnode_quota_relstd_pct() < 50.0);
 /// ```
-#[derive(Debug, Clone)]
-pub struct LocalDht<R: DomusRng = Xoshiro256pp> {
-    pub(crate) cfg: DhtConfig,
-    pub(crate) vs: VnodeStore,
-    pub(crate) groups: Vec<GroupState>,
-    pub(crate) routing: OwnerMap<VnodeId>,
-    pub(crate) ledger: SnodeLedger,
-    pub(crate) rng: R,
-    /// Slots of the live groups, ascending (fresh slots are always
-    /// appended at the end of the arena, so pushes preserve the order).
-    /// Retired slots stay in `groups` as tombstones; every hot iteration
-    /// walks this list instead of the ever-growing arena.
-    pub(crate) live_slots: Vec<u32>,
-}
+pub type LocalDht<R = Xoshiro256pp> = BalancedDht<Groups, R>;
 
 /// The ideal number of groups for `v` vnodes (figure 7's `G_ideal`):
 /// doubles every time `V` crosses a power-of-two multiple of `Vmax` —
@@ -77,37 +106,32 @@ pub fn ideal_group_count(v: u64, vmax: u64) -> u64 {
     }
 }
 
-impl LocalDht<Xoshiro256pp> {
+impl<P: RegionPolicy> BalancedDht<P, Xoshiro256pp> {
     /// A DHT seeded from a single `u64` (deterministic).
     pub fn with_seed(cfg: DhtConfig, seed: u64) -> Self {
         Self::with_rng(cfg, Xoshiro256pp::seed_from_u64(seed))
     }
 }
 
-impl<R: DomusRng> LocalDht<R> {
+impl<P: RegionPolicy, R: DomusRng> BalancedDht<P, R> {
     /// A DHT using the supplied RNG stream.
     pub fn with_rng(cfg: DhtConfig, rng: R) -> Self {
         let space = cfg.hash_space();
         Self {
             cfg,
             vs: VnodeStore::new(),
-            groups: Vec::new(),
+            groups: vec![GroupState::new(GroupId::FIRST, cfg.initial_level())],
             routing: OwnerMap::new(space),
             ledger: SnodeLedger::new(),
             rng,
-            live_slots: Vec::new(),
+            live_slots: vec![0],
+            policy: PhantomData,
         }
     }
 
     /// The incremental per-snode quota ledger.
     pub fn ledger(&self) -> &SnodeLedger {
         &self.ledger
-    }
-
-    /// Live groups as `(identifier, member count, splitlevel)` in slot
-    /// order.
-    pub fn group_table(&self) -> Vec<(GroupId, usize, u32)> {
-        self.live_groups().map(|g| (g.gid, g.len(), g.level)).collect()
     }
 
     /// The live groups, in ascending slot order.
@@ -121,10 +145,9 @@ impl<R: DomusRng> LocalDht<R> {
         self.live_slots.remove(at);
     }
 
-    /// The LPDR (§3.2) of the group identified by `gid`.
-    pub fn lpdr(&self, gid: GroupId) -> Option<Pdr> {
-        let g = self.live_groups().find(|g| g.gid == gid)?;
-        Some(Pdr::new(
+    /// The partition-distribution record of one region (§2.1.4, §3.2).
+    pub(crate) fn record_of(&self, g: &GroupState) -> Pdr {
+        Pdr::new(
             g.members
                 .iter()
                 .map(|&m| PdrEntry {
@@ -132,14 +155,111 @@ impl<R: DomusRng> LocalDht<R> {
                     partitions: self.vs.get(m).count(),
                 })
                 .collect(),
-        ))
+        )
+    }
+
+    pub(crate) fn ensure_alive(&self, v: VnodeId) -> Result<(), DhtError> {
+        self.vs.is_alive(v).then_some(()).ok_or(DhtError::UnknownVnode(v))
+    }
+
+    /// Admits a brand-new vnode into group `slot` and runs the paper's
+    /// balancement (split cascade + greedy handover), streaming every
+    /// step into `sink`. Shared by creation and by the deletion
+    /// extension's internal migration.
+    pub(crate) fn admit_into_group(
+        &mut self,
+        snode: SnodeId,
+        slot: u32,
+        sink: &mut dyn RebalanceSink,
+    ) -> Result<CreateOutcome, DhtError> {
+        // §2.5: when the region's count is a power of two every member
+        // holds Pmin (G5'), and the handover would drop one below Pmin —
+        // so every member binary-splits its partitions first.
+        if balance::all_at_pmin(&self.vs, &self.groups[slot as usize], &self.cfg) {
+            let count = balance::split_all(
+                &mut self.vs,
+                &mut self.routing,
+                &mut self.groups[slot as usize],
+            )?;
+            sink.event(RebalanceEvent::PartitionSplit { count });
+        }
+        let v = self.vs.create(snode, slot);
+        self.ledger.vnode_created(snode);
+        self.groups[slot as usize].admit(v, 0);
+        {
+            let Self { vs, groups, routing, ledger, rng, cfg, .. } = self;
+            let mut ls = LedgeredSink::new(sink, ledger);
+            balance::greedy_add(vs, routing, &mut groups[slot as usize], v, cfg, rng, &mut ls);
+        }
+        Ok(CreateOutcome {
+            vnode: v,
+            group: Some(self.groups[slot as usize].gid),
+            group_size_after: self.groups[slot as usize].len(),
+        })
+    }
+
+    /// Runs the full invariant suite after every mutation in debug builds.
+    pub(crate) fn debug_check(&self) {
+        if cfg!(debug_assertions) {
+            if let Err(e) = self.check_invariants() {
+                panic!("invariant violated after a DHT operation: {e}");
+            }
+        }
+    }
+}
+
+impl RegionPolicy for Groups {
+    const GROUP_LAWS: bool = true;
+
+    fn container<R: DomusRng>(dht: &mut LocalDht<R>, sink: &mut dyn RebalanceSink) -> u32 {
+        // §3.6: random point → victim vnode → victim group.
+        let r = dht.cfg.hash_space().random_point(&mut dht.rng);
+        let (_, &victim) = dht.routing.lookup(r).expect("R_h is fully covered");
+        let victim_slot = dht.vs.get(victim).group;
+        sink.event(RebalanceEvent::LookupProbe { point: r, victim });
+
+        // §3.7 case b: a full victim group splits before admitting.
+        if dht.groups[victim_slot as usize].len() as u64 != dht.cfg.vmax() {
+            return victim_slot;
+        }
+        let parent_gid = dht.groups[victim_slot as usize].gid;
+        let (slot0, slot1) = dht.split_group(victim_slot);
+        sink.event(RebalanceEvent::GroupSplit(GroupSplit {
+            parent: parent_gid,
+            child0: dht.groups[slot0 as usize].gid,
+            child1: dht.groups[slot1 as usize].gid,
+        }));
+        match dht.cfg.container_choice {
+            // "One of these two groups will then be randomly chosen to
+            // be the container of the new vnode."
+            ContainerChoice::RandomHalf => {
+                if dht.rng.coin() {
+                    slot1
+                } else {
+                    slot0
+                }
+            }
+            // Ablation: the half that kept the victim vnode.
+            ContainerChoice::OwningHalf => dht.vs.get(victim).group,
+        }
+    }
+}
+
+impl<R: DomusRng> LocalDht<R> {
+    /// Live groups as `(identifier, member count, splitlevel)` in slot
+    /// order.
+    pub fn group_table(&self) -> Vec<(GroupId, usize, u32)> {
+        self.live_groups().map(|g| (g.gid, g.len(), g.level)).collect()
+    }
+
+    /// The LPDR (§3.2) of the group identified by `gid`.
+    pub fn lpdr(&self, gid: GroupId) -> Option<Pdr> {
+        Some(self.record_of(self.live_groups().find(|g| g.gid == gid)?))
     }
 
     /// The group a vnode currently belongs to.
     pub fn group_of(&self, v: VnodeId) -> Result<GroupId, DhtError> {
-        if !self.vs.is_alive(v) {
-            return Err(DhtError::UnknownVnode(v));
-        }
+        self.ensure_alive(v)?;
         Ok(self.groups[self.vs.get(v).group as usize].gid)
     }
 
@@ -147,9 +267,6 @@ impl<R: DomusRng> LocalDht<R> {
     /// groups*, measured against the ideal average quota `Q̄g = 1/G`.
     pub fn group_quota_relstd_pct(&self) -> f64 {
         let g = self.live_slots.len() as f64;
-        if g == 0.0 {
-            return 0.0;
-        }
         let ideal = 1.0 / g;
         let sum_sq_dev: f64 = self
             .live_groups()
@@ -210,60 +327,9 @@ impl<R: DomusRng> LocalDht<R> {
         self.live_slots.push(slot1);
         (slot0, slot1)
     }
-
-    pub(crate) fn ensure_alive(&self, v: VnodeId) -> Result<(), DhtError> {
-        if self.vs.is_alive(v) {
-            Ok(())
-        } else {
-            Err(DhtError::UnknownVnode(v))
-        }
-    }
-
-    /// Admits a brand-new vnode into group `slot` and runs the paper's
-    /// balancement (split cascade + greedy handover), streaming every
-    /// step into `sink`. Shared by creation and by the deletion
-    /// extension's internal migration.
-    pub(crate) fn admit_into_group(
-        &mut self,
-        snode: SnodeId,
-        slot: u32,
-        sink: &mut dyn RebalanceSink,
-    ) -> Result<CreateOutcome, DhtError> {
-        if balance::all_at_pmin(&self.vs, &self.groups[slot as usize], &self.cfg) {
-            let count = balance::split_all(
-                &mut self.vs,
-                &mut self.routing,
-                &mut self.groups[slot as usize],
-            )?;
-            sink.event(RebalanceEvent::PartitionSplit { count });
-        }
-        let v = self.vs.create(snode, slot);
-        self.ledger.vnode_created(snode);
-        self.groups[slot as usize].admit(v, 0);
-        {
-            let Self { vs, groups, routing, ledger, rng, cfg, .. } = self;
-            let mut ls = LedgeredSink::new(sink, ledger);
-            balance::greedy_add(vs, routing, &mut groups[slot as usize], v, cfg, rng, &mut ls);
-        }
-        Ok(CreateOutcome {
-            vnode: v,
-            group: Some(self.groups[slot as usize].gid),
-            group_size_after: self.groups[slot as usize].len(),
-        })
-    }
-
-    #[cfg(debug_assertions)]
-    pub(crate) fn debug_check(&self) {
-        if let Err(e) = self.check_invariants() {
-            panic!("invariant violated after LocalDht operation: {e}");
-        }
-    }
-
-    #[cfg(not(debug_assertions))]
-    pub(crate) fn debug_check(&self) {}
 }
 
-impl<R: DomusRng> DhtEngine for LocalDht<R> {
+impl<P: RegionPolicy, R: DomusRng> DhtEngine for BalancedDht<P, R> {
     fn config(&self) -> &DhtConfig {
         &self.cfg
     }
@@ -281,11 +347,9 @@ impl<R: DomusRng> DhtEngine for LocalDht<R> {
         snode: SnodeId,
         sink: &mut dyn RebalanceSink,
     ) -> Result<CreateOutcome, DhtError> {
-        // First vnode: create group 0 and seed it (§3.7 case a).
+        // First vnode: seed the root group (§3.7 case a).
         if self.vs.alive_count() == 0 {
-            let slot = self.groups.len() as u32;
-            self.groups.push(GroupState::new(GroupId::FIRST, self.cfg.initial_level()));
-            self.live_slots.push(slot);
+            let slot = self.live_slots[0];
             let v = self.vs.create(snode, slot);
             balance::seed_first(
                 &mut self.vs,
@@ -304,39 +368,8 @@ impl<R: DomusRng> DhtEngine for LocalDht<R> {
             });
         }
 
-        // §3.6: random point → victim vnode → victim group.
-        let r = self.cfg.hash_space().random_point(&mut self.rng);
-        let (_, &victim) = self.routing.lookup(r).expect("R_h is fully covered");
-        let victim_slot = self.vs.get(victim).group;
-        sink.event(RebalanceEvent::LookupProbe { point: r, victim });
-
-        // §3.7 case b: a full victim group splits before admitting.
-        let container_slot = if self.groups[victim_slot as usize].len() as u64 == self.cfg.vmax() {
-            let parent_gid = self.groups[victim_slot as usize].gid;
-            let (slot0, slot1) = self.split_group(victim_slot);
-            sink.event(RebalanceEvent::GroupSplit(GroupSplit {
-                parent: parent_gid,
-                child0: self.groups[slot0 as usize].gid,
-                child1: self.groups[slot1 as usize].gid,
-            }));
-            match self.cfg.container_choice {
-                // "One of these two groups will then be randomly chosen to
-                // be the container of the new vnode."
-                ContainerChoice::RandomHalf => {
-                    if self.rng.coin() {
-                        slot1
-                    } else {
-                        slot0
-                    }
-                }
-                // Ablation: the half that kept the victim vnode.
-                ContainerChoice::OwningHalf => self.vs.get(victim).group,
-            }
-        } else {
-            victim_slot
-        };
-
-        let outcome = self.admit_into_group(snode, container_slot, sink)?;
+        let slot = P::container(self, sink);
+        let outcome = self.admit_into_group(snode, slot, sink)?;
         self.debug_check();
         Ok(outcome)
     }
@@ -346,7 +379,7 @@ impl<R: DomusRng> DhtEngine for LocalDht<R> {
         v: VnodeId,
         sink: &mut dyn RebalanceSink,
     ) -> Result<RemoveOutcome, DhtError> {
-        crate::deletion::remove_local(self, v, sink)
+        crate::deletion::remove(self, v, sink)
     }
 
     fn lookup(&self, point: u64) -> Option<(Partition, VnodeId)> {
@@ -403,23 +436,26 @@ impl<R: DomusRng> DhtEngine for LocalDht<R> {
         if v == 0.0 {
             return 0.0;
         }
-        let sum_sq_q: f64 =
-            self.groups.iter().filter(|g| g.alive).map(GroupState::sumsq_quota_f64).sum();
+        // σ̄² = V·ΣQv² − 1 with Qv = Pv/2^l (module docs of `state`).
+        let sum_sq_q: f64 = self.live_groups().map(GroupState::sumsq_quota_f64).sum();
         100.0 * (v * sum_sq_q - 1.0).max(0.0).sqrt()
     }
 
     fn pdr_of(&self, v: VnodeId) -> Result<Pdr, DhtError> {
         self.ensure_alive(v)?;
-        let gid = self.groups[self.vs.get(v).group as usize].gid;
-        Ok(self.lpdr(gid).expect("vnode's group is alive"))
+        Ok(self.record_of(&self.groups[self.vs.get(v).group as usize]))
     }
 
     fn record_shape_of(&self, v: VnodeId) -> Result<(u64, u64), DhtError> {
         self.ensure_alive(v)?;
-        // LPDR shape: one entry per group member, one participant per
-        // distinct hosting snode. `V_g ≤ Vmax`, so the snode dedup over a
+        // One entry per group member, one participant per distinct hosting
+        // snode. With one live group the ledger counts exactly those
+        // snodes, O(1); otherwise `V_g ≤ Vmax`, so the snode dedup over a
         // small sorted scratch vector beats building the record.
         let g = &self.groups[self.vs.get(v).group as usize];
+        if self.live_slots.len() == 1 {
+            return Ok((g.len() as u64, self.ledger.snode_count() as u64));
+        }
         let mut snodes: Vec<SnodeId> =
             g.members.iter().map(|&m| self.vs.get(m).name.snode).collect();
         snodes.sort_unstable();
@@ -444,7 +480,14 @@ impl<R: DomusRng> DhtEngine for LocalDht<R> {
     }
 
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        invariants::check(&self.cfg, &self.vs, &self.groups, &self.routing, &self.ledger, false)
+        invariants::check(
+            &self.cfg,
+            &self.vs,
+            &self.groups,
+            &self.routing,
+            &self.ledger,
+            P::GROUP_LAWS,
+        )
     }
 }
 

@@ -1,6 +1,6 @@
 //! Internal state arenas: vnodes and groups/regions.
 //!
-//! Both engines (global and local) share this representation:
+//! The balanced engine's representation, for both approaches:
 //!
 //! * [`VnodeStore`] — a dense arena of [`VnodeState`]s. Handles are never
 //!   reused; deleted vnodes leave tombstones so stale handles fail loudly.
@@ -257,20 +257,6 @@ impl GroupState {
         for (c, &n) in old.iter().enumerate() {
             debug_assert!(c % 2 == 0 || n == 0, "merge cascade requires even counts");
             self.hist[c / 2] += n;
-        }
-    }
-
-    /// Recomputes `sum`/`sumsq`/`hist` from scratch (used after group
-    /// splits, where members change wholesale).
-    pub fn recompute(&mut self, vs: &VnodeStore) {
-        self.sum = 0;
-        self.sumsq = 0;
-        self.hist.clear();
-        for i in 0..self.members.len() {
-            let c = vs.get(self.members[i]).count();
-            self.sum += c;
-            self.sumsq += c * c;
-            *self.hist_slot(c) += 1;
         }
     }
 

@@ -1,5 +1,6 @@
-//! Ablations over the model's open policy choices (DESIGN.md §7):
-//! ABL-VICTIM, ABL-CONTAINER, ABL-SPLITSEL.
+//! Ablations over the policy choices the paper leaves open: ABL-VICTIM
+//! (the donor's victim partition, §2.5 step 4a), ABL-CONTAINER and
+//! ABL-SPLITSEL (the container half and the split membership, §3.7).
 
 use crate::compare::params;
 use crate::output::write_csv;

@@ -1,6 +1,6 @@
 //! In-text claims of §4.1/§4.1.1/§4.2, each reproduced as its own
-//! experiment (ids CLAIM-PV, CLAIM-30, CLAIM-8K, CLAIM-Z1, CLAIM-G512 in
-//! DESIGN.md §4).
+//! experiment (registry ids CLAIM-PV, CLAIM-30, CLAIM-8K, CLAIM-Z1,
+//! CLAIM-G512).
 
 use crate::compare::params;
 use crate::fig4;

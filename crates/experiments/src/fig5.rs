@@ -4,7 +4,7 @@
 //!
 //! The paper does not state at which V the `σ̄` term is sampled; we use the
 //! end state (V = 1024) and also report θ built from the zone-2 plateau
-//! mean as a robustness check (DESIGN.md §7 item 4). The paper's
+//! mean as a robustness check. The paper's
 //! observation — θ minimises at `Vmin = 32` — must hold for both.
 
 use crate::fig4;

@@ -1,4 +1,5 @@
-//! **KV-MIGRATE** — end-to-end data-migration cost (DESIGN.md §4).
+//! **KV-MIGRATE** — end-to-end data-migration cost (registry row
+//! `kv-migrate`).
 //!
 //! Loads a uniform key population, then grows and shrinks the cluster,
 //! measuring what fraction of the stored data each maintenance event

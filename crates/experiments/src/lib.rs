@@ -2,8 +2,8 @@
 //!
 //! The reproduction harness: one module per figure and per in-text claim
 //! of Rufino et al., IPDPS 2004, plus the ablations and substrate
-//! experiments indexed in `DESIGN.md` §4. The `repro` binary dispatches to
-//! these modules through one registry (`main.rs`); each writes
+//! experiments. The `repro` binary dispatches to these modules through
+//! one registry (`main.rs`); each writes
 //! `results/<id>.csv`, prints the paper's series as a table and an ASCII
 //! plot, and returns summary lines that the dispatcher collects into
 //! `results/summary.txt` (the source for EXPERIMENTS.md).

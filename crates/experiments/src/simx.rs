@@ -1,4 +1,4 @@
-//! Substrate experiments quantifying §1/§3's motivation (DESIGN.md ids
+//! Substrate experiments quantifying §1/§3's motivation (registry ids
 //! SIM-MAKESPAN, SIM-MSGS, SIM-MEM): the local approach buys parallelism,
 //! bounded synchronisation and smaller records at a small balancement
 //! price — the other half of the paper's trade-off, which its evaluation

@@ -1,8 +1,9 @@
 //! Dependency-free ASCII line plots.
 //!
 //! Each figure reproduction prints an ASCII rendition next to its CSV so
-//! the curve *shapes* (the reproduction criterion — see DESIGN.md §4) can be
-//! checked straight from a terminal, without a plotting toolchain.
+//! the curve *shapes* (the reproduction criterion: the figures of §4 are
+//! matched by shape, not by pixel) can be checked straight from a
+//! terminal, without a plotting toolchain.
 
 use crate::series::Series;
 use std::fmt::Write as _;
