@@ -134,6 +134,22 @@ impl<P: RegionPolicy, R: DomusRng> BalancedDht<P, R> {
         &self.ledger
     }
 
+    /// `σ̄(Qg, Q̄g)` in percent — figure 8's quality of balancement *between
+    /// groups*, measured against the ideal average quota `Q̄g = 1/G`.
+    pub fn group_quota_relstd_pct(&self) -> f64 {
+        let g = self.live_slots.len() as f64;
+        let ideal = 1.0 / g;
+        let sum_sq_dev: f64 = self
+            .live_groups()
+            .map(|gr| {
+                let d = gr.quota_f64() - ideal;
+                d * d
+            })
+            .sum();
+        // σ̄ = σ/Q̄g = G·sqrt(Σd²/G) = sqrt(G·Σd²).
+        100.0 * (g * sum_sq_dev).sqrt()
+    }
+
     /// The live groups, in ascending slot order.
     pub(crate) fn live_groups(&self) -> impl Iterator<Item = &GroupState> {
         self.live_slots.iter().map(|&s| &self.groups[s as usize])
@@ -261,22 +277,6 @@ impl<R: DomusRng> LocalDht<R> {
     pub fn group_of(&self, v: VnodeId) -> Result<GroupId, DhtError> {
         self.ensure_alive(v)?;
         Ok(self.groups[self.vs.get(v).group as usize].gid)
-    }
-
-    /// `σ̄(Qg, Q̄g)` in percent — figure 8's quality of balancement *between
-    /// groups*, measured against the ideal average quota `Q̄g = 1/G`.
-    pub fn group_quota_relstd_pct(&self) -> f64 {
-        let g = self.live_slots.len() as f64;
-        let ideal = 1.0 / g;
-        let sum_sq_dev: f64 = self
-            .live_groups()
-            .map(|gr| {
-                let d = gr.quota_f64() - ideal;
-                d * d
-            })
-            .sum();
-        // σ̄ = σ/Q̄g = G·sqrt(Σd²/G) = sqrt(G·Σd²).
-        100.0 * (g * sum_sq_dev).sqrt()
     }
 
     /// Quotas of the live groups, in slot order (Σ = 1).

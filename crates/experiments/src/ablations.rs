@@ -4,24 +4,18 @@
 
 use crate::compare::params;
 use crate::output::write_csv;
-use crate::runner::{average_runs, derive_seed};
+use crate::runner::{derive_seed, grow, Model, Runs};
 use crate::{Ctx, ExpReport};
 use domus_core::{
-    ContainerChoice, CountOnly, DhtConfig, DhtEngine, LocalDht, NullSink, SnodeId, SplitSelection,
-    VictimPartitionPolicy,
+    ContainerChoice, DhtConfig, DhtEngine, LocalDht, SplitSelection, VictimPartitionPolicy,
 };
 use domus_hashspace::HashSpace;
 use domus_metrics::table::{num, Table};
 
-fn growth_with(cfg: DhtConfig, n: usize, seed: u64) -> (Vec<f64>, u64) {
-    let mut dht = LocalDht::with_seed(cfg, seed);
-    let mut qv = Vec::with_capacity(n);
-    let mut counts = CountOnly::default();
-    for i in 0..n {
-        dht.create_vnode_with(SnodeId(i as u32), &mut counts).expect("growth");
-        qv.push(dht.vnode_quota_relstd_pct());
-    }
-    (qv, counts.transfers)
+/// The ablations' budget: half the context's runs (at least 4) of `ctx.n`
+/// creations.
+fn halved(ctx: &Ctx, label: String, model: Model) -> Runs {
+    Runs { runs: (ctx.runs / 2).max(4), ..Runs::of(ctx, label, model) }
 }
 
 /// **ABL-VICTIM** — the donor-partition choice (First/Last/Random). Within
@@ -35,7 +29,6 @@ pub fn abl_victim(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("ABL-VICTIM");
     let (pmin, vmin) = params(ctx);
     let base = DhtConfig::new(HashSpace::full(), pmin, vmin).expect("powers of two");
-    let runs = (ctx.runs / 2).max(4);
 
     let policies = [
         ("Random (paper-spirit)", VictimPartitionPolicy::Random),
@@ -48,29 +41,25 @@ pub fn abl_victim(ctx: &Ctx) -> ExpReport {
     let horizon = (2 * vmin) as usize;
     let exact: Vec<Vec<f64>> = policies
         .iter()
-        .map(|&(_, p)| growth_with(base.with_victim_partition(p), horizon, seed).0)
+        .map(|&(_, p)| {
+            let run = Model::local(base.with_victim_partition(p)).run(horizon, seed);
+            run.iter().map(|s| s.vnode_relstd).collect()
+        })
         .collect();
     let single_group_identical = exact.iter().all(|t| *t == exact[0]);
 
-    // Statistical part: run-averaged end-state σ̄ per policy.
+    // Statistical part: run-averaged end-state σ̄ per policy, and the
+    // transfers of a shorter growth under common seeds.
     println!("\n── ABL-VICTIM — donor-partition policy ──");
     let mut t = Table::new(&["policy", "mean σ̄(Qv) at end %", "mean transfers/run"]);
     let mut ends = Vec::new();
     for &(name, p) in &policies {
-        let cfg = base.with_victim_partition(p);
-        let end =
-            average_runs(name, &format!("abl-victim-{name}"), &ctx.seeds, runs, ctx.n, move |s| {
-                growth_with(cfg, ctx.n, s).0
-            })
-            .mean_series()
-            .last_y()
-            .unwrap_or(f64::NAN);
-        let mut transfers = 0u64;
-        for r in 0..runs {
-            transfers +=
-                growth_with(cfg, ctx.n.min(256), derive_seed(&ctx.seeds, "abl-victim-tr", r)).1;
-        }
-        t.row(&[name.to_string(), num(end, 2), format!("{}", transfers / runs)]);
+        let model = Model::local(base.with_victim_partition(p));
+        let end = ctx.growth(&halved(ctx, format!("abl-victim-{name}"), model)).mean;
+        let end = end.last().map_or(f64::NAN, |s| s.vnode_relstd);
+        let short = Runs { n: ctx.n.min(256), ..halved(ctx, "abl-victim-tr".into(), model) };
+        let transfers = ctx.growth(&short).mean.last().map_or(f64::NAN, |s| s.transfers);
+        t.row(&[name.to_string(), num(end, 2), num(transfers, 0)]);
         ends.push(end);
     }
     println!("{}", t.render());
@@ -92,30 +81,25 @@ pub fn abl_container(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("ABL-CONTAINER");
     let (pmin, vmin) = params(ctx);
     let base = DhtConfig::new(HashSpace::full(), pmin, vmin).expect("powers of two");
-    let runs = (ctx.runs / 2).max(4);
 
-    let mut curves = Vec::new();
-    let mut ends = Vec::new();
-    for (name, choice) in [
+    let curves: Vec<_> = [
         ("RandomHalf (paper)", ContainerChoice::RandomHalf),
         ("OwningHalf", ContainerChoice::OwningHalf),
-    ] {
-        let cfg = base.with_container_choice(choice);
-        let label = format!("abl-container-{name}");
-        let curve = average_runs(name, &label, &ctx.seeds, runs, ctx.n, move |seed| {
-            growth_with(cfg, ctx.n, seed).0
-        })
-        .mean_series();
-        ends.push(curve.last_y().unwrap_or(f64::NAN));
-        curves.push(curve);
-    }
-    let path = write_csv(ctx, "abl_container", "vnodes", &curves);
+    ]
+    .into_iter()
+    .map(|(name, choice)| {
+        let model = Model::local(base.with_container_choice(choice));
+        ctx.growth(&halved(ctx, format!("abl-container-{name}"), model))
+            .curve(name, |s| s.vnode_relstd)
+    })
+    .collect();
+    let ends: Vec<f64> = curves.iter().map(|c| c.last_y().unwrap_or(f64::NAN)).collect();
+    write_csv(ctx, &mut rep, "abl_container", "vnodes", &curves);
     println!("\n── ABL-CONTAINER — container-group choice after a split ──");
     let mut t = Table::new(&["policy", "σ̄(Qv) at end %"]);
     t.row(&["RandomHalf (paper)".into(), num(ends[0], 2)]);
     t.row(&["OwningHalf".into(), num(ends[1], 2)]);
     println!("{}", t.render());
-    rep.note(format!("csv: {}", path.display()));
     rep.note(format!("end-state σ̄(Qv): RandomHalf {:.2}% vs OwningHalf {:.2}%", ends[0], ends[1]));
     rep
 }
@@ -126,7 +110,6 @@ pub fn abl_splitsel(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("ABL-SPLITSEL");
     let (pmin, vmin) = params(ctx);
     let base = DhtConfig::new(HashSpace::full(), pmin, vmin).expect("powers of two");
-    let runs = (ctx.runs / 2).max(4);
     // Model a cluster of `s` snodes hosting the vnodes round-robin, then
     // count how many distinct groups each snode participates in (≈ LPDR
     // replicas it must hold).
@@ -139,32 +122,13 @@ pub fn abl_splitsel(ctx: &Ctx) -> ExpReport {
         ("AdmissionOrder", SplitSelection::AdmissionOrder),
     ] {
         let cfg = base.with_split_selection(sel);
-        let end = average_runs(
-            name,
-            &format!("abl-splitsel-{name}"),
-            &ctx.seeds,
-            runs,
-            ctx.n,
-            move |seed| {
-                let mut dht = LocalDht::with_seed(cfg, seed);
-                let mut out = Vec::with_capacity(ctx.n);
-                for i in 0..ctx.n {
-                    dht.create_vnode_with(SnodeId(i as u32 % snodes), &mut NullSink)
-                        .expect("growth");
-                    out.push(dht.vnode_quota_relstd_pct());
-                }
-                out
-            },
-        )
-        .mean_series()
-        .last_y()
-        .unwrap_or(f64::NAN);
+        let model = Model::Local { cfg, snodes };
+        let end = ctx.growth(&halved(ctx, format!("abl-splitsel-{name}"), model)).mean;
+        let end = end.last().map_or(f64::NAN, |s| s.vnode_relstd);
 
         // LPDR burden measured on one representative run.
         let mut dht = LocalDht::with_seed(cfg, derive_seed(&ctx.seeds, "abl-splitsel-burden", 1));
-        for i in 0..ctx.n {
-            dht.create_vnode_with(SnodeId(i as u32 % snodes), &mut NullSink).expect("growth");
-        }
+        grow(&mut dht, ctx.n, snodes);
         let mut per_snode: std::collections::BTreeMap<u32, std::collections::BTreeSet<String>> =
             Default::default();
         for v in dht.vnodes() {
@@ -185,6 +149,7 @@ pub fn abl_splitsel(ctx: &Ctx) -> ExpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use domus_core::{NullSink, SnodeId};
 
     #[test]
     fn victim_policies_agree_exactly_while_one_group_exists() {
@@ -192,13 +157,10 @@ mod tests {
         // influence anything, so quota traces are identical per event.
         let cfg = DhtConfig::new(HashSpace::full(), 8, 8).unwrap();
         let n = 16; // Vmax
-        let (a, ta) = growth_with(cfg.with_victim_partition(VictimPartitionPolicy::Last), n, 7);
-        let (b, tb) = growth_with(cfg.with_victim_partition(VictimPartitionPolicy::First), n, 7);
-        let (c, tc) = growth_with(cfg.with_victim_partition(VictimPartitionPolicy::Random), n, 7);
-        assert_eq!(a, b, "quota traces are count-determined");
-        assert_eq!(a, c);
-        assert_eq!(ta, tb);
-        assert_eq!(ta, tc);
+        let run = |p| Model::local(cfg.with_victim_partition(p)).run(n, 7);
+        let a = run(VictimPartitionPolicy::Last);
+        assert_eq!(a, run(VictimPartitionPolicy::First), "quota traces are count-determined");
+        assert_eq!(a, run(VictimPartitionPolicy::Random));
     }
 
     #[test]

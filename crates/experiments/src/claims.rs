@@ -5,38 +5,33 @@
 use crate::compare::params;
 use crate::fig4;
 use crate::output::write_csv;
-use crate::runner::{average_runs, derive_seed, global_growth, local_growth};
+use crate::runner::{derive_seed, Model, Runs};
 use crate::{Ctx, ExpReport};
 use domus_core::DhtConfig;
 use domus_hashspace::HashSpace;
 use domus_metrics::series::Series;
 use domus_metrics::table::{num, Table};
 
+/// `σ̄(Qv)` of one run of `model`, seeded from `(label, run)`.
+fn relstd_run(ctx: &Ctx, model: Model, n: usize, label: &str, run: u64) -> Vec<f64> {
+    let seed = derive_seed(&ctx.seeds, label, run);
+    model.run(n, seed).iter().map(|g| g.vnode_relstd).collect()
+}
+
 /// **CLAIM-PV** — §4.1(b): "increasing Pmin beyond the same value of Vmin
 /// decreases σ̄(Qv) by a very marginal amount". Full `Pmin × Vmin` grid,
 /// reporting end-state σ̄.
 pub fn claim_pv(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("CLAIM-PV");
-    let space = HashSpace::full();
     let values: Vec<u64> = ctx.diagonal_values();
-    let runs = (ctx.runs / 2).max(3);
-
-    let mut grid: Vec<Vec<f64>> = Vec::new();
-    for &pmin in &values {
-        let mut row = Vec::new();
-        for &vmin in &values {
-            let cfg = DhtConfig::new(space, pmin, vmin).expect("powers of two");
-            let label = format!("claim-pv-{pmin}-{vmin}");
-            let end = average_runs("cell", &label, &ctx.seeds, runs, ctx.n, move |seed| {
-                local_growth(cfg, ctx.n, seed).iter().map(|g| g.vnode_relstd).collect()
-            })
-            .mean_series()
-            .last_y()
-            .expect("non-empty");
-            row.push(end);
-        }
-        grid.push(row);
-    }
+    let end = |pmin: u64, vmin: u64| {
+        let cfg = DhtConfig::new(HashSpace::full(), pmin, vmin).expect("powers of two");
+        let label = format!("claim-pv-{pmin}-{vmin}");
+        let cell = Runs { runs: (ctx.runs / 2).max(3), ..Runs::of(ctx, label, Model::local(cfg)) };
+        ctx.growth(&cell).mean.last().expect("non-empty").vnode_relstd
+    };
+    let grid: Vec<Vec<f64>> =
+        values.iter().map(|&pmin| values.iter().map(|&vmin| end(pmin, vmin)).collect()).collect();
 
     let headers: Vec<String> = std::iter::once("Pmin \\ Vmin".to_string())
         .chain(values.iter().map(u64::to_string))
@@ -69,20 +64,19 @@ pub fn claim_pv(ctx: &Ctx) -> ExpReport {
         values[values.len() - 1]
     ));
 
+    let x: Vec<f64> = values.iter().map(|&v| v as f64).collect();
     let rows: Vec<Series> = values
         .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            Series::new(
-                format!("Pmin={p}"),
-                values.iter().map(|&v| v as f64).collect(),
-                grid[i].clone(),
-            )
-        })
+        .zip(grid)
+        .map(|(&p, row)| Series::new(format!("Pmin={p}"), x.clone(), row))
         .collect();
-    let path = write_csv(ctx, "claim_pv_grid", "vmin", &rows);
-    rep.note(format!("csv: {}", path.display()));
+    write_csv(ctx, &mut rep, "claim_pv_grid", "vmin", &rows);
     rep
+}
+
+/// The percent drop of each consecutive plateau from the one before it.
+fn doubling_drops(plateaus: &[f64]) -> Vec<f64> {
+    plateaus.windows(2).map(|w| 100.0 * (1.0 - w[1] / w[0])).collect()
 }
 
 /// **CLAIM-30** — §4.1.1: "each time Pmin and Vmin double, σ̄(Qv)
@@ -92,18 +86,16 @@ pub fn claim_30(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("CLAIM-30");
     let data = fig4::compute(ctx);
     let plateaus = data.plateaus(ctx.n);
+    let drops = doubling_drops(&plateaus);
 
     let mut t = Table::new(&["doubling", "plateau before %", "plateau after %", "ratio", "drop %"]);
-    let mut drops = Vec::new();
-    for i in 1..plateaus.len() {
-        let ratio = plateaus[i] / plateaus[i - 1];
-        drops.push(100.0 * (1.0 - ratio));
+    for (i, drop) in drops.iter().enumerate() {
         t.row(&[
-            format!("({0},{0}) → ({1},{1})", data.values[i - 1], data.values[i]),
-            num(plateaus[i - 1], 2),
+            format!("({0},{0}) → ({1},{1})", data.values[i], data.values[i + 1]),
             num(plateaus[i], 2),
-            num(ratio, 3),
-            num(100.0 * (1.0 - ratio), 1),
+            num(plateaus[i + 1], 2),
+            num(plateaus[i + 1] / plateaus[i], 3),
+            num(*drop, 1),
         ]);
     }
     println!("\n── CLAIM-30 — σ̄ drop per (Pmin,Vmin) doubling ──");
@@ -119,16 +111,12 @@ pub fn claim_30(ctx: &Ctx) -> ExpReport {
 pub fn claim_8k(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("CLAIM-8K");
     let n = if ctx.n >= 1024 { 8192 } else { ctx.n * 4 };
-    let runs = (ctx.runs / 5).max(2);
     let (pmin, vmin) = params(ctx);
     let cfg = DhtConfig::new(HashSpace::full(), pmin, vmin).expect("powers of two");
-    let curve = average_runs("σ̄(Qv)", "claim-8k", &ctx.seeds, runs, n, move |seed| {
-        local_growth(cfg, n, seed).iter().map(|g| g.vnode_relstd).collect()
-    })
-    .mean_series();
-
-    let path = write_csv(ctx, "claim_8k_stability", "vnodes", std::slice::from_ref(&curve));
-    rep.note(format!("csv: {}", path.display()));
+    let runs =
+        Runs { runs: (ctx.runs / 5).max(2), n, ..Runs::of(ctx, "claim-8k", Model::local(cfg)) };
+    let curve = ctx.growth(&runs).curve("σ̄(Qv)", |s| s.vnode_relstd);
+    write_csv(ctx, &mut rep, "claim_8k_stability", "vnodes", std::slice::from_ref(&curve));
 
     let mut t = Table::new(&["V", "σ̄(Qv) %"]);
     let mut v = 4 * vmin as usize * 2;
@@ -159,16 +147,13 @@ pub fn claim_zone1(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("CLAIM-Z1");
     let (pmin, vmin) = if ctx.n >= 128 { (32u64, 32u64) } else { (8, 8) };
     let n = (2 * vmin) as usize; // zone 1 exactly
-    let local_cfg = DhtConfig::new(HashSpace::full(), pmin, vmin).expect("powers of two");
-    let global_cfg = DhtConfig::new(HashSpace::full(), pmin, 1).expect("powers of two");
+    let local = Model::local(DhtConfig::new(HashSpace::full(), pmin, vmin).expect("powers of two"));
+    let global = Model::Global(DhtConfig::new(HashSpace::full(), pmin, 1).expect("powers of two"));
 
     let mut max_gap = 0.0f64;
     for run in 0..ctx.runs.min(20) {
-        let seed_l = derive_seed(&ctx.seeds, "claim-z1-l", run);
-        let seed_g = derive_seed(&ctx.seeds, "claim-z1-g", run);
-        let l: Vec<f64> =
-            local_growth(local_cfg, n, seed_l).iter().map(|g| g.vnode_relstd).collect();
-        let g = global_growth(global_cfg, n, seed_g);
+        let l = relstd_run(ctx, local, n, "claim-z1-l", run);
+        let g = relstd_run(ctx, global, n, "claim-z1-g", run);
         for (a, b) in l.iter().zip(&g) {
             max_gap = max_gap.max((a - b).abs());
         }
@@ -198,9 +183,10 @@ pub fn claim_g512(ctx: &Ctx) -> ExpReport {
     let global_cfg = DhtConfig::new(HashSpace::full(), pmin, 1).expect("powers of two");
 
     let seed = derive_seed(&ctx.seeds, "claim-g512", 0);
-    let l: Vec<f64> = local_growth(local_cfg, n, seed).iter().map(|g| g.vnode_relstd).collect();
-    let g = global_growth(global_cfg, n, seed ^ 0x5555);
-    let max_gap = l.iter().zip(&g).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
+    let l = Model::local(local_cfg).run(n, seed);
+    let g = Model::Global(global_cfg).run(n, seed ^ 0x5555);
+    let max_gap =
+        l.iter().zip(&g).map(|(a, b)| (a.vnode_relstd - b.vnode_relstd).abs()).fold(0.0, f64::max);
     println!("\n── CLAIM-G512 — Vmin = {vmin} single-group equivalence over V = 1..{n} ──");
     println!("max |local − global| : {max_gap:.3e} pp");
     rep.note(format!(
@@ -226,15 +212,25 @@ mod tests {
         let rep = claim_zone1(&ctx);
         // The note embeds the measured gap; the property itself is asserted
         // here directly.
-        let (pmin, vmin) = (8u64, 8u64);
-        let n = 16;
-        let l_cfg = DhtConfig::new(HashSpace::full(), pmin, vmin).unwrap();
-        let g_cfg = DhtConfig::new(HashSpace::full(), pmin, 1).unwrap();
-        let l: Vec<f64> = local_growth(l_cfg, n, 1).iter().map(|g| g.vnode_relstd).collect();
-        let g = global_growth(g_cfg, n, 2);
+        let l_cfg = DhtConfig::new(HashSpace::full(), 8, 8).unwrap();
+        let g_cfg = DhtConfig::new(HashSpace::full(), 8, 1).unwrap();
+        let l = Model::local(l_cfg).run(16, 1);
+        let g = Model::Global(g_cfg).run(16, 2);
         for (a, b) in l.iter().zip(&g) {
-            assert!((a - b).abs() < 1e-9);
+            assert!((a.vnode_relstd - b.vnode_relstd).abs() < 1e-9);
         }
         assert!(!rep.summary.is_empty());
+    }
+
+    #[test]
+    fn every_plateau_window_is_non_empty() {
+        // n = 128 = 4·32: the (32,32) plateau window 4·v < V ≤ n would be
+        // empty, its mean 0, and its CLAIM-30 drop 100%.
+        let ctx =
+            Ctx { runs: 2, n: 128, ..Ctx::quick(std::env::temp_dir().join("domus-claims-test")) };
+        let plateaus = fig4::compute(&ctx).plateaus(ctx.n);
+        assert!(plateaus.iter().all(|&p| p > 0.0), "{plateaus:?}");
+        let drops = doubling_drops(&plateaus);
+        assert!(drops.iter().all(|d| d.is_finite() && *d < 100.0), "{drops:?}");
     }
 }

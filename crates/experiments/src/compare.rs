@@ -204,7 +204,7 @@ impl Comparison {
     /// Writes `<out_dir>/<stem>_<backend>.csv` for the cells at factor `r`.
     pub fn write_csvs(&self, ctx: &Ctx, stem: &str, r: usize) {
         for cell in self.cells.iter().filter(|c| c.r == r) {
-            let (_, file) = create_csv(ctx, &format!("{stem}_{}", cell.backend.name()));
+            let file = create_csv(ctx, &format!("{stem}_{}", cell.backend.name()));
             cell.outcome.write_csv(file).expect("write comparison csv");
         }
     }

@@ -7,13 +7,12 @@
 //! to a stable plateau once groups multiply; larger `Pmin = Vmin` →
 //! uniformly lower plateau, ordering 8 > 16 > 32 > 64 > 128.
 
-use crate::output::{canonical_samples, print_plot, sample_points, write_csv};
-use crate::runner::{average_runs, local_growth};
+use crate::output::Figure;
+use crate::runner::{Model, Runs};
 use crate::{Ctx, ExpReport};
 use domus_core::DhtConfig;
 use domus_hashspace::HashSpace;
 use domus_metrics::series::Series;
-use domus_metrics::table::{num, Table};
 
 /// Result bundle: one averaged curve per diagonal `(Pmin, Vmin)` value.
 #[derive(Debug, Clone)]
@@ -32,29 +31,16 @@ impl Fig4Data {
     }
 }
 
-/// The sweep's curves, computed on first use and then shared through
-/// `ctx` with FIG5 and CLAIM-30.
-pub fn compute(ctx: &Ctx) -> &Fig4Data {
-    ctx.fig4.get_or_init(|| sweep(ctx))
-}
-
-fn sweep(ctx: &Ctx) -> Fig4Data {
+/// The sweep's curves, which FIG5 and CLAIM-30 read too: grown once per
+/// `ctx`.
+pub fn compute(ctx: &Ctx) -> Fig4Data {
     let values = ctx.diagonal_values();
-    let space = HashSpace::full();
     let curves = values
         .iter()
         .map(|&pv| {
-            let cfg = DhtConfig::new(space, pv, pv).expect("powers of two");
-            let label = format!("fig4-{pv}");
-            average_runs(
-                &format!("(Pmin,Vmin)=({pv},{pv})"),
-                &label,
-                &ctx.seeds,
-                ctx.runs,
-                ctx.n,
-                move |seed| local_growth(cfg, ctx.n, seed).iter().map(|g| g.vnode_relstd).collect(),
-            )
-            .mean_series()
+            let cfg = DhtConfig::new(HashSpace::full(), pv, pv).expect("powers of two");
+            ctx.growth(&Runs::of(ctx, format!("fig4-{pv}"), Model::local(cfg)))
+                .curve(&format!("(Pmin,Vmin)=({pv},{pv})"), |s| s.vnode_relstd)
         })
         .collect();
     Fig4Data { values, curves }
@@ -64,35 +50,15 @@ fn sweep(ctx: &Ctx) -> Fig4Data {
 pub fn run(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("FIG4");
     let data = compute(ctx);
-    let path = write_csv(ctx, "fig4_sigma_qv_diagonal", "vnodes", &data.curves);
-    rep.note(format!("csv: {}", path.display()));
-
-    print_plot(
-        "Figure 4 — σ̄(Qv) when Pmin = Vmin",
-        &data.curves,
-        "quality of the balancement (%)",
-        "overall number of vnodes",
-        Some(25.0),
-    );
-
-    let samples = canonical_samples(ctx.n);
-    let mut t = Table::new(
-        &std::iter::once("V".to_string())
-            .chain(data.values.iter().map(|v| format!("({v},{v})")))
-            .collect::<Vec<_>>()
-            .iter()
-            .map(String::as_str)
-            .collect::<Vec<_>>(),
-    );
-    for &x in &samples {
-        let mut row = vec![format!("{x:.0}")];
-        for c in &data.curves {
-            let pt = sample_points(c, &[x]);
-            row.push(num(pt.first().map(|&(_, y)| y).unwrap_or(f64::NAN), 2));
-        }
-        t.row(&row);
-    }
-    println!("{}", t.render());
+    let figure = Figure {
+        csv: "fig4_sigma_qv_diagonal",
+        x: "vnodes",
+        title: "Figure 4 — σ̄(Qv) when Pmin = Vmin",
+        y_label: "quality of the balancement (%)",
+        x_label: "overall number of vnodes",
+        y_max: Some(25.0),
+    };
+    figure.emit(ctx, &mut rep, &data.curves, None);
 
     for ((v, c), plateau) in data.values.iter().zip(&data.curves).zip(data.plateaus(ctx.n)) {
         let end = c.last_y().unwrap_or(f64::NAN);

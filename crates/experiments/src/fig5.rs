@@ -38,18 +38,12 @@ pub fn run(ctx: &Ctx) -> ExpReport {
     let theta_plateau = theta(&data.values, &plateau_sigma, 0.5, 0.5);
 
     let x: Vec<f64> = data.values.iter().map(|&v| v as f64).collect();
-    let s_end = Series::new("θ (σ̄ at end state)", x.clone(), theta_end.clone());
-    let s_plat = Series::new("θ (σ̄ = zone-2 plateau mean)", x, theta_plateau.clone());
-    let path = write_csv(ctx, "fig5_theta", "vmin", &[s_end.clone(), s_plat.clone()]);
-    rep.note(format!("csv: {}", path.display()));
-
-    print_plot(
-        "Figure 5 — θ for Vmin sweep (α = β = 0.5)",
-        &[s_end, s_plat],
-        "θ",
-        "Vmin",
-        Some(1.0),
-    );
+    let curves = [
+        Series::new("θ (σ̄ at end state)", x.clone(), theta_end.clone()),
+        Series::new("θ (σ̄ = zone-2 plateau mean)", x, theta_plateau.clone()),
+    ];
+    write_csv(ctx, &mut rep, "fig5_theta", "vmin", &curves);
+    print_plot("Figure 5 — θ for Vmin sweep (α = β = 0.5)", &curves, "θ", "Vmin", Some(1.0));
 
     let mut t = Table::new(&["Vmin", "σ̄ end %", "θ(end)", "σ̄ plateau %", "θ(plateau)"]);
     for i in 0..data.values.len() {

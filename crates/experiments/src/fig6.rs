@@ -7,12 +7,11 @@
 //! 1024` means one group for the whole run (§4.2) — the harness overlays
 //! the actual global-approach curve to make the coincidence visible.
 
-use crate::output::{canonical_samples, print_plot, sample_points, write_csv};
-use crate::runner::{average_runs, global_growth, local_growth};
+use crate::output::Figure;
+use crate::runner::{Model, Runs};
 use crate::{Ctx, ExpReport};
 use domus_core::DhtConfig;
 use domus_hashspace::HashSpace;
-use domus_metrics::table::{num, Table};
 
 /// The fixed fine-grain parameter of figure 6.
 pub const PMIN: u64 = 32;
@@ -24,59 +23,30 @@ pub fn run(ctx: &Ctx) -> ExpReport {
     let vmins: Vec<u64> =
         [8u64, 16, 32, 64, 128, 256, 512].into_iter().filter(|&v| v * 2 <= ctx.n as u64).collect();
 
-    let mut curves = Vec::new();
-    for &vmin in &vmins {
-        let cfg = DhtConfig::new(space, PMIN, vmin).expect("powers of two");
-        let label = format!("fig6-{vmin}");
-        curves.push(
-            average_runs(
-                &format!("Vmin={vmin}"),
-                &label,
-                &ctx.seeds,
-                ctx.runs,
-                ctx.n,
-                move |seed| local_growth(cfg, ctx.n, seed).iter().map(|g| g.vnode_relstd).collect(),
-            )
-            .mean_series(),
-        );
-    }
+    let mut curves: Vec<_> = vmins
+        .iter()
+        .map(|&vmin| {
+            let cfg = DhtConfig::new(space, PMIN, vmin).expect("powers of two");
+            ctx.growth(&Runs::of(ctx, format!("fig6-{vmin}"), Model::local(cfg)))
+                .curve(&format!("Vmin={vmin}"), |s| s.vnode_relstd)
+        })
+        .collect();
     // Global-approach overlay (same Pmin). Deterministic given counts, so a
-    // single run suffices, but averaging keeps the pipeline uniform.
+    // few runs suffice, but averaging keeps the pipeline uniform.
     let gcfg = DhtConfig::new(space, PMIN, 1).expect("powers of two");
-    let global = average_runs(
-        "global approach",
-        "fig6-global",
-        &ctx.seeds,
-        ctx.runs.min(4),
-        ctx.n,
-        move |seed| global_growth(gcfg, ctx.n, seed),
-    )
-    .mean_series();
-    curves.push(global.clone());
+    let global =
+        Runs { runs: ctx.runs.min(4), ..Runs::of(ctx, "fig6-global", Model::Global(gcfg)) };
+    curves.push(ctx.growth(&global).curve("global approach", |s| s.vnode_relstd));
 
-    let path = write_csv(ctx, "fig6_sigma_qv_vmin_sweep", "vnodes", &curves);
-    rep.note(format!("csv: {}", path.display()));
-
-    print_plot(
-        "Figure 6 — σ̄(Qv) when Pmin = 32, Vmin sweep",
-        &curves,
-        "quality of the balancement (%)",
-        "overall number of vnodes",
-        Some(25.0),
-    );
-
-    let samples = canonical_samples(ctx.n);
-    let headers: Vec<String> =
-        std::iter::once("V".to_string()).chain(curves.iter().map(|c| c.name.clone())).collect();
-    let mut t = Table::new(&headers.iter().map(String::as_str).collect::<Vec<_>>());
-    for &x in &samples {
-        let mut row = vec![format!("{x:.0}")];
-        for c in &curves {
-            row.push(num(sample_points(c, &[x]).first().map(|&(_, y)| y).unwrap_or(f64::NAN), 2));
-        }
-        t.row(&row);
-    }
-    println!("{}", t.render());
+    let figure = Figure {
+        csv: "fig6_sigma_qv_vmin_sweep",
+        x: "vnodes",
+        title: "Figure 6 — σ̄(Qv) when Pmin = 32, Vmin sweep",
+        y_label: "quality of the balancement (%)",
+        x_label: "overall number of vnodes",
+        y_max: Some(25.0),
+    };
+    figure.emit(ctx, &mut rep, &curves, None);
 
     // Degradation summary + the Vmin=512 ≡ global coincidence.
     for (vmin, c) in vmins.iter().zip(&curves) {
@@ -87,7 +57,7 @@ pub fn run(ctx: &Ctx) -> ExpReport {
         ));
     }
     if vmins.contains(&(ctx.n as u64 / 2)) {
-        let big = &curves[vmins.len() - 1];
+        let (big, global) = (&curves[vmins.len() - 1], &curves[vmins.len()]);
         let max_gap =
             big.y.iter().zip(&global.y).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
         rep.note(format!(
@@ -102,7 +72,6 @@ pub fn run(ctx: &Ctx) -> ExpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{global_growth, local_growth};
 
     #[test]
     fn single_group_vmin_matches_global_exactly() {
@@ -110,11 +79,10 @@ mod tests {
         // identical to the global approach step for step.
         let space = HashSpace::full();
         let n = 96;
-        let local_cfg = DhtConfig::new(space, PMIN, 64).unwrap();
-        let global_cfg = DhtConfig::new(space, PMIN, 1).unwrap();
-        let a: Vec<f64> = local_growth(local_cfg, n, 5).iter().map(|g| g.vnode_relstd).collect();
-        let b = global_growth(global_cfg, n, 99);
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+        let local = Model::local(DhtConfig::new(space, PMIN, 64).unwrap()).run(n, 5);
+        let global = Model::Global(DhtConfig::new(space, PMIN, 1).unwrap()).run(n, 99);
+        for (i, (x, y)) in local.iter().zip(&global).enumerate() {
+            let (x, y) = (x.vnode_relstd, y.vnode_relstd);
             assert!((x - y).abs() < 1e-9, "V={}: local {x} global {y}", i + 1);
         }
     }
@@ -123,15 +91,10 @@ mod tests {
     fn smaller_vmin_degrades_quality() {
         let ctx =
             Ctx { runs: 6, n: 128, ..Ctx::quick(std::env::temp_dir().join("domus-fig6-test")) };
-        let space = HashSpace::full();
         let end = |vmin: u64| {
-            let cfg = DhtConfig::new(space, PMIN, vmin).unwrap();
-            average_runs("t", &format!("t{vmin}"), &ctx.seeds, ctx.runs, ctx.n, move |seed| {
-                local_growth(cfg, ctx.n, seed).iter().map(|g| g.vnode_relstd).collect()
-            })
-            .mean_series()
-            .last_y()
-            .unwrap()
+            let cfg = DhtConfig::new(HashSpace::full(), PMIN, vmin).unwrap();
+            let growth = ctx.growth(&Runs::of(&ctx, format!("t{vmin}"), Model::local(cfg)));
+            growth.mean.last().unwrap().vnode_relstd
         };
         let coarse = end(8);
         let fine = end(32);

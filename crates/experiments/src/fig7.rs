@@ -4,69 +4,52 @@
 //! Ideally the group count doubles each time `V` crosses a power-of-two
 //! multiple of `Vmax`; in reality splits are premature and late, and the
 //! divergence widens with `V` (§4.2.1). The harness emits the run-averaged
-//! `G_real`, one representative single-seed trace (the staircase is sharper
-//! per run), and `G_ideal`.
+//! `G_real`, one representative single-seed trace (run 0; the staircase is
+//! sharper per run), and `G_ideal`.
 
 use crate::compare::params;
-use crate::output::{canonical_samples, print_plot, sample_points, write_csv};
-use crate::runner::{average_runs, derive_seed, local_growth};
+use crate::output::Figure;
+use crate::runner::{Growth, Model, Runs};
 use crate::{Ctx, ExpReport};
 use domus_core::{ideal_group_count, DhtConfig};
 use domus_hashspace::HashSpace;
 use domus_metrics::series::Series;
-use domus_metrics::table::{num, Table};
+
+/// The runs FIG7 and FIG8 both read: `Pmin = Vmin` at the reference
+/// parameters, under the seed label `"fig7"`.
+pub fn growth(ctx: &Ctx) -> Growth {
+    let (pmin, vmin) = params(ctx);
+    let cfg = DhtConfig::new(HashSpace::full(), pmin, vmin).expect("powers of two");
+    ctx.growth(&Runs::of(ctx, "fig7", Model::local(cfg)))
+}
 
 /// Runs the experiment.
 pub fn run(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("FIG7");
-    let (pmin, vmin) = params(ctx);
-    let cfg = DhtConfig::new(HashSpace::full(), pmin, vmin).expect("powers of two");
-
-    let avg =
-        average_runs("G_real (mean of runs)", "fig7", &ctx.seeds, ctx.runs, ctx.n, move |seed| {
-            local_growth(cfg, ctx.n, seed).iter().map(|g| g.groups).collect()
-        })
-        .mean_series();
-
-    let single_seed = derive_seed(&ctx.seeds, "fig7", 0);
-    let single = Series::new(
-        "G_real (single run)",
-        (1..=ctx.n).map(|i| i as f64).collect(),
-        local_growth(cfg, ctx.n, single_seed).iter().map(|g| g.groups).collect(),
-    );
-
+    let (_, vmin) = params(ctx);
+    let growth = growth(ctx);
+    let avg = growth.curve("G_real (mean of runs)", |s| s.groups);
     let ideal = Series::new(
         "G_ideal",
-        (1..=ctx.n).map(|i| i as f64).collect(),
+        avg.x.clone(),
         (1..=ctx.n).map(|v| ideal_group_count(v as u64, 2 * vmin) as f64).collect(),
     );
+    let curves = [avg, growth.trace("G_real (single run)", |s| s.groups), ideal];
 
-    let curves = vec![avg.clone(), single, ideal.clone()];
-    let path = write_csv(ctx, "fig7_groups", "vnodes", &curves);
-    rep.note(format!("csv: {}", path.display()));
+    let figure = Figure {
+        csv: "fig7_groups",
+        x: "vnodes",
+        title: "Figure 7 — evolution of the number of groups",
+        y_label: "overall number of groups",
+        x_label: "overall number of vnodes",
+        y_max: None,
+    };
+    let columns = [("G_real (mean)", 2), ("G_real (single)", 0), ("G_ideal", 0)];
+    figure.emit(ctx, &mut rep, &curves, Some(&columns));
     rep.note(format!("parameters: Pmin = Vmin = {vmin}"));
 
-    print_plot(
-        "Figure 7 — evolution of the number of groups",
-        &curves,
-        "overall number of groups",
-        "overall number of vnodes",
-        None,
-    );
-
-    let samples = canonical_samples(ctx.n);
-    let mut t = Table::new(&["V", "G_real (mean)", "G_real (single)", "G_ideal"]);
-    for &x in &samples {
-        t.row(&[
-            format!("{x:.0}"),
-            num(sample_points(&curves[0], &[x])[0].1, 2),
-            num(sample_points(&curves[1], &[x])[0].1, 0),
-            num(sample_points(&curves[2], &[x])[0].1, 0),
-        ]);
-    }
-    println!("{}", t.render());
-
     // Divergence diagnostics: premature and late splits.
+    let [avg, _, ideal] = &curves;
     let max_over: f64 = avg.y.iter().zip(&ideal.y).map(|(r, i)| r - i).fold(f64::MIN, f64::max);
     let max_under: f64 = avg.y.iter().zip(&ideal.y).map(|(r, i)| i - r).fold(f64::MIN, f64::max);
     rep.note(format!(
@@ -92,7 +75,7 @@ mod tests {
             Ctx { runs: 6, n: 160, ..Ctx::quick(std::env::temp_dir().join("domus-fig7-test")) };
         let (pmin, vmin) = params(&ctx);
         let cfg = DhtConfig::new(HashSpace::full(), pmin, vmin).unwrap();
-        let run: Vec<f64> = local_growth(cfg, ctx.n, 3).iter().map(|g| g.groups).collect();
+        let run: Vec<f64> = Model::local(cfg).run(ctx.n, 3).iter().map(|g| g.groups).collect();
         let mut premature = false;
         let mut late = false;
         for (i, &g) in run.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! **FIG8** — Figure 8 of the paper: evolution of `σ̄(Qg, Q̄g)`, the quality
 //! of balancement *between groups*, during the same `Pmin = Vmin = 32`
-//! growth as figure 7.
+//! growth as figure 7 — FIG7's runs, read from the context's cache.
 //!
 //! `σ̄(Qg)` is measured against the ideal average quota `Q̄g = 1/G`; its
 //! spikes correlate with the divergence between `G_real` and `G_ideal`
@@ -8,78 +8,55 @@
 //! very different quotas coexist.
 
 use crate::compare::params;
-use crate::output::{canonical_samples, print_plot, sample_points, write_csv};
-use crate::runner::{average_runs, derive_seed, local_growth};
-use crate::{Ctx, ExpReport};
-use domus_core::{ideal_group_count, DhtConfig};
-use domus_hashspace::HashSpace;
-use domus_metrics::series::Series;
-use domus_metrics::table::{num, Table};
+use crate::output::Figure;
+use crate::runner::GrowthSample;
+use crate::{fig7, Ctx, ExpReport};
+use domus_core::ideal_group_count;
+
+/// Mean `σ̄(Qg)` of one run's samples while `G_real = G_ideal`, and while
+/// they differ (NaN when a side is empty).
+fn aligned_vs_diverged(run: &[GrowthSample], vmax: u64) -> (f64, f64) {
+    let (mut aligned, mut diverged) = (Vec::new(), Vec::new());
+    for (i, g) in run.iter().enumerate() {
+        let ideal = ideal_group_count((i + 1) as u64, vmax) as f64;
+        let side = if (g.groups - ideal).abs() < 0.5 { &mut aligned } else { &mut diverged };
+        side.push(g.group_relstd);
+    }
+    let mean =
+        |v: &[f64]| if v.is_empty() { f64::NAN } else { v.iter().sum::<f64>() / v.len() as f64 };
+    (mean(&aligned), mean(&diverged))
+}
 
 /// Runs the experiment.
 pub fn run(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("FIG8");
-    let (pmin, vmin) = params(ctx);
-    let cfg = DhtConfig::new(HashSpace::full(), pmin, vmin).expect("powers of two");
+    let (_, vmin) = params(ctx);
+    let growth = fig7::growth(ctx);
+    let curves = [
+        growth.curve("σ̄(Qg) (mean of runs)", |s| s.group_relstd),
+        growth.trace("σ̄(Qg) (single run)", |s| s.group_relstd),
+    ];
 
-    let avg =
-        average_runs("σ̄(Qg) (mean of runs)", "fig7", &ctx.seeds, ctx.runs, ctx.n, move |seed| {
-            local_growth(cfg, ctx.n, seed).iter().map(|g| g.group_relstd).collect()
-        })
-        .mean_series();
-    let single_seed = derive_seed(&ctx.seeds, "fig7", 0);
-    let single_run = local_growth(cfg, ctx.n, single_seed);
-    let single = Series::new(
-        "σ̄(Qg) (single run)",
-        (1..=ctx.n).map(|i| i as f64).collect(),
-        single_run.iter().map(|g| g.group_relstd).collect(),
-    );
-
-    let curves = vec![avg.clone(), single.clone()];
-    let path = write_csv(ctx, "fig8_sigma_qg", "vnodes", &curves);
-    rep.note(format!("csv: {}", path.display()));
+    let figure = Figure {
+        csv: "fig8_sigma_qg",
+        x: "vnodes",
+        title: "Figure 8 — evolution of σ̄(Qg) between groups",
+        y_label: "quality of the balancement between groups (%)",
+        x_label: "overall number of vnodes",
+        y_max: Some(40.0),
+    };
+    let columns = [("σ̄(Qg) mean %", 2), ("σ̄(Qg) single %", 2)];
+    figure.emit(ctx, &mut rep, &curves, Some(&columns));
     rep.note(format!("parameters: Pmin = Vmin = {vmin} (same runs as FIG7)"));
 
-    print_plot(
-        "Figure 8 — evolution of σ̄(Qg) between groups",
-        &curves,
-        "quality of the balancement between groups (%)",
-        "overall number of vnodes",
-        Some(40.0),
-    );
-
-    let samples = canonical_samples(ctx.n);
-    let mut t = Table::new(&["V", "σ̄(Qg) mean %", "σ̄(Qg) single %"]);
-    for &x in &samples {
-        t.row(&[
-            format!("{x:.0}"),
-            num(sample_points(&curves[0], &[x])[0].1, 2),
-            num(sample_points(&curves[1], &[x])[0].1, 2),
-        ]);
-    }
-    println!("{}", t.render());
-
-    let (peak_x, peak_y) = avg.max_point().unwrap_or((0.0, 0.0));
+    let (peak_x, peak_y) = curves[0].max_point().unwrap_or((0.0, 0.0));
     rep.note(format!("peak run-averaged σ̄(Qg): {peak_y:.2}% at V = {peak_x:.0}"));
 
     // Spike ↔ divergence correlation (§4.2.1): compare σ̄(Qg) where
     // G_real = G_ideal against where they differ, within the single run.
-    let mut aligned = Vec::new();
-    let mut diverged = Vec::new();
-    for (i, g) in single_run.iter().enumerate() {
-        let ideal = ideal_group_count((i + 1) as u64, 2 * vmin) as f64;
-        if (g.groups - ideal).abs() < 0.5 {
-            aligned.push(g.group_relstd);
-        } else {
-            diverged.push(g.group_relstd);
-        }
-    }
-    let mean =
-        |v: &[f64]| if v.is_empty() { f64::NAN } else { v.iter().sum::<f64>() / v.len() as f64 };
+    let (aligned, diverged) = aligned_vs_diverged(&growth.first, 2 * vmin);
     rep.note(format!(
-        "single run: mean σ̄(Qg) while G_real = G_ideal: {:.2}% | while diverged: {:.2}% (spikes follow divergence)",
-        mean(&aligned),
-        mean(&diverged)
+        "single run: mean σ̄(Qg) while G_real = G_ideal: {aligned:.2}% | while diverged: {diverged:.2}% (spikes follow divergence)"
     ));
     rep
 }
@@ -87,11 +64,14 @@ pub fn run(ctx: &Ctx) -> ExpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Model;
+    use domus_core::DhtConfig;
+    use domus_hashspace::HashSpace;
 
     #[test]
     fn group_imbalance_spikes_after_first_split() {
         let cfg = DhtConfig::new(HashSpace::full(), 8, 8).unwrap();
-        let run = local_growth(cfg, 100, 7);
+        let run = Model::local(cfg).run(100, 7);
         // While one group exists, σ̄(Qg) = 0 (a single quota of 1).
         for g in &run[..16] {
             assert_eq!(g.group_relstd, 0.0);
@@ -103,21 +83,12 @@ mod tests {
     #[test]
     fn divergence_correlates_with_spikes() {
         let cfg = DhtConfig::new(HashSpace::full(), 8, 8).unwrap();
-        let run = local_growth(cfg, 200, 11);
-        let mut aligned = Vec::new();
-        let mut diverged = Vec::new();
-        for (i, g) in run.iter().enumerate() {
-            let ideal = ideal_group_count((i + 1) as u64, 16) as f64;
-            if (g.groups - ideal).abs() < 0.5 {
-                aligned.push(g.group_relstd);
-            } else {
-                diverged.push(g.group_relstd);
-            }
-        }
-        if !aligned.is_empty() && !diverged.is_empty() {
-            let ma = aligned.iter().sum::<f64>() / aligned.len() as f64;
-            let md = diverged.iter().sum::<f64>() / diverged.len() as f64;
-            assert!(md > ma, "diverged σ̄(Qg) ({md:.2}) must exceed aligned ({ma:.2})");
+        let (aligned, diverged) = aligned_vs_diverged(&Model::local(cfg).run(200, 11), 16);
+        if !aligned.is_nan() && !diverged.is_nan() {
+            assert!(
+                diverged > aligned,
+                "diverged σ̄(Qg) ({diverged:.2}) must exceed aligned ({aligned:.2})"
+            );
         }
     }
 }

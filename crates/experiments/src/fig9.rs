@@ -12,12 +12,11 @@
 //! for larger `Vmin` — while small `Vmin` narrows the margin, which is the
 //! paper's "choose Vmin carefully" conclusion.
 
-use crate::output::{canonical_samples, print_plot, sample_points, write_csv};
-use crate::runner::{average_runs, ch_growth, local_growth};
+use crate::output::Figure;
+use crate::runner::{Model, Runs};
 use crate::{Ctx, ExpReport};
 use domus_core::DhtConfig;
 use domus_hashspace::HashSpace;
-use domus_metrics::table::{num, Table};
 
 /// Fixed fine-grain parameter for the local curves.
 pub const PMIN: u64 = 32;
@@ -25,68 +24,34 @@ pub const PMIN: u64 = 32;
 /// Runs the comparison.
 pub fn run(ctx: &Ctx) -> ExpReport {
     let mut rep = ExpReport::new("FIG9");
-    let space = HashSpace::full();
-    let mut curves = Vec::new();
-
-    for k in [32u32, 64] {
-        let label = format!("fig9-ch-{k}");
-        curves.push(
-            average_runs(
-                &format!("CH, {k} partitions/node"),
-                &label,
-                &ctx.seeds,
-                ctx.runs,
-                ctx.n,
-                move |seed| ch_growth(space, k, ctx.n, seed),
-            )
-            .mean_series(),
-        );
-    }
-
     let vmins: Vec<u64> =
         [32u64, 64, 128, 256, 512].into_iter().filter(|&v| v * 2 <= ctx.n as u64).collect();
-    for &vmin in &vmins {
-        let cfg = DhtConfig::new(space, PMIN, vmin).expect("powers of two");
-        let label = format!("fig9-local-{vmin}");
-        curves.push(
-            average_runs(
-                &format!("local approach, Vmin={vmin}"),
-                &label,
-                &ctx.seeds,
-                ctx.runs,
-                ctx.n,
-                move |seed| {
-                    // One vnode per snode: each growth step IS a node join.
-                    local_growth(cfg, ctx.n, seed).iter().map(|g| g.vnode_relstd).collect()
-                },
-            )
-            .mean_series(),
-        );
-    }
+    let curve = |label: String, model, name: String| {
+        ctx.growth(&Runs::of(ctx, label, model)).curve(&name, |s| s.vnode_relstd)
+    };
+    let mut curves: Vec<_> = [32u32, 64]
+        .into_iter()
+        .map(|k| curve(format!("fig9-ch-{k}"), Model::Ch(k), format!("CH, {k} partitions/node")))
+        .collect();
+    // One vnode per snode: each growth step IS a node join.
+    curves.extend(vmins.iter().map(|&vmin| {
+        let cfg = DhtConfig::new(HashSpace::full(), PMIN, vmin).expect("powers of two");
+        curve(
+            format!("fig9-local-{vmin}"),
+            Model::local(cfg),
+            format!("local approach, Vmin={vmin}"),
+        )
+    }));
 
-    let path = write_csv(ctx, "fig9_ch_comparison", "nodes", &curves);
-    rep.note(format!("csv: {}", path.display()));
-
-    print_plot(
-        "Figure 9 — σ̄(Qn): local approach vs Consistent Hashing",
-        &curves,
-        "quality of the balancement (%)",
-        "overall number of cluster nodes",
-        Some(20.0),
-    );
-
-    let samples = canonical_samples(ctx.n);
-    let headers: Vec<String> =
-        std::iter::once("N".to_string()).chain(curves.iter().map(|c| c.name.clone())).collect();
-    let mut t = Table::new(&headers.iter().map(String::as_str).collect::<Vec<_>>());
-    for &x in &samples {
-        let mut row = vec![format!("{x:.0}")];
-        for c in &curves {
-            row.push(num(sample_points(c, &[x]).first().map(|&(_, y)| y).unwrap_or(f64::NAN), 2));
-        }
-        t.row(&row);
-    }
-    println!("{}", t.render());
+    let figure = Figure {
+        csv: "fig9_ch_comparison",
+        x: "nodes",
+        title: "Figure 9 — σ̄(Qn): local approach vs Consistent Hashing",
+        y_label: "quality of the balancement (%)",
+        x_label: "overall number of cluster nodes",
+        y_max: Some(20.0),
+    };
+    figure.emit(ctx, &mut rep, &curves, None);
 
     // Who wins at the end state?
     let ch32 = curves[0].last_y().unwrap_or(f64::NAN);
@@ -111,23 +76,18 @@ pub fn run(ctx: &Ctx) -> ExpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::average;
 
     #[test]
     fn local_with_large_vmin_beats_ch_at_smoke_scale() {
-        let space = HashSpace::full();
-        let n = 128;
-        let runs = 8;
         let seeds = domus_util::SeedSequence::new(5);
-        let ch =
-            average_runs("ch", "t-ch", &seeds, runs, n, move |seed| ch_growth(space, 32, n, seed))
-                .mean_series();
-        let cfg = DhtConfig::new(space, 32, 64).unwrap();
-        let local = average_runs("local", "t-local", &seeds, runs, n, move |seed| {
-            local_growth(cfg, n, seed).iter().map(|g| g.vnode_relstd).collect()
-        })
-        .mean_series();
-        let ch_end = ch.last_y().unwrap();
-        let local_end = local.last_y().unwrap();
+        let end = |label: &str, model| {
+            let growth = average(&seeds, &Runs { label: label.into(), model, runs: 8, n: 128 });
+            growth.mean.last().unwrap().vnode_relstd
+        };
+        let ch_end = end("t-ch", Model::Ch(32));
+        let local_end =
+            end("t-local", Model::local(DhtConfig::new(HashSpace::full(), 32, 64).unwrap()));
         assert!(local_end < ch_end, "local (Vmin=64) {local_end:.2}% must beat CH-32 {ch_end:.2}%");
     }
 }

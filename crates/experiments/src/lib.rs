@@ -7,8 +7,11 @@
 //! `results/<id>.csv`, prints the paper's series as a table and an ASCII
 //! plot, and returns summary lines that the dispatcher collects into
 //! `results/summary.txt` (the source for EXPERIMENTS.md).
-//! Every three-backend comparison (`churnx`, `replx`, `routex`, `kvx`)
-//! goes through [`compare`]: the backend table and the one replay protocol.
+//! Every growth curve (figures, claims, ablations) is a declaration over
+//! [`runner`]'s one growth loop and run-order fold, drawn by
+//! [`output::Figure`]; every three-backend comparison (`churnx`, `replx`,
+//! `routex`, `kvx`) goes through [`compare`]: the backend table and the
+//! one replay protocol.
 
 #![forbid(unsafe_code)]
 
@@ -31,11 +34,12 @@ pub mod runner;
 pub mod simx;
 
 use domus_util::SeedSequence;
+use runner::{Growth, Runs};
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::Mutex;
 
 /// Shared experiment context: seeds, scale, output directory.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Ctx {
     /// Deterministic seed root (CLI `--seed`, default 2004 — the paper's
     /// year).
@@ -46,9 +50,9 @@ pub struct Ctx {
     pub n: usize,
     /// Where CSVs land.
     pub out_dir: PathBuf,
-    /// The FIG4 sweep, which FIG5 and CLAIM-30 also read: filled by the
-    /// first [`fig4::compute`] from the fields above, so set those first.
-    fig4: OnceLock<fig4::Fig4Data>,
+    /// Every averaged growth so far, by declaration, grown under `seeds`
+    /// ([`Ctx::growth`]), so set the fields above before the first use.
+    grown: Mutex<Vec<(Runs, Growth)>>,
 }
 
 impl Ctx {
@@ -64,15 +68,28 @@ impl Ctx {
             runs: 8,
             n: 192,
             out_dir: out_dir.into(),
-            fig4: OnceLock::new(),
+            grown: Mutex::new(Vec::new()),
         }
     }
 
-    /// The largest `(Pmin, Vmin)` diagonal value that still leaves room for
-    /// several group generations at this scale — used by fig4/fig5 to trim
-    /// the sweep under `--quick`.
+    /// The `(Pmin, Vmin)` diagonal values that leave a non-empty zone-2
+    /// plateau window `4·v < V ≤ n` at this scale — used by fig4/fig5 and
+    /// the claims to trim the sweep under `--quick`.
     pub fn diagonal_values(&self) -> Vec<u64> {
-        [8u64, 16, 32, 64, 128].into_iter().filter(|&v| 2 * v * 2 <= self.n as u64).collect()
+        [8u64, 16, 32, 64, 128].into_iter().filter(|&v| 4 * v < self.n as u64).collect()
+    }
+
+    /// The run-averaged growth `runs` declares, grown on first use and
+    /// then shared by every experiment that declares the same runs (FIG4's
+    /// sweep with FIG5 and CLAIM-30, FIG7's runs with FIG8).
+    pub fn growth(&self, runs: &Runs) -> Growth {
+        let mut grown = self.grown.lock().expect("growth cache poisoned");
+        if let Some((_, growth)) = grown.iter().find(|(declared, _)| declared == runs) {
+            return growth.clone();
+        }
+        let growth = runner::average(&self.seeds, runs);
+        grown.push((runs.clone(), growth.clone()));
+        growth
     }
 }
 

@@ -1,26 +1,26 @@
-//! Output plumbing: CSV files, ASCII plots, tables.
+//! Output plumbing: CSV files, ASCII plots, and the one figure emitter.
 
-use crate::Ctx;
+use crate::{Ctx, ExpReport};
 use domus_metrics::csv::write_series_columns;
 use domus_metrics::plot::{ascii_plot, PlotConfig};
 use domus_metrics::series::Series;
+use domus_metrics::table::{num, Table};
 use std::fs;
 use std::io::BufWriter;
-use std::path::PathBuf;
 
 /// Creates `results/<name>.csv` (and the directory) for writing.
-pub(crate) fn create_csv(ctx: &Ctx, name: &str) -> (PathBuf, BufWriter<fs::File>) {
+pub(crate) fn create_csv(ctx: &Ctx, name: &str) -> BufWriter<fs::File> {
     fs::create_dir_all(&ctx.out_dir).expect("create results dir");
     let path = ctx.out_dir.join(format!("{name}.csv"));
     let file = fs::File::create(&path).unwrap_or_else(|e| panic!("create {path:?}: {e}"));
-    (path, BufWriter::new(file))
+    BufWriter::new(file)
 }
 
-/// Writes the series family as `results/<name>.csv` (shared x grid).
-pub fn write_csv(ctx: &Ctx, name: &str, x_name: &str, series: &[Series]) -> PathBuf {
-    let (path, file) = create_csv(ctx, name);
-    write_series_columns(file, x_name, series).expect("write csv");
-    path
+/// Writes the series family as `results/<name>.csv` (shared x grid) and
+/// notes its path, relative to `--out`, in `rep`.
+pub fn write_csv(ctx: &Ctx, rep: &mut ExpReport, name: &str, x_name: &str, series: &[Series]) {
+    write_series_columns(create_csv(ctx, name), x_name, series).expect("write csv");
+    rep.note(format!("csv: {name}.csv"));
 }
 
 /// Prints a titled ASCII plot of the series family.
@@ -42,26 +42,57 @@ pub fn print_plot(
     print!("{}", ascii_plot(series, &cfg));
 }
 
-/// Down-samples a series at the given x values (plus the last point) for
-/// compact tables.
-pub fn sample_points(s: &Series, at: &[f64]) -> Vec<(f64, f64)> {
-    let mut out = Vec::new();
-    for &x in at {
-        if let Some(i) = s.x.iter().position(|&v| v == x) {
-            out.push((x, s.y[i]));
+/// A growth figure: a curve family over `1..=n` created vnodes (or
+/// nodes), drawn the same way by FIG4, FIG6, FIG7, FIG8 and FIG9.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure<'a> {
+    /// CSV stem under `--out`.
+    pub csv: &'a str,
+    /// The CSV's x column (`vnodes`, `nodes`); its initial heads the
+    /// table's first column.
+    pub x: &'a str,
+    /// Plot title.
+    pub title: &'a str,
+    /// Plot y-axis label.
+    pub y_label: &'a str,
+    /// Plot x-axis label.
+    pub x_label: &'a str,
+    /// Plot y ceiling (auto-scaled when `None`).
+    pub y_max: Option<f64>,
+}
+
+impl Figure<'_> {
+    /// Writes the CSV and its `csv:` note, draws the plot, and prints the
+    /// canonical-sample table: one column per curve, headed by `columns`
+    /// as `(header, decimals)`, or by each curve's name at two decimals.
+    pub fn emit(
+        &self,
+        ctx: &Ctx,
+        rep: &mut ExpReport,
+        curves: &[Series],
+        columns: Option<&[(&str, usize)]>,
+    ) {
+        write_csv(ctx, rep, self.csv, self.x, curves);
+        print_plot(self.title, curves, self.y_label, self.x_label, self.y_max);
+
+        let named: Vec<(&str, usize)> = curves.iter().map(|c| (c.name.as_str(), 2)).collect();
+        let columns = columns.unwrap_or(&named);
+        let x = self.x[..1].to_uppercase();
+        let headers: Vec<&str> =
+            std::iter::once(x.as_str()).chain(columns.iter().map(|c| c.0)).collect();
+        let mut t = Table::new(&headers);
+        for x in canonical_samples(ctx.n) {
+            let at = |c: &Series| c.x.iter().position(|&v| v == x).map_or(f64::NAN, |i| c.y[i]);
+            let cells = curves.iter().zip(columns).map(|(c, &(_, decimals))| num(at(c), decimals));
+            t.row(&std::iter::once(format!("{x:.0}")).chain(cells).collect::<Vec<_>>());
         }
+        println!("{}", t.render());
     }
-    if let (Some(&lx), Some(&ly)) = (s.x.last(), s.y.last()) {
-        if out.last().map(|&(x, _)| x != lx).unwrap_or(true) {
-            out.push((lx, ly));
-        }
-    }
-    out
 }
 
 /// The canonical x sample grid used by tables: powers of two plus the
 /// mid-zone points the paper's figures make visually salient.
-pub fn canonical_samples(n: usize) -> Vec<f64> {
+fn canonical_samples(n: usize) -> Vec<f64> {
     let mut v: Vec<f64> = [16u64, 32, 64, 96, 128, 192, 256, 384, 512, 640, 768, 896, 1024]
         .iter()
         .filter(|&&x| x <= n as u64)

@@ -8,12 +8,11 @@
 //! (figure 8), `σ̄(Qn)` for physical nodes (figure 9) — always reported in
 //! percent and averaged over 100 simulation runs. This crate provides:
 //!
-//! * [`welford`] — numerically stable streaming mean/variance with merging,
-//!   used both for per-point run-averaging and inside hot loops;
+//! * [`welford`] — numerically stable streaming mean/variance, used both
+//!   for per-point run-averaging and inside hot loops;
 //! * [`relstd`] — the paper's quality metric, with both "measured mean" and
 //!   "ideal mean" variants (figure 8 explicitly uses the ideal `1/G`);
-//! * [`series`] — (x, y) experiment series and a multi-run accumulator that
-//!   produces mean ± stddev curves from seeded runs;
+//! * [`series`] — named (x, y) experiment curves;
 //! * [`table`] — plain-text tables for harness output;
 //! * [`plot`] — dependency-free ASCII line plots so every figure can be
 //!   eyeballed straight from the terminal;
@@ -31,6 +30,6 @@ pub mod table;
 pub mod welford;
 
 pub use relstd::{rel_std_dev_about_pct, rel_std_dev_pct};
-pub use series::{MultiRunSeries, Series};
+pub use series::Series;
 pub use table::Table;
 pub use welford::Welford;

@@ -1,8 +1,6 @@
 //! Welford's online algorithm for mean and variance.
 //!
-//! Numerically stable one-pass moments; supports merging two accumulators
-//! (Chan et al.), which the experiment harness uses to combine runs computed
-//! on worker threads.
+//! Numerically stable one-pass moments.
 
 /// Streaming mean/variance accumulator.
 ///
@@ -103,27 +101,6 @@ impl Welford {
     pub fn std_dev_sample(&self) -> f64 {
         self.variance_sample().sqrt()
     }
-
-    /// Merges another accumulator into this one (Chan et al. parallel
-    /// variance combination). Exact up to floating-point rounding.
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl FromIterator<f64> for Welford {
@@ -175,32 +152,6 @@ mod tests {
         assert_eq!(w.variance_sample(), 0.0);
         assert_eq!(w.min(), 5.0);
         assert_eq!(w.max(), 5.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64).sin() * 10.0).collect();
-        let ys: Vec<f64> = (0..300).map(|i| (i as f64).cos() * 3.0 + 2.0).collect();
-        let mut a: Welford = xs.iter().copied().collect();
-        let b: Welford = ys.iter().copied().collect();
-        a.merge(&b);
-        let all: Welford = xs.iter().chain(ys.iter()).copied().collect();
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-10);
-        assert!((a.variance_population() - all.variance_population()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let xs: Welford = [1.0, 2.0, 3.0].into_iter().collect();
-        let mut a = xs;
-        a.merge(&Welford::new());
-        assert_eq!(a, xs);
-        let mut e = Welford::new();
-        e.merge(&xs);
-        assert_eq!(e, xs);
     }
 
     #[test]
