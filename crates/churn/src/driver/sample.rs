@@ -7,6 +7,7 @@
 //! `Default`), so a counter has no shadow copy to keep in step.
 
 use domus_core::BalanceSnapshot;
+use domus_hashspace::hasher::Fnv1aHasher;
 use domus_metrics::Series;
 use domus_sim::SimTime;
 use std::io::{self, Write};
@@ -354,17 +355,17 @@ impl ChurnOutcome {
     /// (`wal_replay_ms`) blanked — what the golden tests pin.
     pub fn csv_digest(&self) -> u64 {
         let wall = COLUMNS.iter().position(|(name, _)| *name == "wal_replay_ms");
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut blanked = Vec::new();
         for line in self.csv_string().lines() {
             for (i, cell) in line.split(',').enumerate() {
-                let cell = if Some(i) == wall { "" } else { cell };
-                for b in cell.bytes().chain([b',']) {
-                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                if Some(i) != wall {
+                    blanked.extend_from_slice(cell.as_bytes());
                 }
+                blanked.push(b',');
             }
-            h = (h ^ u64::from(b'\n')).wrapping_mul(0x0000_0100_0000_01b3);
+            blanked.push(b'\n');
         }
-        h
+        Fnv1aHasher::raw(&blanked)
     }
 
     /// Extracts a named time series `(t_ms, pick(window))` for plotting.

@@ -44,24 +44,14 @@ use crate::engine::Transfer;
 use crate::errors::DhtError;
 use crate::ids::VnodeId;
 use crate::sink::LedgeredSink;
-use crate::state::{GroupState, VnodeStore};
+use crate::state::{count, GroupState, VnodeStore};
 use domus_hashspace::{OwnerMap, Partition};
 use domus_util::DomusRng;
 
-/// Picks the index of the donor partition to hand over, per policy.
-fn pick_partition<R: DomusRng>(len: usize, policy: VictimPartitionPolicy, rng: &mut R) -> usize {
-    debug_assert!(len > 0);
-    match policy {
-        VictimPartitionPolicy::Random => rng.index(len),
-        VictimPartitionPolicy::Last => len - 1,
-        VictimPartitionPolicy::First => 0,
-    }
-}
-
-/// Removes one partition from `donor` per policy, hands it to `recv`,
-/// and emits the transfer (which also streams the ledger move).
+/// Hands one of `donor`'s holdings, picked per policy, to `recv`, and
+/// emits the transfer (which also streams the ledger move).
 fn move_one<R: DomusRng>(
-    vs: &mut VnodeStore,
+    vs: &VnodeStore,
     routing: &mut OwnerMap<VnodeId>,
     donor: VnodeId,
     recv: VnodeId,
@@ -69,16 +59,20 @@ fn move_one<R: DomusRng>(
     rng: &mut R,
     sink: &mut LedgeredSink<'_>,
 ) {
-    let donor_parts = &mut vs.get_mut(donor).partitions;
-    let idx = pick_partition(donor_parts.len(), policy, rng);
-    // `swap_remove` is O(1); `First` keeps FIFO semantics with `remove`.
-    let p = if policy == VictimPartitionPolicy::First {
-        donor_parts.remove(idx)
-    } else {
-        donor_parts.swap_remove(idx)
+    let held = routing.holdings(&donor);
+    let p = match policy {
+        VictimPartitionPolicy::Random => held[rng.index(held.len())],
+        VictimPartitionPolicy::Last => held[held.len() - 1],
+        VictimPartitionPolicy::First => held[0],
     };
-    routing.transfer(p, recv).expect("donor's partition must be routed to it");
-    vs.get_mut(recv).partitions.push(p);
+    // `First` is FIFO, so the donor's later holdings shift up one place;
+    // the other policies fill the hole with its last partition.
+    let moved = if policy == VictimPartitionPolicy::First {
+        routing.transfer_shifting(p, recv)
+    } else {
+        routing.transfer(p, recv)
+    };
+    moved.expect("donor's partition must be routed to it");
     sink.transfer(
         Transfer { partition: p, from: donor, to: recv },
         vs.get(donor).name.snode,
@@ -92,7 +86,6 @@ fn move_one<R: DomusRng>(
 /// # Panics
 /// Panics if the region already has members or the routing map is not empty.
 pub fn seed_first(
-    vs: &mut VnodeStore,
     routing: &mut OwnerMap<VnodeId>,
     region: &mut GroupState,
     v: VnodeId,
@@ -103,19 +96,16 @@ pub fn seed_first(
     let level = cfg.initial_level();
     region.level = level;
     region.birth_level = level;
-    let mut parts = Vec::with_capacity(cfg.pmin as usize);
     for p in Partition::all_at_level(level) {
         routing.insert(p, v).expect("tiling a fresh map cannot overlap");
-        parts.push(p);
     }
-    vs.get_mut(v).partitions = parts;
     region.admit(v, cfg.pmin);
 }
 
 /// `true` iff every member of the region holds exactly `Pmin` partitions —
 /// the split-cascade trigger (equivalently, by G5/G5': the member count is
 /// a power of two).
-pub fn all_at_pmin(_vs: &VnodeStore, region: &GroupState, cfg: &DhtConfig) -> bool {
+pub fn all_at_pmin(region: &GroupState, cfg: &DhtConfig) -> bool {
     // O(1) via the accumulators: all counts equal Pmin ⟺ Σ = V·Pmin and
     // Σ² = V·Pmin² (equal-sum with equal-sum-of-squares forces equality).
     let v = region.members.len() as u64;
@@ -139,7 +129,6 @@ pub fn all_at_pmax(region: &GroupState, cfg: &DhtConfig) -> bool {
 /// local approach while a single group exists) the cascade is one bulk
 /// rebuild — `O(P)` instead of `P` individual tree surgeries.
 pub fn split_all(
-    vs: &mut VnodeStore,
     routing: &mut OwnerMap<VnodeId>,
     region: &mut GroupState,
 ) -> Result<u64, DhtError> {
@@ -147,26 +136,18 @@ pub fn split_all(
     if region.level >= space.bits() {
         return Err(DhtError::LevelOverflow { level: region.level, bits: space.bits() });
     }
-    let whole_map = region.sum == routing.len() as u64;
-    let mut split_count = 0u64;
-    if whole_map {
-        split_count = routing.split_all();
-    }
-    for &m in &region.members {
-        let old = std::mem::take(&mut vs.get_mut(m).partitions);
-        let mut fresh = Vec::with_capacity(old.len() * 2);
-        for p in old {
-            let (a, b) = if whole_map {
-                p.split()
-            } else {
-                split_count += 1;
-                routing.split(p).expect("member partition must be routed")
-            };
-            fresh.push(a);
-            fresh.push(b);
+    if region.sum == routing.len() as u64 {
+        routing.split_all();
+    } else {
+        for &m in &region.members {
+            // A split puts the right half directly after the left, so the
+            // k-th unsplit partition sits at index 2k.
+            for k in 0..count(routing, m) as usize {
+                routing.split(routing.holdings(&m)[2 * k]).expect("member partition is routed");
+            }
         }
-        vs.get_mut(m).partitions = fresh;
     }
+    let split_count = region.sum;
     region.account_split_all();
     Ok(split_count)
 }
@@ -179,7 +160,7 @@ pub fn split_all(
 /// Ties among equally-loaded donors are broken LIFO over admission order
 /// (the paper's step-3 sort leaves ties unspecified).
 pub fn greedy_add<R: DomusRng>(
-    vs: &mut VnodeStore,
+    vs: &VnodeStore,
     routing: &mut OwnerMap<VnodeId>,
     region: &mut GroupState,
     new: VnodeId,
@@ -187,16 +168,16 @@ pub fn greedy_add<R: DomusRng>(
     rng: &mut R,
     sink: &mut LedgeredSink<'_>,
 ) {
-    debug_assert_eq!(vs.get(new).count(), 0, "greedy_add expects a fresh vnode");
+    debug_assert_eq!(count(routing, new), 0, "greedy_add expects a fresh vnode");
     debug_assert!(region.members.contains(&new), "new vnode must be admitted first");
 
     // Bucket queue over partition counts: donors only ever step down one
     // bucket, so a single downward cursor visits each maximum in O(1).
-    let max_count = region.members.iter().map(|&m| vs.get(m).count()).max().unwrap_or(0) as usize;
+    let max_count = region.members.iter().map(|&m| count(routing, m)).max().unwrap_or(0) as usize;
     let mut buckets: Vec<Vec<VnodeId>> = vec![Vec::new(); max_count + 1];
     for &m in &region.members {
         if m != new {
-            buckets[vs.get(m).count() as usize].push(m);
+            buckets[count(routing, m) as usize].push(m);
         }
     }
     let mut cur = max_count;
@@ -240,7 +221,7 @@ pub fn greedy_add<R: DomusRng>(
 /// `[V_g, 2·V_g)` (all members at `Pmax` would make `V_g` a power of two,
 /// which G5' forbids), so `P_g ≤ (V_g − 1)·Pmax`.
 pub fn greedy_remove<R: DomusRng>(
-    vs: &mut VnodeStore,
+    vs: &VnodeStore,
     routing: &mut OwnerMap<VnodeId>,
     region: &mut GroupState,
     victim: VnodeId,
@@ -249,14 +230,14 @@ pub fn greedy_remove<R: DomusRng>(
     sink: &mut LedgeredSink<'_>,
 ) {
     debug_assert!(region.members.len() >= 2, "greedy_remove needs a surviving member");
-    let victim_count = vs.get(victim).count();
+    let victim_count = count(routing, victim);
     region.expel(victim, victim_count);
 
     let max_possible = cfg.pmax() as usize + 1;
     let mut buckets: Vec<Vec<VnodeId>> = vec![Vec::new(); max_possible + 1];
     let mut cur = usize::MAX;
     for &m in &region.members {
-        let c = vs.get(m).count() as usize;
+        let c = count(routing, m) as usize;
         debug_assert!(c <= max_possible);
         buckets[c].push(m);
         cur = cur.min(c);
@@ -274,7 +255,6 @@ pub fn greedy_remove<R: DomusRng>(
         );
         buckets[cur + 1].push(recv);
     }
-    debug_assert!(vs.get(victim).partitions.is_empty());
 }
 
 /// Error from [`merge_all`]: the region's partition set is not closed under
@@ -296,7 +276,7 @@ pub struct NotSiblingClosed {
 /// Precondition: every member's count is even (callers invoke this at the
 /// all-`Pmax` state) and the region sits above its birth level.
 pub fn merge_all<R: DomusRng>(
-    vs: &mut VnodeStore,
+    vs: &VnodeStore,
     routing: &mut OwnerMap<VnodeId>,
     region: &mut GroupState,
     _cfg: &DhtConfig,
@@ -313,7 +293,7 @@ pub fn merge_all<R: DomusRng>(
     // per-parent vectors.
     let mut children: Vec<(u64, Partition, VnodeId)> = Vec::with_capacity(region.sum as usize);
     for &m in &region.members {
-        for &p in &vs.get(m).partitions {
+        for &p in routing.holdings(&m) {
             children.push((p.index() >> 1, p, m));
         }
     }
@@ -336,7 +316,7 @@ pub fn merge_all<R: DomusRng>(
         .members
         .iter()
         .map(|&m| {
-            let c = vs.get(m).count();
+            let c = count(routing, m);
             debug_assert!(c % 2 == 0, "merge_all requires even counts, {m} has {c}");
             (m, c / 2)
         })
@@ -388,11 +368,9 @@ pub fn merge_all<R: DomusRng>(
     // Apply: route both children to the assignee, record the moves, merge.
     // A region spanning the whole map (global approach / single local
     // group) merges in one bulk rebuild; scattered groups use the in-place
-    // per-pair surgery.
+    // per-pair surgery, then list each member's parents in hash-space
+    // order, as the bulk rebuild does.
     let whole_map = region.sum == routing.len() as u64;
-    for &m in &region.members {
-        vs.get_mut(m).partitions.clear();
-    }
     let mut replacement = Vec::with_capacity(if whole_map { pairs } else { 0 });
     for (i, pair) in children.chunks_exact(2).enumerate() {
         let owner = assignment[i].expect("every pair was assigned");
@@ -408,19 +386,21 @@ pub fn merge_all<R: DomusRng>(
                 );
             }
         }
-        let merged = if whole_map {
+        if whole_map {
             let parent = pair[0].1.parent().expect("mergeable partitions sit below the root");
             replacement.push((parent, owner));
-            parent
         } else {
-            routing.merge(pair[0].1, pair[1].1).expect("siblings with a common owner merge")
-        };
-        vs.get_mut(owner).partitions.push(merged);
+            routing.merge(pair[0].1, pair[1].1).expect("siblings with a common owner merge");
+        }
     }
     if whole_map {
         // `children` was sorted by parent index at one common level, so the
         // parent list is in ascending hash-space order.
         routing.replace_all(replacement);
+    } else {
+        for &m in &region.members {
+            routing.sort_holdings(&m);
+        }
     }
     region.account_merge_all();
     Ok(pairs as u64)
@@ -431,7 +411,7 @@ pub fn merge_all<R: DomusRng>(
 /// through `sink`. Used after a group merge (deletion extension) to
 /// re-legalise counts.
 pub fn rebalance_spread<R: DomusRng>(
-    vs: &mut VnodeStore,
+    vs: &VnodeStore,
     routing: &mut OwnerMap<VnodeId>,
     region: &mut GroupState,
     cfg: &DhtConfig,
@@ -444,7 +424,7 @@ pub fn rebalance_spread<R: DomusRng>(
     loop {
         let (mut cmin, mut vmin, mut cmax, mut vmax) = (u64::MAX, None, 0u64, None);
         for &m in &region.members {
-            let c = vs.get(m).count();
+            let c = count(routing, m);
             if c < cmin {
                 cmin = c;
                 vmin = Some(m);
@@ -482,13 +462,17 @@ mod tests {
 
     /// A ledger seeded from the region's current distribution, so the
     /// streamed moves have registered snodes to debit and credit.
-    fn seeded_ledger(vs: &VnodeStore, region: &GroupState) -> SnodeLedger {
+    fn seeded_ledger(
+        vs: &VnodeStore,
+        routing: &OwnerMap<VnodeId>,
+        region: &GroupState,
+    ) -> SnodeLedger {
         let mut l = SnodeLedger::new();
         for &m in &region.members {
             let s = vs.get(m).name.snode;
             l.vnode_created(s);
-            if vs.get(m).count() > 0 {
-                l.gain(s, Quota::new(vs.get(m).count() as u128, region.level));
+            if count(routing, m) > 0 {
+                l.gain(s, Quota::new(count(routing, m) as u128, region.level));
             }
         }
         l
@@ -498,8 +482,8 @@ mod tests {
     fn seed_first_tiles_the_space_with_pmin_partitions() {
         let (mut vs, mut routing, mut region, cfg, _) = setup(8);
         let v = vs.create(crate::ids::SnodeId(0), 0);
-        seed_first(&mut vs, &mut routing, &mut region, v, &cfg);
-        assert_eq!(vs.get(v).count(), 8);
+        seed_first(&mut routing, &mut region, v, &cfg);
+        assert_eq!(count(&routing, v), 8);
         assert_eq!(region.level, 3);
         assert_eq!(region.sum, 8);
         routing.verify_coverage().unwrap();
@@ -509,16 +493,20 @@ mod tests {
     fn split_all_doubles_counts_and_advances_level() {
         let (mut vs, mut routing, mut region, cfg, _) = setup(4);
         let v = vs.create(crate::ids::SnodeId(0), 0);
-        seed_first(&mut vs, &mut routing, &mut region, v, &cfg);
-        let splits = split_all(&mut vs, &mut routing, &mut region).unwrap();
+        seed_first(&mut routing, &mut region, v, &cfg);
+        let splits = split_all(&mut routing, &mut region).unwrap();
         assert_eq!(splits, 4);
-        assert_eq!(vs.get(v).count(), 8);
+        assert_eq!(count(&routing, v), 8);
         assert_eq!(region.level, 3);
         routing.verify_coverage().unwrap();
-        // Partition lists agree with routing after the cascade.
-        for &p in &vs.get(v).partitions {
-            assert_eq!(routing.owner_of(p), Some(&v));
-        }
+        // The halves sit side by side in the owner's holdings.
+        let halves: Vec<Partition> = Partition::all_at_level(2)
+            .flat_map(|p| {
+                let (a, b) = p.split();
+                [a, b]
+            })
+            .collect();
+        assert_eq!(routing.holdings(&v), halves);
     }
 
     #[test]
@@ -528,10 +516,10 @@ mod tests {
         let mut routing = OwnerMap::new(cfg.hash_space());
         let mut region = GroupState::new(GroupId::FIRST, cfg.initial_level());
         let v = vs.create(crate::ids::SnodeId(0), 0);
-        seed_first(&mut vs, &mut routing, &mut region, v, &cfg);
+        seed_first(&mut routing, &mut region, v, &cfg);
         // Level 4 on a 4-bit space: no further splits possible.
         assert!(matches!(
-            split_all(&mut vs, &mut routing, &mut region),
+            split_all(&mut routing, &mut region),
             Err(DhtError::LevelOverflow { .. })
         ));
     }
@@ -540,20 +528,20 @@ mod tests {
     fn greedy_add_stops_at_spread_one() {
         let (mut vs, mut routing, mut region, cfg, mut rng) = setup(4);
         let a = vs.create(crate::ids::SnodeId(0), 0);
-        seed_first(&mut vs, &mut routing, &mut region, a, &cfg);
-        split_all(&mut vs, &mut routing, &mut region).unwrap();
+        seed_first(&mut routing, &mut region, a, &cfg);
+        split_all(&mut routing, &mut region).unwrap();
         let b = vs.create(crate::ids::SnodeId(1), 0);
         region.admit(b, 0);
-        let mut ledger = seeded_ledger(&vs, &region);
+        let mut ledger = seeded_ledger(&vs, &routing, &region);
         let mut collect = CollectReport::new();
         {
             let mut sink = LedgeredSink::new(&mut collect, &mut ledger);
-            greedy_add(&mut vs, &mut routing, &mut region, b, &cfg, &mut rng, &mut sink);
+            greedy_add(&vs, &mut routing, &mut region, b, &cfg, &mut rng, &mut sink);
         }
         let transfers = collect.transfers();
         assert_eq!(transfers.len(), 4, "[8,0] → [4,4]");
-        assert_eq!(vs.get(a).count(), 4);
-        assert_eq!(vs.get(b).count(), 4);
+        assert_eq!(count(&routing, a), 4);
+        assert_eq!(count(&routing, b), 4);
         assert!(transfers.iter().all(|t| t.from == a && t.to == b));
         assert!(ledger.total().is_one(), "streamed ledger moves conserve quota");
         assert_eq!(ledger.relstd_pct(), 0.0, "[4,4] over two snodes is perfectly even");
@@ -564,51 +552,51 @@ mod tests {
     fn all_at_pmin_uses_accumulators_correctly() {
         let (mut vs, mut routing, mut region, cfg, mut rng) = setup(4);
         let a = vs.create(crate::ids::SnodeId(0), 0);
-        seed_first(&mut vs, &mut routing, &mut region, a, &cfg);
-        assert!(all_at_pmin(&vs, &region, &cfg));
-        split_all(&mut vs, &mut routing, &mut region).unwrap();
-        assert!(!all_at_pmin(&vs, &region, &cfg), "counts are at Pmax now");
+        seed_first(&mut routing, &mut region, a, &cfg);
+        assert!(all_at_pmin(&region, &cfg));
+        split_all(&mut routing, &mut region).unwrap();
+        assert!(!all_at_pmin(&region, &cfg), "counts are at Pmax now");
         let b = vs.create(crate::ids::SnodeId(1), 0);
         region.admit(b, 0);
-        let mut ledger = seeded_ledger(&vs, &region);
+        let mut ledger = seeded_ledger(&vs, &routing, &region);
         let mut null = NullSink;
         let mut sink = LedgeredSink::new(&mut null, &mut ledger);
-        greedy_add(&mut vs, &mut routing, &mut region, b, &cfg, &mut rng, &mut sink);
+        greedy_add(&vs, &mut routing, &mut region, b, &cfg, &mut rng, &mut sink);
         drop(sink);
-        assert!(all_at_pmin(&vs, &region, &cfg), "[4,4] is all-at-Pmin again");
+        assert!(all_at_pmin(&region, &cfg), "[4,4] is all-at-Pmin again");
     }
 
     #[test]
     fn greedy_remove_then_merge_all_restores_seed_state() {
         let (mut vs, mut routing, mut region, cfg, mut rng) = setup(4);
         let a = vs.create(crate::ids::SnodeId(0), 0);
-        seed_first(&mut vs, &mut routing, &mut region, a, &cfg);
-        split_all(&mut vs, &mut routing, &mut region).unwrap();
+        seed_first(&mut routing, &mut region, a, &cfg);
+        split_all(&mut routing, &mut region).unwrap();
         let b = vs.create(crate::ids::SnodeId(1), 0);
         region.admit(b, 0);
-        let mut ledger = seeded_ledger(&vs, &region);
+        let mut ledger = seeded_ledger(&vs, &routing, &region);
         let mut collect = CollectReport::new();
         {
             let mut sink = LedgeredSink::new(&mut collect, &mut ledger);
-            greedy_add(&mut vs, &mut routing, &mut region, b, &cfg, &mut rng, &mut sink);
+            greedy_add(&vs, &mut routing, &mut region, b, &cfg, &mut rng, &mut sink);
         }
         collect.clear();
         // Remove b: a absorbs everything → all at Pmax → merge cascade.
         {
             let mut sink = LedgeredSink::new(&mut collect, &mut ledger);
-            greedy_remove(&mut vs, &mut routing, &mut region, b, &cfg, &mut rng, &mut sink);
+            greedy_remove(&vs, &mut routing, &mut region, b, &cfg, &mut rng, &mut sink);
         }
         assert_eq!(collect.transfers().len(), 4);
         vs.kill(b);
-        assert_eq!(vs.get(a).count(), 8);
+        assert_eq!(count(&routing, a), 8);
         collect.clear();
         let merges = {
             let mut sink = LedgeredSink::new(&mut collect, &mut ledger);
-            merge_all(&mut vs, &mut routing, &mut region, &cfg, &mut rng, &mut sink).unwrap()
+            merge_all(&vs, &mut routing, &mut region, &cfg, &mut rng, &mut sink).unwrap()
         };
         assert_eq!(merges, 4);
         assert!(collect.transfers().is_empty(), "single owner ⇒ all pairs co-located");
-        assert_eq!(vs.get(a).count(), 4);
+        assert_eq!(count(&routing, a), 4);
         assert_eq!(region.level, cfg.initial_level());
         assert!(ledger.total().is_one());
         routing.verify_coverage().unwrap();
@@ -630,21 +618,20 @@ mod tests {
         for (i, owner) in [(0u64, a), (1, b), (2, a), (3, b)] {
             let p = Partition::new(2, i);
             routing.insert(p, owner).unwrap();
-            vs.get_mut(owner).partitions.push(p);
         }
         region.admit(a, 2);
         region.admit(b, 2);
         let mut rng = Xoshiro256pp::seed_from_u64(3);
-        let mut ledger = seeded_ledger(&vs, &region);
+        let mut ledger = seeded_ledger(&vs, &routing, &region);
         let mut collect = CollectReport::new();
         let merges = {
             let mut sink = LedgeredSink::new(&mut collect, &mut ledger);
-            merge_all(&mut vs, &mut routing, &mut region, &cfg, &mut rng, &mut sink).unwrap()
+            merge_all(&vs, &mut routing, &mut region, &cfg, &mut rng, &mut sink).unwrap()
         };
         assert_eq!(merges, 2);
         assert_eq!(collect.transfers().len(), 2, "each pair needs one co-location transfer");
-        assert_eq!(vs.get(a).count(), 1);
-        assert_eq!(vs.get(b).count(), 1);
+        assert_eq!(count(&routing, a), 1);
+        assert_eq!(count(&routing, b), 1);
         assert_eq!(region.level, 1);
         assert!(ledger.total().is_one(), "co-location moves conserve snode quota");
         routing.verify_coverage().unwrap();
@@ -666,15 +653,13 @@ mod tests {
         for (i, owner) in [(0u64, a), (1, outside), (2, a), (3, outside)] {
             let p = Partition::new(2, i);
             routing.insert(p, owner).unwrap();
-            vs.get_mut(owner).partitions.push(p);
         }
         region.admit(a, 2);
         let mut rng = Xoshiro256pp::seed_from_u64(3);
-        let mut ledger = seeded_ledger(&vs, &region);
+        let mut ledger = seeded_ledger(&vs, &routing, &region);
         let mut null = NullSink;
         let mut sink = LedgeredSink::new(&mut null, &mut ledger);
-        let err =
-            merge_all(&mut vs, &mut routing, &mut region, &cfg, &mut rng, &mut sink).unwrap_err();
+        let err = merge_all(&vs, &mut routing, &mut region, &cfg, &mut rng, &mut sink).unwrap_err();
         assert!(matches!(err, NotSiblingClosed { .. }));
     }
 
@@ -694,18 +679,17 @@ mod tests {
             for i in range.clone() {
                 let p = Partition::new(4, i);
                 routing.insert(p, v).unwrap();
-                vs.get_mut(v).partitions.push(p);
             }
             region.admit(v, range.end - range.start);
         }
         let mut rng = Xoshiro256pp::seed_from_u64(5);
-        let mut ledger = seeded_ledger(&vs, &region);
+        let mut ledger = seeded_ledger(&vs, &routing, &region);
         {
             let mut null = NullSink;
             let mut sink = LedgeredSink::new(&mut null, &mut ledger);
-            rebalance_spread(&mut vs, &mut routing, &mut region, &cfg, &mut rng, &mut sink);
+            rebalance_spread(&vs, &mut routing, &mut region, &cfg, &mut rng, &mut sink);
         }
-        let counts: Vec<u64> = region.members.iter().map(|&m| vs.get(m).count()).collect();
+        let counts: Vec<u64> = region.members.iter().map(|&m| count(&routing, m)).collect();
         let min = counts.iter().min().unwrap();
         let max = counts.iter().max().unwrap();
         assert!(max - min <= 1, "counts {counts:?}");

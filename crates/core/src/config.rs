@@ -15,15 +15,20 @@ use domus_util::bits::is_power_of_two;
 /// (§2.5, step 4a) — the choice does not affect quotas (all partitions of a
 /// group share one size), but it does affect data-migration locality, so it
 /// is exposed as a policy (ablation ABL-VICTIM).
+///
+/// Each variant picks a position in the donor's holdings, the routing
+/// map's owner index (`OwnerMap::holdings`), whose order is documented in
+/// `domus_hashspace::range_map`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VictimPartitionPolicy {
-    /// A uniformly random partition of the donor (default; matches the
-    /// paper's stochastic spirit).
+    /// A uniformly random position in the donor's holdings (default;
+    /// matches the paper's stochastic spirit).
     #[default]
     Random,
-    /// The donor's most recently acquired partition (LIFO; cheapest list op).
+    /// The last position (LIFO: a receiver appends; the cheapest removal).
     Last,
-    /// The donor's oldest partition (FIFO).
+    /// The first position (FIFO): the donor's later holdings shift up one
+    /// place and keep their order.
     First,
 }
 

@@ -35,6 +35,7 @@ use crate::group_id::GroupId;
 use crate::ids::VnodeId;
 use crate::local::{BalancedDht, RegionPolicy};
 use crate::sink::{LedgeredSink, RebalanceEvent, RebalanceSink};
+use crate::state::count;
 use domus_util::DomusRng;
 
 /// Entry point used by [`BalancedDht::remove_vnode_with`]. Every quota
@@ -103,6 +104,7 @@ fn intra_group_remove<P, R: DomusRng>(
         let mut ls = LedgeredSink::new(sink, ledger);
         balance::greedy_remove(vs, routing, &mut groups[slot as usize], v, cfg, rng, &mut ls);
     }
+    assert_eq!(count(&dht.routing, v), 0, "killing {v} while it still owns partitions");
     dht.vs.kill(v);
     let saturated = balance::all_at_pmax(&dht.groups[slot as usize], &dht.cfg);
     if saturated {
@@ -178,8 +180,7 @@ fn merge_groups<P: RegionPolicy, R: DomusRng>(
     let target = dht.groups[a as usize].level.max(dht.groups[b as usize].level);
     for slot in [a, b] {
         while dht.groups[slot as usize].level < target {
-            let count =
-                balance::split_all(&mut dht.vs, &mut dht.routing, &mut dht.groups[slot as usize])?;
+            let count = balance::split_all(&mut dht.routing, &mut dht.groups[slot as usize])?;
             sink.event(RebalanceEvent::PartitionSplit { count });
         }
     }
@@ -194,8 +195,7 @@ fn merge_groups<P: RegionPolicy, R: DomusRng>(
         dht.groups[slot as usize].clear_accumulators();
         for m in members {
             dht.vs.get_mut(m).group = merged_slot;
-            let count = dht.vs.get(m).count();
-            merged.admit(m, count);
+            merged.admit(m, count(&dht.routing, m));
         }
     }
     dht.groups.push(merged);

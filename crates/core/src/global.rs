@@ -15,7 +15,7 @@
 use crate::local::{BalancedDht, RegionPolicy};
 use crate::record::Pdr;
 use crate::sink::RebalanceSink;
-use crate::state::GroupState;
+use crate::state::{count, GroupState};
 use domus_metrics::relstd::rel_std_dev_counts_pct;
 use domus_util::{DomusRng, Xoshiro256pp};
 
@@ -57,7 +57,7 @@ impl<R: DomusRng> GlobalDht<R> {
     /// valid only in the global approach.
     pub fn partition_count_relstd_pct(&self) -> f64 {
         let counts: Vec<u64> =
-            self.region().members.iter().map(|&m| self.vs.get(m).count()).collect();
+            self.region().members.iter().map(|&m| count(&self.routing, m)).collect();
         rel_std_dev_counts_pct(&counts)
     }
 

@@ -1,10 +1,12 @@
 //! The model's invariant checker.
 //!
 //! Verifies every invariant of §2.2 (G1–G5) and §3.3 (L1, L2, G1'–G5') of
-//! the paper, plus the structural consistency of the engine internals
-//! (routing ↔ partition lists ↔ accumulators ↔ group membership). Used by
-//! unit, integration and property tests, and — behind `debug_assertions` —
-//! after every mutating engine operation.
+//! the paper, plus the structural consistency of the engine internals: the
+//! routing map's owner index ↔ its entries, every routed partition held by
+//! a live vnode, and counts ↔ accumulators ↔ group membership. A vnode's
+//! holdings are read straight off the owner index, the engine's one list
+//! of them. Used by unit, integration and property tests, and — behind
+//! `debug_assertions` — after every mutating engine operation.
 //!
 //! The checks are deliberately exhaustive (O(V·P)); production callers
 //! sample them, tests run them after every step.
@@ -13,7 +15,7 @@ use crate::config::DhtConfig;
 use crate::group_id::GroupId;
 use crate::ids::{SnodeId, VnodeId};
 use crate::ledger::SnodeLedger;
-use crate::state::{GroupState, VnodeStore};
+use crate::state::{count, GroupState, VnodeStore};
 use domus_hashspace::{OwnerMap, Quota};
 use domus_util::bits::is_power_of_two;
 use std::collections::BTreeMap;
@@ -23,7 +25,7 @@ use std::collections::BTreeMap;
 pub enum InvariantViolation {
     /// G1/G1': the partitions do not tile `R_h` (gap/overlap/size mismatch).
     Coverage(String),
-    /// A vnode's partition is not routed to it, or vice versa.
+    /// A partition is routed to a vnode that is not live.
     RoutingMismatch {
         /// The vnode involved.
         vnode: VnodeId,
@@ -211,26 +213,20 @@ pub fn check(
     // --- The routing map's owner index agrees with its entries.
     routing.verify_index().map_err(|e| InvariantViolation::Coverage(e.to_string()))?;
 
-    // --- Routing ↔ partition-list agreement, in both directions.
-    let mut total_listed = 0usize;
-    for v in vs.iter_alive() {
-        for &p in &vs.get(v).partitions {
-            total_listed += 1;
-            match routing.owner_of(p) {
-                Some(&owner) if owner == v => {}
-                other => {
-                    return Err(InvariantViolation::RoutingMismatch {
-                        vnode: v,
-                        detail: format!("partition {p} routed to {other:?}"),
-                    });
-                }
-            }
-        }
-    }
-    if total_listed != routing.len() {
+    // --- Every routed partition is held by a live vnode: the live counts
+    //     sum to the routed total.
+    let held: u64 = vs.iter_alive().map(|v| count(routing, v)).sum();
+    if held != routing.len() as u64 {
+        let (p, &vnode) = routing
+            .iter()
+            .find(|(_, o)| !vs.is_alive(**o))
+            .expect("a partition the live vnodes do not hold has a dead owner");
         return Err(InvariantViolation::RoutingMismatch {
-            vnode: VnodeId(u32::MAX),
-            detail: format!("{} partitions listed, {} routed", total_listed, routing.len()),
+            vnode,
+            detail: format!(
+                "partition {p} routed to a dead vnode ({held} of {} held)",
+                routing.len()
+            ),
         });
     }
 
@@ -270,7 +266,7 @@ pub fn check(
     for g in &live {
         // G3': every partition at the group's level.
         for &m in &g.members {
-            for &p in &vs.get(m).partitions {
+            for &p in routing.holdings(&m) {
                 if p.level() != g.level {
                     return Err(InvariantViolation::WrongLevel {
                         gid: g.gid,
@@ -284,7 +280,7 @@ pub fn check(
         // G4': counts within [Pmin, Pmax] (trivially relaxed for a
         // single-vnode DHT, where V = 1 forces Pv = Pmin anyway).
         for &m in &g.members {
-            let c = vs.get(m).count();
+            let c = count(routing, m);
             if c < cfg.pmin || c > cfg.pmax() {
                 return Err(InvariantViolation::CountOutOfBounds {
                     vnode: m,
@@ -294,13 +290,13 @@ pub fn check(
             }
         }
         // G2': P_g a power of two.
-        let total: u64 = g.members.iter().map(|&m| vs.get(m).count()).sum();
+        let total: u64 = g.members.iter().map(|&m| count(routing, m)).sum();
         if !is_power_of_two(total) {
             return Err(InvariantViolation::TotalNotPowerOfTwo { gid: g.gid, total });
         }
         // G5': power-of-two member count ⇒ all counts = Pmin.
         if is_power_of_two(g.members.len() as u64)
-            && g.members.iter().any(|&m| vs.get(m).count() != cfg.pmin)
+            && g.members.iter().any(|&m| count(routing, m) != cfg.pmin)
         {
             return Err(InvariantViolation::PowerOfTwoNotUniform {
                 gid: g.gid,
@@ -308,14 +304,14 @@ pub fn check(
             });
         }
         // Spread theorem: counts within the region differ by at most 1.
-        let min = g.members.iter().map(|&m| vs.get(m).count()).min().unwrap_or(0);
-        let max = g.members.iter().map(|&m| vs.get(m).count()).max().unwrap_or(0);
+        let min = g.members.iter().map(|&m| count(routing, m)).min().unwrap_or(0);
+        let max = g.members.iter().map(|&m| count(routing, m)).max().unwrap_or(0);
         if max - min > 1 {
             return Err(InvariantViolation::SpreadTooWide { gid: g.gid, min_max: (min, max) });
         }
         // Accumulators.
         let sum: u64 = total;
-        let sumsq: u64 = g.members.iter().map(|&m| vs.get(m).count().pow(2)).sum();
+        let sumsq: u64 = g.members.iter().map(|&m| count(routing, m).pow(2)).sum();
         if g.sum != sum || g.sumsq != sumsq {
             return Err(InvariantViolation::AccumulatorDrift {
                 gid: g.gid,
@@ -328,7 +324,7 @@ pub fn check(
         // Count histogram.
         let mut hist: Vec<u32> = Vec::new();
         for &m in &g.members {
-            let c = vs.get(m).count() as usize;
+            let c = count(routing, m) as usize;
             if hist.len() <= c {
                 hist.resize(c + 1, 0);
             }
@@ -397,7 +393,7 @@ pub fn check(
         let mut sum = Quota::ZERO;
         for g in &live {
             // Members' quotas: count / 2^level each.
-            let counts: u64 = g.members.iter().map(|&m| vs.get(m).count()).sum();
+            let counts: u64 = g.members.iter().map(|&m| count(routing, m)).sum();
             sum = sum + Quota::of_partitions(counts, g.level);
         }
         if !sum.is_one() {
@@ -411,7 +407,7 @@ pub fn check(
         for &m in &g.members {
             let s = vs.get(m).name.snode;
             let e = fresh.entry(s).or_insert((Quota::ZERO, 0));
-            e.0 = e.0 + Quota::of_partitions(vs.get(m).count(), g.level);
+            e.0 = e.0 + Quota::of_partitions(count(routing, m), g.level);
             e.1 += 1;
         }
     }
@@ -437,4 +433,32 @@ pub fn check(
     }
 
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::DhtEngine;
+    use crate::local::LocalDht;
+    use crate::sink::NullSink;
+    use domus_hashspace::HashSpace;
+
+    #[test]
+    fn a_partition_stranded_on_a_removed_vnode_is_a_routing_mismatch() {
+        let cfg = DhtConfig::new(HashSpace::new(32), 4, 2).unwrap();
+        let mut dht = LocalDht::with_seed(cfg, 3);
+        for s in 0..6 {
+            dht.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
+        }
+        let gone = dht.vnodes()[2];
+        dht.remove_vnode_with(gone, &mut NullSink).unwrap();
+        dht.check_invariants().unwrap();
+
+        let (p, _) = dht.lookup(0).unwrap();
+        dht.routing.transfer(p, gone).unwrap();
+        match dht.check_invariants() {
+            Err(InvariantViolation::RoutingMismatch { vnode, .. }) => assert_eq!(vnode, gone),
+            other => panic!("expected a routing mismatch, got {other:?}"),
+        }
+    }
 }

@@ -37,7 +37,7 @@ use crate::invariants::{self, InvariantViolation};
 use crate::ledger::SnodeLedger;
 use crate::record::{Pdr, PdrEntry};
 use crate::sink::{LedgeredSink, RebalanceEvent, RebalanceSink};
-use crate::state::{GroupState, VnodeStore};
+use crate::state::{count, GroupState, VnodeStore};
 use crate::stats::BalanceSnapshot;
 use domus_hashspace::{OwnerMap, Partition, Quota};
 use domus_util::{DomusRng, Xoshiro256pp};
@@ -168,7 +168,7 @@ impl<P: RegionPolicy, R: DomusRng> BalancedDht<P, R> {
                 .iter()
                 .map(|&m| PdrEntry {
                     vnode: self.vs.get(m).name,
-                    partitions: self.vs.get(m).count(),
+                    partitions: count(&self.routing, m),
                 })
                 .collect(),
         )
@@ -191,12 +191,8 @@ impl<P: RegionPolicy, R: DomusRng> BalancedDht<P, R> {
         // §2.5: when the region's count is a power of two every member
         // holds Pmin (G5'), and the handover would drop one below Pmin —
         // so every member binary-splits its partitions first.
-        if balance::all_at_pmin(&self.vs, &self.groups[slot as usize], &self.cfg) {
-            let count = balance::split_all(
-                &mut self.vs,
-                &mut self.routing,
-                &mut self.groups[slot as usize],
-            )?;
+        if balance::all_at_pmin(&self.groups[slot as usize], &self.cfg) {
+            let count = balance::split_all(&mut self.routing, &mut self.groups[slot as usize])?;
             sink.event(RebalanceEvent::PartitionSplit { count });
         }
         let v = self.vs.create(snode, slot);
@@ -311,13 +307,13 @@ impl<R: DomusRng> LocalDht<R> {
         let mut child0 = GroupState::new(gid0, level);
         let mut child1 = GroupState::new(gid1, level);
         for (i, &m) in members.iter().enumerate() {
-            let count = self.vs.get(m).count();
+            let pv = count(&self.routing, m);
             if i < half {
                 self.vs.get_mut(m).group = slot0;
-                child0.admit(m, count);
+                child0.admit(m, pv);
             } else {
                 self.vs.get_mut(m).group = slot1;
-                child1.admit(m, count);
+                child1.admit(m, pv);
             }
         }
         self.groups.push(child0);
@@ -351,13 +347,7 @@ impl<P: RegionPolicy, R: DomusRng> DhtEngine for BalancedDht<P, R> {
         if self.vs.alive_count() == 0 {
             let slot = self.live_slots[0];
             let v = self.vs.create(snode, slot);
-            balance::seed_first(
-                &mut self.vs,
-                &mut self.routing,
-                &mut self.groups[slot as usize],
-                v,
-                &self.cfg,
-            );
+            balance::seed_first(&mut self.routing, &mut self.groups[slot as usize], v, &self.cfg);
             self.ledger.vnode_created(snode);
             self.ledger.gain(snode, Quota::ONE);
             self.debug_check();
@@ -410,24 +400,24 @@ impl<P: RegionPolicy, R: DomusRng> DhtEngine for BalancedDht<P, R> {
 
     fn partitions_of(&self, v: VnodeId) -> Result<Vec<Partition>, DhtError> {
         self.ensure_alive(v)?;
-        Ok(self.vs.get(v).partitions.clone())
+        Ok(self.routing.holdings(&v).to_vec())
     }
 
     fn partition_count(&self, v: VnodeId) -> Result<u64, DhtError> {
         self.ensure_alive(v)?;
-        Ok(self.vs.get(v).count())
+        Ok(count(&self.routing, v))
     }
 
     fn quota_of(&self, v: VnodeId) -> Result<f64, DhtError> {
         self.ensure_alive(v)?;
         let level = self.groups[self.vs.get(v).group as usize].level;
-        Ok(self.vs.get(v).count() as f64 / (level as f64).exp2())
+        Ok(count(&self.routing, v) as f64 / (level as f64).exp2())
     }
 
     fn for_each_quota(&self, f: &mut dyn FnMut(f64)) {
         self.vs.iter_alive().for_each(|v| {
             let level = self.groups[self.vs.get(v).group as usize].level;
-            f(self.vs.get(v).count() as f64 / (level as f64).exp2())
+            f(count(&self.routing, v) as f64 / (level as f64).exp2())
         });
     }
 

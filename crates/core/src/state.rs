@@ -2,8 +2,12 @@
 //!
 //! The balanced engine's representation, for both approaches:
 //!
-//! * [`VnodeStore`] — a dense arena of [`VnodeState`]s. Handles are never
-//!   reused; deleted vnodes leave tombstones so stale handles fail loudly.
+//! * [`VnodeStore`] — a dense arena of [`VnodeState`]s: name, group and
+//!   liveness. Handles are never reused; deleted vnodes leave tombstones so
+//!   stale handles fail loudly. What a vnode holds is not here: the routing
+//!   map's owner index ([`OwnerMap::holdings`]) is the one list of each
+//!   vnode's partitions, in the donor order the balance kernel indexes
+//!   into, and [`count`] reads `Pv` off it.
 //! * [`GroupState`] — one balancement *region*: the whole DHT for the
 //!   global approach, one group for the local approach. It carries the
 //!   paper's per-group facts (identifier, common splitlevel `l_g`, member
@@ -13,7 +17,13 @@
 
 use crate::group_id::GroupId;
 use crate::ids::{CanonicalName, SnodeId, VnodeId};
-use domus_hashspace::Partition;
+use domus_hashspace::OwnerMap;
+
+/// Partition count `Pv` of `v`, off the routing map's owner index.
+#[inline]
+pub fn count(routing: &OwnerMap<VnodeId>, v: VnodeId) -> u64 {
+    routing.partition_count_of(&v) as u64
+}
 
 /// State of one virtual node.
 #[derive(Debug, Clone)]
@@ -22,20 +32,8 @@ pub struct VnodeState {
     pub name: CanonicalName,
     /// Slot of the owning group in the engine's group arena.
     pub group: u32,
-    /// The partitions bound to this vnode — all at the group's splitlevel
-    /// (invariant G3'). Order is insertion order; transfer policies index
-    /// into it.
-    pub partitions: Vec<Partition>,
     /// `false` once deleted (tombstone).
     pub alive: bool,
-}
-
-impl VnodeState {
-    /// Partition count `Pv`.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.partitions.len() as u64
-    }
 }
 
 /// Dense vnode arena.
@@ -62,12 +60,7 @@ impl VnodeStore {
         }
         let local = self.per_snode[snode.index()];
         self.per_snode[snode.index()] += 1;
-        self.slots.push(VnodeState {
-            name: CanonicalName { snode, local },
-            group,
-            partitions: Vec::new(),
-            alive: true,
-        });
+        self.slots.push(VnodeState { name: CanonicalName { snode, local }, group, alive: true });
         self.alive += 1;
         id
     }
@@ -95,11 +88,10 @@ impl VnodeStore {
     /// Tombstones a vnode (its partitions must already be redistributed).
     ///
     /// # Panics
-    /// Panics if the vnode still owns partitions or is already dead.
+    /// Panics if the vnode is already dead.
     pub fn kill(&mut self, v: VnodeId) {
         let s = &mut self.slots[v.index()];
         assert!(s.alive, "double-kill of {v}");
-        assert!(s.partitions.is_empty(), "killing {v} while it still owns partitions");
         s.alive = false;
         self.alive -= 1;
     }
@@ -309,22 +301,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "still owns partitions")]
-    fn kill_with_partitions_panics() {
-        let mut vs = VnodeStore::new();
-        let a = vs.create(SnodeId(0), 0);
-        vs.get_mut(a).partitions.push(Partition::ROOT);
-        vs.kill(a);
-    }
-
-    #[test]
     fn accumulators_track_moves() {
         let mut vs = VnodeStore::new();
         let mut g = GroupState::new(GroupId::FIRST, 3);
         let a = vs.create(SnodeId(0), 0);
         let b = vs.create(SnodeId(0), 0);
-        // a holds 5, b holds 3 (synthetic counts via direct partition pushes
-        // is unnecessary: accumulators are driven by the caller).
+        // a holds 5, b holds 3 (synthetic counts: the accumulators are
+        // driven by the caller).
         g.admit(a, 5);
         g.admit(b, 3);
         assert_eq!(g.sum, 8);

@@ -14,16 +14,10 @@
 //! paths (and whatever state they leave behind) are pinned too.
 
 use domus_core::{CollectReport, DhtConfig, DhtEngine, GlobalDht, LocalDht, SnodeId, VnodeId};
-use domus_hashspace::HashSpace;
+use domus_hashspace::{hasher::Fnv1aHasher, HashSpace};
 use std::fmt::{Debug, Write};
 
 const SEED: u64 = 7;
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// Records one operation's events and result, then the engine's state.
 fn record<E: DhtEngine, T: Debug>(
@@ -117,7 +111,7 @@ fn transcript<E: DhtEngine>(mut dht: E, extra: &dyn Fn(&E, &mut String)) -> u64 
     for i in 0..10u32 {
         let _ = op!(format!("regrow {i}"), dht.create_vnode_with(SnodeId(i % 3), &mut events));
     }
-    fnv1a(&t)
+    Fnv1aHasher::raw(t.as_bytes())
 }
 
 fn cfg(bits: u32, pmin: u64, vmin: u64) -> DhtConfig {

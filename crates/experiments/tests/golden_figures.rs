@@ -8,13 +8,7 @@
 //! before it shows up in `results/`.
 
 use domus_experiments::{ablations, claims, fig4, fig5, fig6, fig7, fig8, fig9, Ctx};
-
-/// FNV-1a over the file's bytes.
-fn digest(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+use domus_hashspace::hasher::Fnv1aHasher;
 
 #[test]
 fn run_averaged_csvs_match_the_golden_digests() {
@@ -46,7 +40,7 @@ fn run_averaged_csvs_match_the_golden_digests() {
         .map(|&name| {
             let path = dir.join(format!("{name}.csv"));
             let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
-            (name, digest(&bytes))
+            (name, Fnv1aHasher::raw(&bytes))
         })
         .collect();
     std::fs::remove_dir_all(&dir).expect("remove the output directory");

@@ -8,11 +8,19 @@
 //! point and relies on the split-tree structure for non-overlap.
 //!
 //! Alongside the point-ordered entry map the structure maintains a
-//! **per-owner reverse index**: owner → its partitions plus an exact
-//! cached [`Quota`] accumulator, stored in a dense arena addressed by
-//! [`OwnerKey::dense`] so the per-mutation upkeep is an array access and
-//! a short vector scan — not tree surgery. The index makes the
-//! owner-oriented queries cheap:
+//! **per-owner reverse index**: owner → its *holdings*, stored in a dense
+//! arena addressed by [`OwnerKey::dense`] so the per-mutation upkeep is an
+//! array access and a short vector scan — not tree surgery. The holdings
+//! are the engines' one per-owner partition list, and their order is a
+//! contract that the balanced engine's donor policies index into:
+//!
+//! * an owner appends what it receives (`insert`, `transfer`,
+//!   `replace_all` in input order);
+//! * `transfer` and `remove` fill the old owner's hole with its last
+//!   partition; `transfer_shifting` shifts its later partitions up instead;
+//! * `split` and `split_all` put the left half in the parent's place and
+//!   the right half directly after it; `merge` puts the parent in the left
+//!   child's place; `sort_holdings` restores hash-space order.
 //!
 //! | operation            | complexity                                      |
 //! |----------------------|-------------------------------------------------|
@@ -22,15 +30,12 @@
 //! | `split` / `merge`    | `O(log P + Pv)` (in place, no re-validation)    |
 //! | `split_all`          | `O(P)` (bulk rebuild)                           |
 //! | `replace_all`        | `O(P)` (bulk rebuild)                           |
-//! | `partitions_of`      | `O(Pv log Pv)` (sorted copy off the index)      |
-//! | `quota_of`           | `O(1)` (cached, exact)                          |
-//! | `owner_quotas`       | `O(V)`                                          |
+//! | `holdings`           | `O(1)` (a slice of the index)                   |
 //!
 //! (`P` partitions, `V` owners, `Pv` partitions of one owner — bounded by
 //! `Pmax` in the model, so the `Pv` terms are small constants.)
 
 use crate::partition::Partition;
-use crate::quota::Quota;
 use crate::space::HashSpace;
 use std::collections::BTreeMap;
 
@@ -92,14 +97,13 @@ macro_rules! impl_owner_key {
 }
 impl_owner_key!(u8, u16, u32, usize);
 
-/// One owner's slice of the index: its partitions (unordered — owners
-/// hold few partitions, so a flat vector beats tree surgery on the
-/// transfer hot path) and the exact sum of their quotas.
+/// One owner's slice of the index: its holdings, in the order the module
+/// docs state (owners hold few partitions, so a flat vector beats tree
+/// surgery on the transfer hot path).
 #[derive(Debug, Clone)]
 struct OwnerEntry<T> {
     owner: T,
     parts: Vec<Partition>,
-    quota: Quota,
 }
 
 impl<T> OwnerEntry<T> {
@@ -117,9 +121,9 @@ pub struct OwnerMap<T> {
     // start point → (partition, owner). Starts are unique because entries
     // never overlap; the partition carries its level (and thus its end).
     entries: BTreeMap<u64, (Partition, T)>,
-    // Dense arena over OwnerKey::dense: owner → partitions + cached
-    // quota. Slots of owners with no partitions are vacated, so the index
-    // never keeps an owner alive past its last hand-over.
+    // Dense arena over OwnerKey::dense: owner → holdings. Slots of owners
+    // with no partitions are vacated, so the index never keeps an owner
+    // alive past its last hand-over.
     owners: Vec<Option<OwnerEntry<T>>>,
     owner_count: usize,
 }
@@ -172,25 +176,28 @@ impl<T: OwnerKey> OwnerMap<T> {
                 debug_assert!(!e.parts.contains(&p), "index already held {p}");
                 debug_assert!(e.owner == *owner, "dense index collision");
                 e.parts.push(p);
-                e.quota = e.quota + p.quota();
             }
             None => {
-                *slot = Some(OwnerEntry { owner: owner.clone(), parts: vec![p], quota: p.quota() });
+                *slot = Some(OwnerEntry { owner: owner.clone(), parts: vec![p] });
                 *count += 1;
             }
         }
     }
 
     /// Unregisters `p` from `owner` in the index, vacating empty owners.
-    fn index_remove(&mut self, owner: &T, p: Partition) {
+    /// The owner's last partition fills the hole, or with `shift` its later
+    /// partitions move up one place.
+    fn index_remove(&mut self, owner: &T, p: Partition, shift: bool) {
         let count = &mut self.owner_count;
         let slot = &mut self.owners[owner.dense()];
         let e = slot.as_mut().expect("mutated owner is indexed");
         let at = e.slot_of(p);
-        e.parts.swap_remove(at);
-        e.quota = e.quota - p.quota();
+        if shift {
+            e.parts.remove(at);
+        } else {
+            e.parts.swap_remove(at);
+        }
         if e.parts.is_empty() {
-            debug_assert!(e.quota.is_zero());
             *slot = None;
             *count -= 1;
         }
@@ -224,7 +231,7 @@ impl<T: OwnerKey> OwnerMap<T> {
         match self.entries.get(&start) {
             Some((q, _)) if *q == p => {
                 let (_, owner) = self.entries.remove(&start).expect("checked");
-                self.index_remove(&owner, p);
+                self.index_remove(&owner, p, false);
                 Ok(owner)
             }
             _ => Err(MapError::Missing(p)),
@@ -232,13 +239,24 @@ impl<T: OwnerKey> OwnerMap<T> {
     }
 
     /// Reassigns an existing partition to a new owner, returning the old one.
+    /// The old owner's last partition fills the hole.
     pub fn transfer(&mut self, p: Partition, new_owner: T) -> Result<T, MapError> {
+        self.reassign(p, new_owner, false)
+    }
+
+    /// [`OwnerMap::transfer`], but the old owner's later partitions shift up
+    /// one place, so its holdings keep their order.
+    pub fn transfer_shifting(&mut self, p: Partition, new_owner: T) -> Result<T, MapError> {
+        self.reassign(p, new_owner, true)
+    }
+
+    fn reassign(&mut self, p: Partition, new_owner: T, shift: bool) -> Result<T, MapError> {
         let start = p.start(self.space);
         let old = match self.entries.get_mut(&start) {
             Some((q, owner)) if *q == p => std::mem::replace(owner, new_owner.clone()),
             _ => return Err(MapError::Missing(p)),
         };
-        self.index_remove(&old, p);
+        self.index_remove(&old, p, shift);
         self.index_add(&new_owner, p);
         Ok(old)
     }
@@ -261,12 +279,10 @@ impl<T: OwnerKey> OwnerMap<T> {
         let mid = b.start(self.space);
         let prev = self.entries.insert(mid, (b, owner.clone()));
         debug_assert!(prev.is_none(), "the parent covered its own right half");
-        // Index: same owner, same quota (1/2^l = 2 · 1/2^(l+1)); only the
-        // partition set changes.
         let e = self.owners[owner.dense()].as_mut().expect("split owner is indexed");
         let at = e.slot_of(p);
         e.parts[at] = a;
-        e.parts.push(b);
+        e.parts.insert(at + 1, b);
         Ok((a, b))
     }
 
@@ -338,9 +354,16 @@ impl<T: OwnerKey> OwnerMap<T> {
                     [a, b]
                 })
                 .collect();
-            // Quotas are unchanged: 1/2^l = 2 · 1/2^(l+1).
         }
         n
+    }
+
+    /// Sorts `owner`'s holdings into hash-space order — `O(Pv log Pv)`.
+    pub fn sort_holdings(&mut self, owner: &T) {
+        let space = self.space;
+        if let Some(e) = self.owners.get_mut(owner.dense()).and_then(Option::as_mut) {
+            e.parts.sort_unstable_by_key(|p| p.start(space));
+        }
     }
 
     /// Replaces the entire map with `new`, given in ascending hash-space
@@ -417,36 +440,14 @@ impl<T: OwnerKey> OwnerMap<T> {
         self.entries.range(pivot..).chain(self.entries.range(..pivot)).map(|(_, (p, o))| (*p, o))
     }
 
-    /// All partitions of `owner`, in hash-space order — `O(Pv log Pv)`
-    /// straight off the owner index (the index keeps the set unordered;
-    /// this accessor sorts its copy).
-    pub fn partitions_of(&self, owner: &T) -> Vec<Partition> {
-        let Some(e) = self.owners.get(owner.dense()).and_then(Option::as_ref) else {
-            return Vec::new();
-        };
-        let mut out = e.parts.clone();
-        out.sort_unstable_by_key(|p| p.start(self.space));
-        out
+    /// The partitions `owner` holds, in the order the module docs state.
+    pub fn holdings(&self, owner: &T) -> &[Partition] {
+        self.owners.get(owner.dense()).and_then(Option::as_ref).map_or(&[], |e| &e.parts)
     }
 
     /// Number of partitions held by `owner` — `O(1)`.
     pub fn partition_count_of(&self, owner: &T) -> usize {
-        self.owners.get(owner.dense()).and_then(Option::as_ref).map(|e| e.parts.len()).unwrap_or(0)
-    }
-
-    /// Exact total quota covered by `owner`'s partitions — `O(1)`, served
-    /// from the index's cached accumulator.
-    pub fn quota_of(&self, owner: &T) -> Quota {
-        self.owners
-            .get(owner.dense())
-            .and_then(Option::as_ref)
-            .map(|e| e.quota)
-            .unwrap_or(Quota::ZERO)
-    }
-
-    /// Every owner with its exact quota, in dense-index order — `O(V)`.
-    pub fn owner_quotas(&self) -> impl Iterator<Item = (&T, Quota)> {
-        self.owners.iter().flatten().map(|e| (&e.owner, e.quota))
+        self.holdings(owner).len()
     }
 
     /// Verifies invariant G1: the entries tile `R_h` exactly — no gaps, no
@@ -468,11 +469,9 @@ impl<T: OwnerKey> OwnerMap<T> {
     /// Verifies the owner index against a from-scratch recomputation over
     /// the entry map (O(P log P); test/debug oracle).
     pub fn verify_index(&self) -> Result<(), MapError> {
-        let mut fresh: BTreeMap<usize, (Vec<Partition>, Quota)> = BTreeMap::new();
+        let mut fresh: BTreeMap<usize, Vec<Partition>> = BTreeMap::new();
         for (p, o) in self.iter() {
-            let e = fresh.entry(o.dense()).or_insert_with(|| (Vec::new(), Quota::ZERO));
-            e.0.push(p);
-            e.1 = e.1 + p.quota();
+            fresh.entry(o.dense()).or_default().push(p);
         }
         if fresh.len() != self.owner_count {
             return Err(MapError::IndexDrift(format!(
@@ -481,18 +480,12 @@ impl<T: OwnerKey> OwnerMap<T> {
                 fresh.len()
             )));
         }
-        for (slot, (parts, quota)) in fresh {
+        for (slot, parts) in fresh {
             let Some(e) = self.owners.get(slot).and_then(Option::as_ref) else {
                 return Err(MapError::IndexDrift(format!("owner slot {slot} missing")));
             };
             if e.owner.dense() != slot {
                 return Err(MapError::IndexDrift(format!("owner slot {slot} holds {:?}", e.owner)));
-            }
-            if e.quota != quota {
-                return Err(MapError::IndexDrift(format!(
-                    "owner {:?}: cached quota {} vs recomputed {quota}",
-                    e.owner, e.quota
-                )));
             }
             let mut indexed = e.parts.clone();
             indexed.sort_unstable_by_key(|p| p.start(self.space));
@@ -526,7 +519,7 @@ mod tests {
         m.verify_coverage().unwrap();
         m.verify_index().unwrap();
         assert_eq!(m.owner_count(), 1);
-        assert!(m.quota_of(&0).is_one());
+        assert_eq!(m.holdings(&0), [Partition::ROOT]);
     }
 
     #[test]
@@ -538,7 +531,7 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.owner_of(a), Some(&0));
         assert_eq!(m.owner_of(b), Some(&0));
-        assert!(m.quota_of(&0).is_one());
+        assert_eq!(m.holdings(&0), [a, b]);
     }
 
     #[test]
@@ -549,8 +542,8 @@ mod tests {
         assert_eq!(old, 0);
         assert_eq!(m.lookup(0).unwrap().1, &0);
         assert_eq!(m.lookup(255).unwrap().1, &1);
-        assert_eq!(m.partitions_of(&0), vec![a]);
-        assert_eq!(m.partitions_of(&1), vec![b]);
+        assert_eq!(m.holdings(&0), [a]);
+        assert_eq!(m.holdings(&1), [b]);
         assert_eq!(m.partition_count_of(&0), 1);
         m.verify_index().unwrap();
     }
@@ -598,8 +591,7 @@ mod tests {
         assert_eq!(m.owner_count(), 1);
         m.remove(Partition::ROOT).unwrap();
         assert_eq!(m.owner_count(), 0);
-        assert!(m.quota_of(&3).is_zero());
-        assert!(m.partitions_of(&3).is_empty());
+        assert!(m.holdings(&3).is_empty());
         m.verify_index().unwrap();
     }
 
@@ -649,15 +641,27 @@ mod tests {
     }
 
     #[test]
-    fn quota_of_sums_partitions_exactly() {
-        let mut m = OwnerMap::whole(space(), 0u32);
-        let (a, b) = m.split(Partition::ROOT).unwrap();
-        let (_a1, a2) = m.split(a).unwrap();
-        m.transfer(a2, 1).unwrap();
-        m.transfer(b, 1).unwrap();
-        assert_eq!(m.quota_of(&0), Quota::new(1, 2));
-        assert_eq!(m.quota_of(&1), Quota::new(3, 2));
-        assert!((m.quota_of(&0) + m.quota_of(&1)).is_one());
+    fn holdings_keep_the_documented_order() {
+        let mut m = OwnerMap::new(space());
+        for i in 0..4u64 {
+            m.insert(Partition::new(2, i), 0u32).unwrap();
+        }
+        let p = |l, i| Partition::new(l, i);
+        // A split leaves the left half in place and the right half after it.
+        m.split(p(2, 1)).unwrap();
+        assert_eq!(m.holdings(&0), [p(2, 0), p(3, 2), p(3, 3), p(2, 2), p(2, 3)]);
+        // A transfer fills the donor's hole with its last partition and
+        // appends at the receiver.
+        m.transfer(p(3, 2), 1).unwrap();
+        m.transfer(p(2, 0), 1).unwrap();
+        assert_eq!(m.holdings(&0), [p(2, 2), p(2, 3), p(3, 3)]);
+        assert_eq!(m.holdings(&1), [p(3, 2), p(2, 0)]);
+        // The shifting transfer keeps the donor's order.
+        m.transfer_shifting(p(2, 3), 1).unwrap();
+        assert_eq!(m.holdings(&0), [p(2, 2), p(3, 3)]);
+        assert_eq!(m.holdings(&1), [p(3, 2), p(2, 0), p(2, 3)]);
+        m.sort_holdings(&1);
+        assert_eq!(m.holdings(&1), [p(2, 0), p(3, 2), p(2, 3)]);
         m.verify_index().unwrap();
     }
 
@@ -723,8 +727,10 @@ mod tests {
         for i in 0..8u64 {
             assert_eq!(m.owner_of(Partition::new(3, i)), Some(&(((i / 2) % 2) as u32)));
         }
-        assert_eq!(m.quota_of(&0), Quota::new(1, 1));
-        assert_eq!(m.quota_of(&1), Quota::new(1, 1));
+        // Every owner's holdings interleave the halves, in place.
+        let at3 = |is: [u64; 4]| is.map(|i| Partition::new(3, i));
+        assert_eq!(m.holdings(&0), at3([0, 1, 4, 5]));
+        assert_eq!(m.holdings(&1), at3([2, 3, 6, 7]));
     }
 
     #[test]
@@ -738,19 +744,8 @@ mod tests {
         m.verify_coverage().unwrap();
         m.verify_index().unwrap();
         assert_eq!(m.owner_count(), 2);
-        assert_eq!(m.quota_of(&4), Quota::new(3, 2));
-        assert_eq!(m.quota_of(&5), Quota::new(1, 2));
-        assert_eq!(m.partitions_of(&4), vec![Partition::new(1, 0), Partition::new(2, 3)]);
-    }
-
-    #[test]
-    fn owner_quotas_iterates_in_dense_order() {
-        let mut m = OwnerMap::new(space());
-        let (l, r) = Partition::ROOT.split();
-        m.insert(r, 9u32).unwrap();
-        m.insert(l, 2u32).unwrap();
-        let got: Vec<(u32, Quota)> = m.owner_quotas().map(|(&o, q)| (o, q)).collect();
-        assert_eq!(got, vec![(2, Quota::new(1, 1)), (9, Quota::new(1, 1))]);
+        assert_eq!(m.holdings(&4), [Partition::new(1, 0), Partition::new(2, 3)]);
+        assert_eq!(m.holdings(&5), [Partition::new(2, 2)]);
     }
 
     #[test]

@@ -12,18 +12,12 @@
 
 use domus_ch::ChEngine;
 use domus_core::{DhtConfig, DhtEngine, GlobalDht, LocalDht, SnodeId};
-use domus_hashspace::HashSpace;
+use domus_hashspace::{hasher::Fnv1aHasher, HashSpace};
 use domus_kv::ReplicatedStore;
 use std::fmt::Write;
 
 const SEED: u64 = 7;
 const SNODES: u32 = 6;
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// Runs the script at replication factor `r` and digests its transcript.
 fn transcript<E: DhtEngine>(engine: E, r: usize) -> u64 {
@@ -92,7 +86,7 @@ fn transcript<E: DhtEngine>(engine: E, r: usize) -> u64 {
         }
     }
     writeln!(t, "len {} copies {} keys {:?}", kv.len(), kv.copies(), kv.snapshot_keys()).unwrap();
-    fnv1a(&t)
+    Fnv1aHasher::raw(t.as_bytes())
 }
 
 fn cfg(vmin: u64) -> DhtConfig {
