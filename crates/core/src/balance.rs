@@ -59,12 +59,13 @@ fn move_one<R: DomusRng>(
     rng: &mut R,
     sink: &mut LedgeredSink<'_>,
 ) {
-    let held = routing.holdings(&donor);
-    let p = match policy {
-        VictimPartitionPolicy::Random => held[rng.index(held.len())],
-        VictimPartitionPolicy::Last => held[held.len() - 1],
-        VictimPartitionPolicy::First => held[0],
+    let held = count(routing, donor) as usize;
+    let at = match policy {
+        VictimPartitionPolicy::Random => rng.index(held),
+        VictimPartitionPolicy::Last => held - 1,
+        VictimPartitionPolicy::First => 0,
     };
+    let p = routing.nth_holding(&donor, at).expect("the pick lies within the donor's count");
     // `First` is FIFO, so the donor's later holdings shift up one place;
     // the other policies fill the hole with its last partition.
     let moved = if policy == VictimPartitionPolicy::First {
@@ -125,9 +126,9 @@ pub fn all_at_pmax(region: &GroupState, cfg: &DhtConfig) -> bool {
 /// every member's count from `Pmin` to `Pmax` (§2.5). Returns the number of
 /// partitions split.
 ///
-/// When the region spans the whole routing map (the global approach; the
-/// local approach while a single group exists) the cascade is one bulk
-/// rebuild — `O(P)` instead of `P` individual tree surgeries.
+/// A split changes no owner, so the cascade is one level raise per member
+/// — `O(V_g)`, whatever the partition count: each routing entry comes to
+/// stand for its two halves, and only a later transfer cuts one out.
 pub fn split_all(
     routing: &mut OwnerMap<VnodeId>,
     region: &mut GroupState,
@@ -136,16 +137,8 @@ pub fn split_all(
     if region.level >= space.bits() {
         return Err(DhtError::LevelOverflow { level: region.level, bits: space.bits() });
     }
-    if region.sum == routing.len() as u64 {
-        routing.split_all();
-    } else {
-        for &m in &region.members {
-            // A split puts the right half directly after the left, so the
-            // k-th unsplit partition sits at index 2k.
-            for k in 0..count(routing, m) as usize {
-                routing.split(routing.holdings(&m)[2 * k]).expect("member partition is routed");
-            }
-        }
+    for m in &region.members {
+        routing.raise(m);
     }
     let split_count = region.sum;
     region.account_split_all();
@@ -273,6 +266,12 @@ pub struct NotSiblingClosed {
 /// (streamed through `sink`), then binary-merges every pair, halving
 /// every member's count. Returns the number of pairs merged.
 ///
+/// A holding that stands for two or more partitions (a block of the owner
+/// index) holds whole sibling pairs of one owner, so only the blocks of
+/// weight one — the *fine* partitions — are gathered, paired and possibly
+/// moved; each member's level lower then merges its pairs. The cost is
+/// `O(V_g)` plus the fine partitions, not the region's partition count.
+///
 /// Precondition: every member's count is even (callers invoke this at the
 /// all-`Pmax` state) and the region sits above its birth level.
 pub fn merge_all<R: DomusRng>(
@@ -288,62 +287,58 @@ pub fn merge_all<R: DomusRng>(
     // (`birth_level`). The capacity arithmetic in the module docs shows
     // every *required* merge happens above that floor; the structural
     // validation below is the authoritative guard.
-    // Gather every (parent index, child, owner) and sort: siblings become
-    // adjacent, left child first — one flat buffer instead of a tree of
-    // per-parent vectors.
-    let mut children: Vec<(u64, Partition, VnodeId)> = Vec::with_capacity(region.sum as usize);
+    //
+    // Capacity: each member keeps count/2 parents, less the pairs its
+    // coarser blocks already hold. Sorted by handle so the any-member
+    // fallback scan below is deterministic.
+    let mut fine: Vec<(Partition, VnodeId)> = Vec::new();
+    let mut capacity: Vec<(VnodeId, u64)> = Vec::with_capacity(region.members.len());
     for &m in &region.members {
-        for &p in routing.holdings(&m) {
-            children.push((p.index() >> 1, p, m));
+        let c = count(routing, m);
+        debug_assert!(c % 2 == 0, "merge_all requires even counts, {m} has {c}");
+        let mut cap = c / 2;
+        for (p, depth) in routing.holdings(&m) {
+            if depth == 0 {
+                fine.push((p, m));
+            } else {
+                cap -= 1 << (depth - 1);
+            }
         }
+        capacity.push((m, cap));
     }
-    children.sort_unstable_by_key(|&(parent, p, _)| (parent, p.index()));
-    // Partitions are unique, so a parent index appears at most twice; the
-    // set is sibling-closed iff every run of equal parents has length 2.
-    let mut at = 0;
-    while at < children.len() {
-        let parent_index = children[at].0;
-        if at + 1 >= children.len() || children[at + 1].0 != parent_index {
-            return Err(NotSiblingClosed { parent_index });
-        }
-        at += 2;
-    }
-
-    // Capacity: each member keeps count/2 parents. Sorted by handle so the
-    // any-member fallback scan below is deterministic (same order the old
-    // BTreeMap-keyed bookkeeping iterated in).
-    let mut capacity: Vec<(VnodeId, u64)> = region
-        .members
-        .iter()
-        .map(|&m| {
-            let c = count(routing, m);
-            debug_assert!(c % 2 == 0, "merge_all requires even counts, {m} has {c}");
-            (m, c / 2)
-        })
-        .collect();
     capacity.sort_unstable_by_key(|&(m, _)| m);
     let cap_slot = |capacity: &[(VnodeId, u64)], m: VnodeId| -> usize {
         capacity.binary_search_by_key(&m, |&(v, _)| v).expect("member has a capacity slot")
     };
+    // Fine partitions share the region's level, so index order puts
+    // siblings side by side, left child first, and the pairs in hash-space
+    // order. The set is sibling-closed iff each left child is followed by
+    // its sibling.
+    fine.sort_unstable_by_key(|&(p, _)| p.index());
+    for pair in fine.chunks(2) {
+        if pair.len() < 2 || pair[0].0.index() >> 1 != pair[1].0.index() >> 1 {
+            return Err(NotSiblingClosed { parent_index: pair[0].0.index() >> 1 });
+        }
+    }
 
-    // Assignment passes: (1) both children same owner → free;
-    // (2) one child's owner has capacity → one transfer;
+    // Assignment passes over the fine pairs (the pairs inside coarser
+    // blocks are already counted out of the capacities): (1) both children same
+    // owner → free; (2) one child's owner has capacity → one transfer;
     // (3) any member with capacity → two transfers.
-    let pairs = children.len() / 2;
-    let mut assignment: Vec<Option<VnodeId>> = vec![None; pairs];
-    for (i, pair) in children.chunks_exact(2).enumerate() {
-        let (a, b) = (pair[0].2, pair[1].2);
+    let mut assignment: Vec<Option<VnodeId>> = vec![None; fine.len() / 2];
+    for (i, pair) in fine.chunks_exact(2).enumerate() {
+        let (a, b) = (pair[0].1, pair[1].1);
         if a == b {
             assignment[i] = Some(a);
             let slot = cap_slot(&capacity, a);
             capacity[slot].1 -= 1;
         }
     }
-    for (i, pair) in children.chunks_exact(2).enumerate() {
+    for (i, pair) in fine.chunks_exact(2).enumerate() {
         if assignment[i].is_some() {
             continue;
         }
-        let (a, b) = (pair[0].2, pair[1].2);
+        let (a, b) = (pair[0].1, pair[1].1);
         let sa = cap_slot(&capacity, a);
         if capacity[sa].1 > 0 {
             assignment[i] = Some(a);
@@ -365,20 +360,14 @@ pub fn merge_all<R: DomusRng>(
         any.1 -= 1;
     }
 
-    // Apply: route both children to the assignee, record the moves, merge.
-    // A region spanning the whole map (global approach / single local
-    // group) merges in one bulk rebuild; scattered groups use the in-place
-    // per-pair surgery, then list each member's parents in hash-space
-    // order, as the bulk rebuild does.
-    let whole_map = region.sum == routing.len() as u64;
-    let mut replacement = Vec::with_capacity(if whole_map { pairs } else { 0 });
-    for (i, pair) in children.chunks_exact(2).enumerate() {
-        let owner = assignment[i].expect("every pair was assigned");
-        for &(_, p, old_owner) in pair {
+    // Apply: route both children to the assignee and record the moves.
+    // The lowers below sort every member's holdings into hash-space order,
+    // so the donors' order in between is immaterial.
+    for (pair, owner) in fine.chunks_exact(2).zip(assignment) {
+        let owner = owner.expect("every pair was assigned");
+        for &(p, old_owner) in pair {
             if old_owner != owner {
-                if !whole_map {
-                    routing.transfer(p, owner).expect("child partition is routed");
-                }
+                routing.transfer_shifting(p, owner).expect("child partition is routed");
                 sink.transfer(
                     Transfer { partition: p, from: old_owner, to: owner },
                     vs.get(old_owner).name.snode,
@@ -386,24 +375,13 @@ pub fn merge_all<R: DomusRng>(
                 );
             }
         }
-        if whole_map {
-            let parent = pair[0].1.parent().expect("mergeable partitions sit below the root");
-            replacement.push((parent, owner));
-        } else {
-            routing.merge(pair[0].1, pair[1].1).expect("siblings with a common owner merge");
-        }
     }
-    if whole_map {
-        // `children` was sorted by parent index at one common level, so the
-        // parent list is in ascending hash-space order.
-        routing.replace_all(replacement);
-    } else {
-        for &m in &region.members {
-            routing.sort_holdings(&m);
-        }
+    for m in &region.members {
+        routing.lower(m).expect("every fine partition sits beside its sibling");
     }
+    let pairs = region.sum / 2;
     region.account_merge_all();
-    Ok(pairs as u64)
+    Ok(pairs)
 }
 
 /// Moves partitions from maxima to minima until the region's counts differ
@@ -446,8 +424,10 @@ pub fn rebalance_spread<R: DomusRng>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DhtEngine;
     use crate::group_id::GroupId;
     use crate::ledger::SnodeLedger;
+    use crate::local::BalancedDht;
     use crate::sink::{CollectReport, NullSink};
     use domus_hashspace::{HashSpace, Quota};
     use domus_util::Xoshiro256pp;
@@ -506,7 +486,9 @@ mod tests {
                 [a, b]
             })
             .collect();
-        assert_eq!(routing.holdings(&v), halves);
+        let held: Vec<Partition> =
+            routing.holdings(&v).flat_map(|(p, depth)| p.descendants(depth)).collect();
+        assert_eq!(held, halves);
     }
 
     #[test]
@@ -695,5 +677,112 @@ mod tests {
         assert!(max - min <= 1, "counts {counts:?}");
         assert_eq!(counts.iter().sum::<u64>(), 16);
         routing.verify_coverage().unwrap();
+    }
+
+    /// A 32-member region at `Pmin = 32` on level 10, each member holding
+    /// every 32nd partition, one routing entry apiece.
+    fn region_at_pmin() -> (VnodeStore, OwnerMap<VnodeId>, GroupState, DhtConfig) {
+        let cfg = DhtConfig::new(HashSpace::new(16), 32, 1).unwrap();
+        let mut vs = VnodeStore::new();
+        let mut routing = OwnerMap::new(cfg.hash_space());
+        let mut region = GroupState::new(GroupId::FIRST, 10);
+        region.birth_level = cfg.initial_level();
+        let members: Vec<VnodeId> = (0..32).map(|s| vs.create(crate::ids::SnodeId(s), 0)).collect();
+        for (i, p) in Partition::all_at_level(10).enumerate() {
+            routing.insert(p, members[i % 32]).unwrap();
+        }
+        for &m in &members {
+            region.admit(m, 32);
+        }
+        (vs, routing, region, cfg)
+    }
+
+    #[test]
+    fn cascades_cost_members_not_partitions() {
+        let (mut vs, mut routing, mut region, cfg) = region_at_pmin();
+        let mut rng = Xoshiro256pp::seed_from_u64(9);
+        let entries = routing.entry_count();
+        assert_eq!(entries, 1024);
+        assert_eq!(split_all(&mut routing, &mut region).unwrap(), 1024);
+        assert_eq!((routing.len(), routing.entry_count()), (2048, entries));
+        // The merge cascade right after the split moves nothing and stores
+        // nothing new.
+        let mut ledger = seeded_ledger(&vs, &routing, &region);
+        let mut collect = CollectReport::new();
+        let pairs = {
+            let mut sink = LedgeredSink::new(&mut collect, &mut ledger);
+            merge_all(&vs, &mut routing, &mut region, &cfg, &mut rng, &mut sink).unwrap()
+        };
+        assert_eq!(pairs, 1024);
+        assert!(collect.transfers().is_empty());
+        assert_eq!((routing.len(), routing.entry_count()), (1024, entries));
+        // A handover cuts its entry down to the partition it moves; the
+        // hole's fill cuts only the index. One level deep, that is at most
+        // one new entry per transfer.
+        split_all(&mut routing, &mut region).unwrap();
+        let new = vs.create(crate::ids::SnodeId(32), 0);
+        region.admit(new, 0);
+        let mut ledger = seeded_ledger(&vs, &routing, &region);
+        {
+            let mut sink = LedgeredSink::new(&mut collect, &mut ledger);
+            greedy_add(&vs, &mut routing, &mut region, new, &cfg, &mut rng, &mut sink);
+        }
+        let moved = collect.transfers().len();
+        assert!(moved > 0);
+        assert!(routing.entry_count() <= entries + moved, "{} entries", routing.entry_count());
+        routing.verify_coverage().unwrap();
+        routing.verify_index().unwrap();
+    }
+
+    #[test]
+    fn successor_walks_keep_their_owner_sequence_through_cascades() {
+        let cfg = DhtConfig::new(HashSpace::new(32), 8, 1).unwrap();
+        let mut dht = crate::global::GlobalDht::with_seed(cfg, 21);
+        for s in 0..16 {
+            dht.create_vnode_with(crate::ids::SnodeId(s % 5), &mut NullSink).unwrap();
+        }
+        let space = cfg.hash_space();
+        let points: Vec<u64> =
+            (0..256u64).map(|i| space.fold(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))).collect();
+        // The distinct owners of the engine's walk, in first-visit order,
+        // checked against the same walk over every partition.
+        let distinct = |dht: &crate::global::GlobalDht| -> Vec<Vec<VnodeId>> {
+            let all: Vec<(Partition, VnodeId)> = dht.routing.iter().map(|(p, &v)| (p, v)).collect();
+            points
+                .iter()
+                .map(|&point| {
+                    let mut walk = Vec::new();
+                    dht.for_each_successor(point, &mut |v| {
+                        if !walk.contains(&v) {
+                            walk.push(v);
+                        }
+                        true
+                    });
+                    let first = all.iter().position(|(p, _)| p.contains(point, space)).unwrap();
+                    let mut per_partition: Vec<VnodeId> = Vec::new();
+                    for &(_, v) in all[first..].iter().chain(&all[..first]) {
+                        if !per_partition.contains(&v) {
+                            per_partition.push(v);
+                        }
+                    }
+                    assert_eq!(walk, per_partition, "point {point}");
+                    walk
+                })
+                .collect()
+        };
+        let before = distinct(&dht);
+        let entries = dht.routing.entry_count();
+        split_all(&mut dht.routing, &mut dht.groups[0]).unwrap();
+        assert_eq!(distinct(&dht), before, "after the split cascade");
+        let mut collect = CollectReport::new();
+        {
+            let BalancedDht { vs, groups, routing, ledger, rng, cfg, .. } = &mut dht;
+            let mut sink = LedgeredSink::new(&mut collect, ledger);
+            merge_all(vs, routing, &mut groups[0], cfg, rng, &mut sink).unwrap();
+        }
+        assert!(collect.transfers().is_empty());
+        assert_eq!(distinct(&dht), before, "after the merge cascade");
+        assert_eq!(dht.routing.entry_count(), entries);
+        dht.check_invariants().unwrap();
     }
 }

@@ -17,8 +17,8 @@ use domus_util::bits::is_power_of_two;
 /// is exposed as a policy (ablation ABL-VICTIM).
 ///
 /// Each variant picks a position in the donor's holdings, the routing
-/// map's owner index (`OwnerMap::holdings`), whose order is documented in
-/// `domus_hashspace::range_map`.
+/// map's owner index (`OwnerMap::nth_holding`), whose order is documented
+/// in `domus_hashspace::range_map`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VictimPartitionPolicy {
     /// A uniformly random position in the donor's holdings (default;

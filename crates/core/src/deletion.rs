@@ -162,8 +162,9 @@ fn deepest_sibling_pair<P, R: DomusRng>(dht: &BalancedDht<P, R>) -> (u32, u32) {
 /// Case 2/4: fuse two sibling groups back into their parent identifier.
 ///
 /// Returns the merged group's slot. Levels are harmonised to the higher of
-/// the two (splitting the lower side's partitions — streamed as
-/// `PartitionSplit` events, which the legacy report never recorded),
+/// the two (splitting the lower side's partitions by one level raise per
+/// member and level — streamed as `PartitionSplit` events, which the
+/// legacy report never recorded),
 /// members are pooled, and counts are re-levelled to spread ≤ 1 — which
 /// the equal-quota law places inside `[Pmin, Pmax]`.
 fn merge_groups<P: RegionPolicy, R: DomusRng>(

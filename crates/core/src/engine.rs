@@ -205,13 +205,17 @@ pub trait DhtEngine {
     /// The vnode responsible for `point`, with the containing partition.
     fn lookup(&self, point: u64) -> Option<(Partition, VnodeId)>;
 
-    /// Visits the owners of successive partitions in hash-space order,
-    /// starting at the partition containing `point` and wrapping past the
-    /// top of the space, until `f` returns `false` or every partition has
-    /// been visited once — the successor walk a cluster-aware replica
-    /// placer probes for followers. The first visit is always the point's
-    /// owner (the primary); the same vnode may be visited more than once
-    /// (one visit per partition), so callers dedup by vnode or snode.
+    /// Visits owners in hash-space order, starting at the owner of `point`
+    /// and wrapping past the top of the space, until `f` returns `false` or
+    /// the walk is back where it started — the successor walk a
+    /// cluster-aware replica placer probes for followers. The first visit
+    /// is always the point's owner (the primary).
+    ///
+    /// The contract is the sequence of *distinct* owners, in first-visit
+    /// order: the one a walk over every partition gives. A backend may
+    /// visit a run of one owner's partitions once or once per partition
+    /// (the model engines visit each routing entry once), and the same
+    /// vnode recurs further on, so callers dedup by vnode or snode.
     ///
     /// The default walks partition by partition through [`DhtEngine::lookup`]
     /// (`O(log P)` per step on any backend); the model engines override it

@@ -264,15 +264,18 @@ pub fn check(
 
     // --- Per-group invariants.
     for g in &live {
-        // G3': every partition at the group's level.
+        // G3': every partition at the group's level — every block of a
+        //      member's holdings sits at or above it and stands for its
+        //      descendants at it. (`verify_index` checked that the blocks
+        //      tile the member's entries and weigh its count.)
         for &m in &g.members {
-            for &p in routing.holdings(&m) {
-                if p.level() != g.level {
+            for (p, depth) in routing.holdings(&m) {
+                if p.level() + depth != g.level {
                     return Err(InvariantViolation::WrongLevel {
                         gid: g.gid,
                         vnode: m,
                         expected: g.level,
-                        found: p.level(),
+                        found: p.level() + depth,
                     });
                 }
             }

@@ -377,7 +377,7 @@ impl<P: RegionPolicy, R: DomusRng> DhtEngine for BalancedDht<P, R> {
     }
 
     fn for_each_successor(&self, point: u64, f: &mut dyn FnMut(VnodeId) -> bool) {
-        for (_, &v) in self.routing.successors(point) {
+        for &v in self.routing.successors(point) {
             if !f(v) {
                 return;
             }
@@ -400,7 +400,7 @@ impl<P: RegionPolicy, R: DomusRng> DhtEngine for BalancedDht<P, R> {
 
     fn partitions_of(&self, v: VnodeId) -> Result<Vec<Partition>, DhtError> {
         self.ensure_alive(v)?;
-        Ok(self.routing.holdings(&v).to_vec())
+        Ok(self.routing.holdings(&v).flat_map(|(p, depth)| p.descendants(depth)).collect())
     }
 
     fn partition_count(&self, v: VnodeId) -> Result<u64, DhtError> {

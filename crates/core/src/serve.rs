@@ -192,9 +192,10 @@ impl EngineSnapshot {
 
     /// Visits span owners in hash-space order starting at the span
     /// containing `point`, wrapping past the top of the space, until `f`
-    /// returns `false` or every span was visited once — the same walk as
-    /// [`DhtEngine::for_each_successor`], so the same vnode may be visited
-    /// more than once and callers dedup. The first visit is the primary.
+    /// returns `false` or every span was visited once. Its distinct owners,
+    /// in first-visit order, are those of [`DhtEngine::for_each_successor`]
+    /// — the walk's whole contract; the same vnode recurs further on, so
+    /// callers dedup. The first visit is the primary.
     pub fn for_each_successor(&self, point: u64, f: &mut dyn FnMut(VnodeId, SnodeId) -> bool) {
         let Some(first) = self.span_index(point) else { return };
         for off in 0..self.spans.len() {

@@ -106,6 +106,17 @@ impl Partition {
         )
     }
 
+    /// The `2^levels` descendants `levels` splits below this partition,
+    /// left to right — the partition itself for `levels == 0`.
+    ///
+    /// # Panics
+    /// Panics if the descendants would sit below splitlevel 64.
+    pub fn descendants(&self, levels: u32) -> impl Iterator<Item = Partition> {
+        assert!(levels < 64 && self.level + levels <= 64, "descendants below splitlevel 64");
+        let (level, first) = (self.level + levels, self.index << levels);
+        (0..1u64 << levels).map(move |k| Partition { level, index: first | k })
+    }
+
     /// The sibling under the same parent (the other half of the split).
     ///
     /// # Panics

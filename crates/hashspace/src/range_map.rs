@@ -4,36 +4,65 @@
 //! `r ∈ R_h`, find the partition containing `r` and its owner (§3.6 — the
 //! victim-vnode selection; also the data path of any DHT lookup). Because
 //! partition sizes differ *across* groups, the map cannot assume one global
-//! splitlevel; it stores heterogeneous-level partitions keyed by start
-//! point and relies on the split-tree structure for non-overlap.
+//! splitlevel; it stores heterogeneous-level entries keyed by start point
+//! and relies on the split-tree structure for non-overlap.
 //!
 //! Alongside the point-ordered entry map the structure maintains a
 //! **per-owner reverse index**: owner → its *holdings*, stored in a dense
 //! arena addressed by [`OwnerKey::dense`] so the per-mutation upkeep is an
-//! array access and a short vector scan — not tree surgery. The holdings
-//! are the engines' one per-owner partition list, and their order is a
-//! contract that the balanced engine's donor policies index into:
+//! array access and a short vector scan.
 //!
-//! * an owner appends what it receives (`insert`, `transfer`,
-//!   `replace_all` in input order);
+//! ## Entries stand for their descendants
+//!
+//! The balance kernel splits and merges an owner's partitions wholesale
+//! (§2.5: "all the older vnodes binary split their own partitions"). The
+//! map makes that a change of *level*, not of entries. Each owner carries
+//! a lift count that [`OwnerMap::raise`] and [`OwnerMap::lower`] move by
+//! one, and each stored entry records the lift it was written at. An entry
+//! written `d` lifts ago stands for its `2^d` descendants `d` levels down
+//! (its *weight*): these are the owner's partitions, the ones `len`,
+//! `lookup`, `owner_of`, `iter` and the counts speak of. An entry is cut
+//! up only where a partition changes hands: the partition becomes an
+//! entry of its own, and the subtrees beside the path down to it become
+//! entries of the old owner. A map whose levels are never raised stores
+//! one entry per partition.
+//!
+//! The owner index lists the same partitions as *blocks*, each a partition
+//! standing for its descendants in the same way, cut at least as finely as
+//! the entries: a hole's fill (below) cuts a block, never an entry.
+//!
+//! ## The order contract
+//!
+//! The holdings are the engines' one per-owner partition list, and their
+//! order is a contract that the balanced engine's donor policies index
+//! into ([`OwnerMap::nth_holding`]). Read over partitions, with each
+//! block's descendants in hash-space order at the block's place:
+//!
+//! * an owner appends what it receives (`insert`, `transfer`);
 //! * `transfer` and `remove` fill the old owner's hole with its last
 //!   partition; `transfer_shifting` shifts its later partitions up instead;
-//! * `split` and `split_all` put the left half in the parent's place and
-//!   the right half directly after it; `merge` puts the parent in the left
-//!   child's place; `sort_holdings` restores hash-space order.
+//! * `split` and `raise` put the left half in the parent's place and the
+//!   right half directly after it; `merge` puts the parent in the left
+//!   child's place; `lower` leaves the owner's holdings in hash-space
+//!   order.
 //!
-//! | operation            | complexity                                      |
-//! |----------------------|-------------------------------------------------|
-//! | `lookup`             | `O(log P)`                                      |
-//! | `insert` / `remove`  | `O(log P + Pv)`                                 |
-//! | `transfer`           | `O(log P + Pv)`                                 |
-//! | `split` / `merge`    | `O(log P + Pv)` (in place, no re-validation)    |
-//! | `split_all`          | `O(P)` (bulk rebuild)                           |
-//! | `replace_all`        | `O(P)` (bulk rebuild)                           |
-//! | `holdings`           | `O(1)` (a slice of the index)                   |
+//! | operation                 | complexity                          |
+//! |---------------------------|-------------------------------------|
+//! | `lookup` / `owner_of`     | `O(log E)`                          |
+//! | `insert`                  | `O(log E)`                          |
+//! | `remove` / `transfer`     | `O((1 + d)·log E + Bv)`             |
+//! | `split` / `merge`         | `O((1 + d)·log E + Bv)`             |
+//! | `raise`                   | `O(1)`                              |
+//! | `lower`                   | `O(Bv log Bv + f·log E)`            |
+//! | `nth_holding`             | `O(Bv)`                             |
+//! | `holdings`                | `O(Bv)` (a walk of the index)       |
 //!
-//! (`P` partitions, `V` owners, `Pv` partitions of one owner — bounded by
-//! `Pmax` in the model, so the `Pv` terms are small constants.)
+//! (`E` stored entries, at most the `P` partitions; `Bv` blocks of one
+//! owner, at most its `Pv ≤ Pmax` partitions; `d` the depth of the entry
+//! a hand-over cuts, 0 for an entry of weight one; `f` the owner's blocks
+//! of weight one.) A split or merge cascade over a region is one `raise`
+//! per member, or one `lower` per member plus the transfers that pair
+//! siblings up — `O(V_g)` plus the partitions that move, never `O(P_g)`.
 
 use crate::partition::Partition;
 use crate::space::HashSpace;
@@ -97,20 +126,222 @@ macro_rules! impl_owner_key {
 }
 impl_owner_key!(u8, u16, u32, usize);
 
-/// One owner's slice of the index: its holdings, in the order the module
-/// docs state (owners hold few partitions, so a flat vector beats tree
-/// surgery on the transfer hot path).
-#[derive(Debug, Clone)]
-struct OwnerEntry<T> {
-    owner: T,
-    parts: Vec<Partition>,
+/// A block of one owner's partitions as its index lists it: the partition
+/// `index`@`level`, standing for its descendants `lift − mark` levels
+/// down (packed into 16 bytes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Held {
+    index: u64,
+    level: u32,
+    mark: u32,
 }
 
-impl<T> OwnerEntry<T> {
-    #[inline]
-    fn slot_of(&self, p: Partition) -> usize {
-        self.parts.iter().position(|&q| q == p).expect("partition is indexed under its owner")
+impl Held {
+    fn new(part: Partition, mark: u32) -> Self {
+        Self { index: part.index(), level: part.level(), mark }
     }
+
+    fn part(self) -> Partition {
+        Partition::new(self.level, self.index)
+    }
+
+    /// `true` iff `q` is this block's partition or lies inside it.
+    #[inline]
+    fn covers(self, q: Partition) -> bool {
+        self.level <= q.level() && q.index() >> (q.level() - self.level) == self.index
+    }
+
+    fn start(self, space: HashSpace) -> u64 {
+        ((self.index as u128) << (space.bits() - self.level)) as u64
+    }
+}
+
+/// One owner's slice of the index: its blocks, in the order the module
+/// docs state (owners hold few blocks, so a flat vector beats tree
+/// surgery on the transfer hot path). 32 bytes: the engines scan the
+/// counts of a whole region per membership event.
+#[derive(Debug, Clone)]
+struct OwnerEntry {
+    parts: Vec<Held>,
+    /// Partitions held: `Σ 2^depth` over `parts`.
+    count: u32,
+    /// Raises minus lowers, modulo `2^32`: an entry or block written at
+    /// `mark` stands for its descendants `lift − mark` levels down.
+    lift: u32,
+}
+
+impl OwnerEntry {
+    #[inline]
+    fn depth(&self, mark: u32) -> u32 {
+        self.lift.wrapping_sub(mark)
+    }
+
+    /// Cuts the block at `at` down to its sub-block `q`, in place; returns
+    /// `q`'s position.
+    fn cut_block(&mut self, at: usize, q: Partition) -> usize {
+        let h = self.parts[at];
+        if h.level == q.level() {
+            return at;
+        }
+        let lift = self.lift;
+        let pieces = cut(h.part(), self.depth(h.mark), q);
+        self.parts.splice(at..=at, pieces.map(|(p, d)| Held::new(p, lift.wrapping_sub(d))));
+        at + cut_position(h.part(), q)
+    }
+
+    /// Cuts `q` out as a block of its own; returns its position.
+    fn isolate(&mut self, q: Partition) -> usize {
+        let at = self.parts.iter().position(|h| h.covers(q)).expect("routed partition is indexed");
+        self.cut_block(at, q)
+    }
+}
+
+/// The per-owner reverse index: a dense arena over [`OwnerKey::dense`].
+/// Slots of owners with no partitions are vacated, so the index never
+/// keeps an owner alive past its last hand-over.
+#[derive(Debug, Clone)]
+struct Index {
+    slots: Vec<Option<OwnerEntry>>,
+    owners: usize,
+}
+
+impl Index {
+    fn get<T: OwnerKey>(&self, owner: &T) -> Option<&OwnerEntry> {
+        self.slots.get(owner.dense()).and_then(Option::as_ref)
+    }
+
+    fn of(&self, slot: usize) -> &OwnerEntry {
+        self.slots[slot].as_ref().expect("routed owner is indexed")
+    }
+
+    fn of_mut(&mut self, slot: usize) -> &mut OwnerEntry {
+        self.slots[slot].as_mut().expect("routed owner is indexed")
+    }
+
+    /// Appends the partition `p` to slot `slot`'s holdings as a block of
+    /// weight one; returns the mark it is written at.
+    fn attach(&mut self, slot: usize, p: Partition) -> u32 {
+        if self.slots.len() <= slot {
+            self.slots.resize_with(slot + 1, || None);
+        }
+        let e = match &mut self.slots[slot] {
+            Some(e) => e,
+            vacant => {
+                self.owners += 1;
+                vacant.insert(OwnerEntry { parts: vec![], count: 0, lift: 0 })
+            }
+        };
+        e.parts.push(Held::new(p, e.lift));
+        e.count += 1;
+        e.lift
+    }
+
+    /// Takes the partition `p` out of slot `slot`'s holdings, vacating the
+    /// owner if it empties. Its last partition fills the hole — cut out of
+    /// its block, which only the index sees — or with `shift` its later
+    /// blocks move up one place.
+    fn detach(&mut self, slot: usize, p: Partition, shift: bool) {
+        let e = self.of_mut(slot);
+        let at = e.isolate(p);
+        if shift {
+            e.parts.remove(at);
+        } else {
+            let last = e.parts.len() - 1;
+            let h = e.parts[last];
+            let depth = e.depth(h.mark);
+            if at != last && depth > 0 {
+                let tail = (h.index << depth) | ((1u64 << depth) - 1);
+                e.cut_block(last, Partition::new(h.level + depth, tail));
+            }
+            e.parts.swap_remove(at);
+        }
+        e.count -= 1;
+        if e.count == 0 {
+            self.slots[slot] = None;
+            self.owners -= 1;
+        }
+    }
+}
+
+/// A stored entry as the point-ordered map keeps it.
+#[derive(Debug, Clone)]
+struct Entry<T> {
+    part: Partition,
+    owner: T,
+    mark: u32,
+}
+
+/// The pieces that `block`, standing `depth` levels deep, falls into
+/// around its sub-block `q`: the subtrees beside the path down to `q`,
+/// and `q`, in hash-space order, each with the depth it stands at.
+fn cut(block: Partition, depth: u32, q: Partition) -> Cut<impl Iterator<Item = (Partition, u32)>> {
+    debug_assert!(block == q || block.is_ancestor_of(&q));
+    let steps = q.level() - block.level();
+    // A path that turns right leaves its left sibling before `q`; one
+    // that turns left leaves its right sibling after it, nearest first.
+    let beside = move |t: u32, right: bool| {
+        let on_path = Partition::new(block.level() + t, q.index() >> (steps - t));
+        (on_path.index() & 1 == right as u64).then(|| (on_path.sibling(), depth - t))
+    };
+    let pieces = (1..=steps)
+        .filter_map(move |t| beside(t, true))
+        .chain(std::iter::once((q, depth - steps)))
+        .chain((1..=steps).rev().filter_map(move |t| beside(t, false)));
+    Cut { pieces, left: steps as usize + 1 }
+}
+
+/// `q`'s position among the pieces of [`cut`]: one per right turn.
+fn cut_position(block: Partition, q: Partition) -> usize {
+    let steps = q.level() - block.level();
+    (q.index() & ((1u64 << steps) - 1)).count_ones() as usize
+}
+
+/// The pieces of [`cut`], with their exact number, so that a splice
+/// moves the tail of a holdings vector once.
+struct Cut<I> {
+    pieces: I,
+    left: usize,
+}
+
+impl<I: Iterator<Item = (Partition, u32)>> Iterator for Cut<I> {
+    type Item = (Partition, u32);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let piece = self.pieces.next()?;
+        self.left -= 1;
+        Some(piece)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<I: Iterator<Item = (Partition, u32)>> ExactSizeIterator for Cut<I> {}
+
+/// Cuts the entry `e`, whose owner's lift is `lift`, down to its
+/// sub-block `q`: `e` keeps the first piece, which starts where it did,
+/// and the other pieces are returned keyed for insertion. `q`'s piece
+/// goes to `new` (owner and mark) when given. Returns the owner before
+/// the cut.
+fn carve<T: OwnerKey>(
+    e: &mut Entry<T>,
+    lift: u32,
+    q: Partition,
+    new: Option<(T, u32)>,
+    space: HashSpace,
+) -> (T, impl Iterator<Item = (u64, Entry<T>)>) {
+    let old = e.owner.clone();
+    let entry = {
+        let old = old.clone();
+        move |(part, depth): (Partition, u32)| match &new {
+            Some((owner, mark)) if part == q => Entry { part, owner: owner.clone(), mark: *mark },
+            _ => Entry { part, owner: old.clone(), mark: lift.wrapping_sub(depth) },
+        }
+    };
+    let mut pieces = cut(e.part, lift.wrapping_sub(e.mark), q);
+    *e = entry(pieces.next().expect("a cut has a first piece"));
+    (old, pieces.map(move |piece| (piece.0.start(space), entry(piece))))
 }
 
 /// Maps every point of a [`HashSpace`] to an owner `T` through a set of
@@ -118,20 +349,23 @@ impl<T> OwnerEntry<T> {
 #[derive(Debug, Clone)]
 pub struct OwnerMap<T> {
     space: HashSpace,
-    // start point → (partition, owner). Starts are unique because entries
-    // never overlap; the partition carries its level (and thus its end).
-    entries: BTreeMap<u64, (Partition, T)>,
-    // Dense arena over OwnerKey::dense: owner → holdings. Slots of owners
-    // with no partitions are vacated, so the index never keeps an owner
-    // alive past its last hand-over.
-    owners: Vec<Option<OwnerEntry<T>>>,
-    owner_count: usize,
+    // start point → entry. Starts are unique because entries never
+    // overlap; the partition carries its level (and thus its end).
+    entries: BTreeMap<u64, Entry<T>>,
+    index: Index,
+    // Σ of the owners' partition counts.
+    partitions: usize,
 }
 
 impl<T: OwnerKey> OwnerMap<T> {
     /// An empty map over `space`.
     pub fn new(space: HashSpace) -> Self {
-        Self { space, entries: BTreeMap::new(), owners: Vec::new(), owner_count: 0 }
+        Self {
+            space,
+            entries: BTreeMap::new(),
+            index: Index { slots: Vec::new(), owners: 0 },
+            partitions: 0,
+        }
     }
 
     /// A map with the whole space owned by `owner` (the first-vnode state).
@@ -146,8 +380,14 @@ impl<T: OwnerKey> OwnerMap<T> {
         self.space
     }
 
-    /// Number of partitions.
+    /// Number of partitions (an entry counts as its weight).
     pub fn len(&self) -> usize {
+        self.partitions
+    }
+
+    /// Number of stored entries — at most [`OwnerMap::len`], and equal to
+    /// it while no level is raised.
+    pub fn entry_count(&self) -> usize {
         self.entries.len()
     }
 
@@ -158,49 +398,32 @@ impl<T: OwnerKey> OwnerMap<T> {
 
     /// Number of distinct owners currently holding partitions.
     pub fn owner_count(&self) -> usize {
-        self.owner_count
+        self.index.owners
     }
 
-    /// Registers `p` under `owner` in the index.
-    fn index_add(&mut self, owner: &T, p: Partition) {
-        let count = &mut self.owner_count;
-        let slot = {
-            let slot = owner.dense();
-            if self.owners.len() <= slot {
-                self.owners.resize_with(slot + 1, || None);
-            }
-            &mut self.owners[slot]
-        };
-        match slot {
-            Some(e) => {
-                debug_assert!(!e.parts.contains(&p), "index already held {p}");
-                debug_assert!(e.owner == *owner, "dense index collision");
-                e.parts.push(p);
-            }
-            None => {
-                *slot = Some(OwnerEntry { owner: owner.clone(), parts: vec![p] });
-                *count += 1;
-            }
-        }
+    /// How many levels below its stored partition an entry stands.
+    #[inline]
+    fn depth_of(&self, e: &Entry<T>) -> u32 {
+        self.index.of(e.owner.dense()).depth(e.mark)
     }
 
-    /// Unregisters `p` from `owner` in the index, vacating empty owners.
-    /// The owner's last partition fills the hole, or with `shift` its later
-    /// partitions move up one place.
-    fn index_remove(&mut self, owner: &T, p: Partition, shift: bool) {
-        let count = &mut self.owner_count;
-        let slot = &mut self.owners[owner.dense()];
-        let e = slot.as_mut().expect("mutated owner is indexed");
-        let at = e.slot_of(p);
-        if shift {
-            e.parts.remove(at);
-        } else {
-            e.parts.swap_remove(at);
-        }
-        if e.parts.is_empty() {
-            *slot = None;
-            *count -= 1;
-        }
+    /// The entry standing for `p`, when `p` is one of the partitions the
+    /// map routes.
+    fn route(&self, p: Partition) -> Option<&Entry<T>> {
+        let (_, e) = self.entries.range(..=p.start(self.space)).next_back()?;
+        let covers = e.part == p || e.part.is_ancestor_of(&p);
+        (covers && e.part.level() + self.depth_of(e) == p.level()).then_some(e)
+    }
+
+    /// Cuts the stored entry holding the block `q` down to `q`, the
+    /// subtrees beside the path becoming entries of the same owner, and
+    /// hands `q`'s entry to `new` (owner and mark) when given.
+    fn cut_entry(&mut self, q: Partition, new: Option<(T, u32)>) {
+        let (_, e) =
+            self.entries.range_mut(..=q.start(self.space)).next_back().expect("q is routed");
+        let lift = self.index.of(e.owner.dense()).lift;
+        let (_, rest) = carve(e, lift, q, new, self.space);
+        self.entries.extend(rest);
     }
 
     /// Inserts a partition with its owner.
@@ -210,8 +433,8 @@ impl<T: OwnerKey> OwnerMap<T> {
         let start = p.start(self.space);
         // Any overlapping entry either starts within [start, end) or starts
         // before `start` and extends past it; check both neighbours.
-        if let Some((&s, (q, _))) = self.entries.range(..=start).next_back() {
-            if (s as u128) + q.size(self.space) > start as u128 {
+        if let Some((&s, e)) = self.entries.range(..=start).next_back() {
+            if (s as u128) + e.part.size(self.space) > start as u128 {
                 return Err(MapError::Overlap(p));
             }
         }
@@ -220,26 +443,24 @@ impl<T: OwnerKey> OwnerMap<T> {
                 return Err(MapError::Overlap(p));
             }
         }
-        self.index_add(&owner, p);
-        self.entries.insert(start, (p, owner));
+        let mark = self.index.attach(owner.dense(), p);
+        self.entries.insert(start, Entry { part: p, owner, mark });
+        self.partitions += 1;
         Ok(())
     }
 
-    /// Removes a partition, returning its owner.
+    /// Removes a partition, returning its owner. The owner's last
+    /// partition fills the hole.
     pub fn remove(&mut self, p: Partition) -> Result<T, MapError> {
-        let start = p.start(self.space);
-        match self.entries.get(&start) {
-            Some((q, _)) if *q == p => {
-                let (_, owner) = self.entries.remove(&start).expect("checked");
-                self.index_remove(&owner, p, false);
-                Ok(owner)
-            }
-            _ => Err(MapError::Missing(p)),
-        }
+        let slot = self.route(p).ok_or(MapError::Missing(p))?.owner.dense();
+        self.cut_entry(p, None);
+        self.index.detach(slot, p, false);
+        self.partitions -= 1;
+        Ok(self.entries.remove(&p.start(self.space)).expect("p was cut out").owner)
     }
 
-    /// Reassigns an existing partition to a new owner, returning the old one.
-    /// The old owner's last partition fills the hole.
+    /// Reassigns a partition to a new owner, returning the old one. The old
+    /// owner's last partition fills the hole.
     pub fn transfer(&mut self, p: Partition, new_owner: T) -> Result<T, MapError> {
         self.reassign(p, new_owner, false)
     }
@@ -252,184 +473,186 @@ impl<T: OwnerKey> OwnerMap<T> {
 
     fn reassign(&mut self, p: Partition, new_owner: T, shift: bool) -> Result<T, MapError> {
         let start = p.start(self.space);
-        let old = match self.entries.get_mut(&start) {
-            Some((q, owner)) if *q == p => std::mem::replace(owner, new_owner.clone()),
-            _ => return Err(MapError::Missing(p)),
+        // Most hand-overs move an entry of weight one: one exact probe.
+        let e = match self.entries.get_mut(&start) {
+            Some(e) if e.part.level() <= p.level() => e,
+            _ => self.entries.range_mut(..start).next_back().ok_or(MapError::Missing(p))?.1,
         };
-        self.index_remove(&old, p, shift);
-        self.index_add(&new_owner, p);
+        let slot = e.owner.dense();
+        let lift = self.index.of(slot).lift;
+        let depth = lift.wrapping_sub(e.mark);
+        if (e.part != p && !e.part.is_ancestor_of(&p)) || e.part.level() + depth != p.level() {
+            return Err(MapError::Missing(p));
+        }
+        self.index.detach(slot, p, shift);
+        let mark = self.index.attach(new_owner.dense(), p);
+        if e.part == p {
+            e.mark = mark;
+            return Ok(std::mem::replace(&mut e.owner, new_owner));
+        }
+        // A larger entry keeps its other partitions with the old owner.
+        let (old, rest) = carve(e, lift, p, Some((new_owner, mark)), self.space);
+        self.entries.extend(rest);
         Ok(old)
     }
 
-    /// Splits an existing partition in place; both halves keep the owner.
+    /// Splits a partition in place; both halves keep the owner.
     ///
-    /// The halves replace the parent structurally (the left half reuses
-    /// the parent's slot), so no overlap re-validation — and exactly one
-    /// owner clone, for the new right-half entry — is needed.
+    /// The partition's entry comes to stand for both halves, so no entry
+    /// is added and no overlap re-validation is needed.
     pub fn split(&mut self, p: Partition) -> Result<(Partition, Partition), MapError> {
-        let start = p.start(self.space);
-        let (a, b) = p.split();
-        let owner = match self.entries.get_mut(&start) {
-            Some((q, owner)) if *q == p => {
-                *q = a; // the left half starts where the parent did
-                owner.clone()
-            }
-            _ => return Err(MapError::Missing(p)),
-        };
-        let mid = b.start(self.space);
-        let prev = self.entries.insert(mid, (b, owner.clone()));
-        debug_assert!(prev.is_none(), "the parent covered its own right half");
-        let e = self.owners[owner.dense()].as_mut().expect("split owner is indexed");
-        let at = e.slot_of(p);
-        e.parts[at] = a;
-        e.parts.insert(at + 1, b);
-        Ok((a, b))
+        let owner = self.route(p).ok_or(MapError::Missing(p))?.owner.clone();
+        debug_assert!(p.level() < self.space.bits(), "split below the space's resolution");
+        let e = self.index.of_mut(owner.dense());
+        let mark = e.lift.wrapping_sub(1);
+        let at = e.isolate(p);
+        e.parts[at].mark = mark;
+        e.count += 1;
+        self.cut_entry(p, Some((owner, mark)));
+        self.partitions += 1;
+        Ok(p.split())
     }
 
     /// Merges two sibling partitions owned by the same owner into their
     /// parent. Returns the parent.
-    ///
-    /// The parent replaces the left child's slot in place; no owner is
-    /// cloned.
     pub fn merge(&mut self, a: Partition, b: Partition) -> Result<Partition, MapError> {
         let parent = Partition::merge(a, b).ok_or(MapError::Missing(b))?;
-        let (sa, sb) = (a.start(self.space), b.start(self.space));
-        // Optimistically detach the right child; the error paths restore it.
-        let Some((pb, owner_b)) = self.entries.remove(&sb) else {
-            return Err(MapError::Missing(b));
-        };
-        if pb != b {
-            self.entries.insert(sb, (pb, owner_b));
-            return Err(MapError::Missing(b));
+        let owner_b = self.route(b).ok_or(MapError::Missing(b))?.owner.clone();
+        let owner = self.route(a).ok_or(MapError::Missing(a))?.owner.clone();
+        if owner != owner_b {
+            return Err(MapError::Overlap(parent)); // owners differ: refuse
         }
-        match self.entries.get_mut(&sa) {
-            Some((q, owner)) if *q == a && *owner == owner_b => {
-                *q = parent;
-            }
-            Some((q, _)) if *q == a => {
-                self.entries.insert(sb, (pb, owner_b));
-                return Err(MapError::Overlap(parent)); // owners differ: refuse
-            }
-            _ => {
-                self.entries.insert(sb, (pb, owner_b));
-                return Err(MapError::Missing(a));
-            }
+        let (space, slot) = (self.space, owner.dense());
+        // The index: b's place is filled, then the parent takes a's place.
+        self.index.detach(slot, b, false);
+        let e = self.index.of_mut(slot);
+        let mark = e.lift;
+        let at = e.isolate(a);
+        e.parts[at] = Held::new(parent, mark);
+        // The entry map: one entry for the parent, standing for itself.
+        if self.route(a).is_some_and(|e| e.part == a) {
+            // Each child is an entry of its own.
+            self.entries.remove(&b.start(space));
+            let e = self.entries.remove(&a.start(space)).expect("a is an entry");
+            self.entries.insert(parent.start(space), Entry { part: parent, ..e });
         }
-        let e = self.owners[owner_b.dense()].as_mut().expect("merge owner is indexed");
-        let at = e.slot_of(b);
-        e.parts.swap_remove(at);
-        let at = e.slot_of(a);
-        e.parts[at] = parent;
+        self.cut_entry(parent, Some((owner, mark)));
+        self.partitions -= 1;
         Ok(parent)
     }
 
-    /// Binary-splits **every** entry of the map in one bulk rebuild —
-    /// `O(P)`, against `O(P log P)` for `P` individual [`OwnerMap::split`]
-    /// calls. This is the split cascade of a region that spans the whole
-    /// map (the global approach; the local approach while one group
-    /// remains). Returns the number of partitions split.
+    /// Binary-splits every partition `owner` holds, in place — `O(1)`:
+    /// every entry and block comes to stand one level deeper. A no-op for
+    /// an owner with no holdings.
     ///
-    /// The caller guarantees every entry sits above the space's resolution
-    /// floor (level < `Bh`), exactly as for [`OwnerMap::split`].
-    pub fn split_all(&mut self) -> u64 {
-        let space = self.space;
-        let old = std::mem::take(&mut self.entries);
-        let n = old.len() as u64;
-        // The input is in ascending start order and children preserve it,
-        // so `collect` bulk-builds the tree bottom-up without rebalancing.
-        self.entries = old
-            .into_values()
-            .flat_map(|(p, o)| {
-                debug_assert!(p.level() < space.bits(), "split below the space's resolution");
-                let (a, b) = p.split();
-                [(a.start(space), (a, o.clone())), (b.start(space), (b, o))]
-            })
-            .collect();
-        for e in self.owners.iter_mut().flatten() {
-            let parts = std::mem::take(&mut e.parts);
-            e.parts = parts
-                .into_iter()
-                .flat_map(|p| {
-                    let (a, b) = p.split();
-                    [a, b]
-                })
-                .collect();
-        }
-        n
-    }
-
-    /// Sorts `owner`'s holdings into hash-space order — `O(Pv log Pv)`.
-    pub fn sort_holdings(&mut self, owner: &T) {
-        let space = self.space;
-        if let Some(e) = self.owners.get_mut(owner.dense()).and_then(Option::as_mut) {
-            e.parts.sort_unstable_by_key(|p| p.start(space));
+    /// The caller guarantees every partition sits above the space's
+    /// resolution floor (level < `Bh`), exactly as for [`OwnerMap::split`].
+    pub fn raise(&mut self, owner: &T) {
+        let bits = self.space.bits();
+        if let Some(e) = self.index.slots.get_mut(owner.dense()).and_then(Option::as_mut) {
+            debug_assert!(
+                e.parts.iter().all(|h| h.level + e.depth(h.mark) < bits),
+                "raise below the space's resolution"
+            );
+            e.lift = e.lift.wrapping_add(1);
+            self.partitions += e.count as usize;
+            e.count = e.count.checked_mul(2).expect("an owner holds fewer than 2^32 partitions");
         }
     }
 
-    /// Replaces the entire map with `new`, given in ascending hash-space
-    /// order — the bulk form of a whole-map merge cascade (`O(P)`).
+    /// Binary-merges every sibling pair of partitions `owner` holds — the
+    /// inverse of [`OwnerMap::raise`] — and leaves its holdings in
+    /// hash-space order. Only blocks and entries of weight one are
+    /// touched: each sibling pair of them becomes one for the parent. A
+    /// no-op for an owner with no holdings.
     ///
-    /// # Panics
-    /// Debug-asserts that `new` is sorted and non-overlapping; release
-    /// builds trust the caller (the balance kernel, which constructs the
-    /// parent list in entry order).
-    pub fn replace_all(&mut self, new: Vec<(Partition, T)>) {
+    /// Fails with [`MapError::Missing`] (naming the absent sibling), and
+    /// changes nothing, unless `owner` holds the sibling of each of its
+    /// partitions.
+    pub fn lower(&mut self, owner: &T) -> Result<(), MapError> {
         let space = self.space;
-        self.owners.clear();
-        self.owner_count = 0;
-        // Index first (borrowing `new`), then move the same vector into
-        // the entry map — no intermediate copy of the whole tiling.
-        for (p, o) in &new {
-            self.index_add(o, *p);
+        let Self { entries, index, partitions, .. } = self;
+        let Some(e) = index.slots.get_mut(owner.dense()).and_then(Option::as_mut) else {
+            return Ok(());
+        };
+        let mut parts = e.parts.clone();
+        parts.sort_unstable_by_key(|h| h.start(space));
+        // In hash order a weight-one left child is followed by its sibling,
+        // when the owner holds it.
+        let mut fine = parts.iter().filter(|h| e.depth(h.mark) == 0).map(|h| h.part());
+        while let Some(p) = fine.next() {
+            if p.level() == 0 {
+                return Err(MapError::Missing(p));
+            }
+            if p.index() & 1 == 1 || fine.next() != Some(p.sibling()) {
+                return Err(MapError::Missing(p.sibling()));
+            }
         }
-        let mut last_end = 0u128;
-        self.entries = new
-            .into_iter()
-            .map(|(p, o)| {
-                let start = p.start(space);
-                debug_assert!(
-                    (start as u128) >= last_end,
-                    "replace_all input must be sorted and non-overlapping"
-                );
-                last_end = p.end(space);
-                (start, (p, o))
-            })
-            .collect();
+        // When a child is an entry of its own, so is its sibling.
+        let merged = e.lift.wrapping_sub(1);
+        let (mut kept, mut i) = (0, 0);
+        while i < parts.len() {
+            let h = parts[i];
+            if e.depth(h.mark) == 0 {
+                let (child, parent) = (h.part(), h.part().parent().expect("checked above"));
+                if let Some(entry) =
+                    entries.get_mut(&child.start(space)).filter(|x| x.part == child)
+                {
+                    (entry.part, entry.mark) = (parent, merged);
+                    entries.remove(&child.sibling().start(space));
+                }
+                parts[kept] = Held::new(parent, merged);
+                i += 2;
+            } else {
+                parts[kept] = h;
+                i += 1;
+            }
+            kept += 1;
+        }
+        parts.truncate(kept);
+        e.parts = parts;
+        e.lift = merged;
+        e.count /= 2;
+        *partitions -= e.count as usize;
+        Ok(())
     }
 
     /// The partition containing `point` and its owner, if any entry covers
     /// the point.
     pub fn lookup(&self, point: u64) -> Option<(Partition, &T)> {
         debug_assert!(self.space.contains(point));
-        let (_, (p, owner)) = self.entries.range(..=point).next_back()?;
-        if p.contains(point, self.space) {
-            Some((*p, owner))
-        } else {
-            None
+        let (_, e) = self.entries.range(..=point).next_back()?;
+        if !e.part.contains(point, self.space) {
+            return None;
         }
+        let p = match self.depth_of(e) {
+            0 => e.part,
+            depth => Partition::containing(e.part.level() + depth, point, self.space),
+        };
+        Some((p, &e.owner))
     }
 
     /// The owner of exactly this partition, if present.
     pub fn owner_of(&self, p: Partition) -> Option<&T> {
-        match self.entries.get(&p.start(self.space)) {
-            Some((q, owner)) if *q == p => Some(owner),
-            _ => None,
-        }
+        self.route(p).map(|e| &e.owner)
     }
 
     /// Iterates `(partition, owner)` in hash-space order.
     pub fn iter(&self) -> impl Iterator<Item = (Partition, &T)> {
-        self.entries.values().map(|(p, o)| (*p, o))
+        self.entries
+            .values()
+            .flat_map(move |e| e.part.descendants(self.depth_of(e)).map(move |p| (p, &e.owner)))
     }
 
-    /// Iterates `(partition, owner)` in hash-space order **starting at the
-    /// partition containing `point`**, wrapping past the top of the space —
-    /// the replica-successor walk of a cluster-aware replication policy:
-    /// the first item is the point's owner (the primary), the following
-    /// items are the successive partitions a replica placer probes for
-    /// followers hosted on distinct snodes. Visits every partition exactly
-    /// once; empty when the map is empty.
-    pub fn successors(&self, point: u64) -> impl Iterator<Item = (Partition, &T)> {
+    /// Iterates the owners of the stored entries in hash-space order,
+    /// **starting at the entry containing `point`**, wrapping past the top
+    /// of the space — the replica-successor walk of a cluster-aware
+    /// replication policy. The first item is the point's owner (the
+    /// primary). An entry may stand for several partitions of one owner,
+    /// so the walk's contract is the sequence of *distinct* owners in
+    /// first-visit order: it is the one a walk over every partition gives,
+    /// and all a replica placer reads. Empty when the map is empty.
+    pub fn successors(&self, point: u64) -> impl Iterator<Item = &T> {
         debug_assert!(self.space.contains(point));
         let pivot = match self.entries.range(..=point).next_back() {
             Some((&s, _)) => s,
@@ -437,28 +660,52 @@ impl<T: OwnerKey> OwnerMap<T> {
             // entry (only reachable on a non-covering map).
             None => 0,
         };
-        self.entries.range(pivot..).chain(self.entries.range(..pivot)).map(|(_, (p, o))| (*p, o))
+        self.entries.range(pivot..).chain(self.entries.range(..pivot)).map(|(_, e)| &e.owner)
     }
 
-    /// The partitions `owner` holds, in the order the module docs state.
-    pub fn holdings(&self, owner: &T) -> &[Partition] {
-        self.owners.get(owner.dense()).and_then(Option::as_ref).map_or(&[], |e| &e.parts)
+    /// `owner`'s blocks in holdings order, each with its depth: the block
+    /// stands for its `2^depth` descendants `depth` levels down
+    /// ([`Partition::descendants`]), which are `owner`'s partitions in the
+    /// order the module docs state.
+    pub fn holdings(&self, owner: &T) -> impl Iterator<Item = (Partition, u32)> + '_ {
+        self.index
+            .get(owner)
+            .into_iter()
+            .flat_map(|e| e.parts.iter().map(move |h| (h.part(), e.depth(h.mark))))
+    }
+
+    /// The `n`-th of `owner`'s partitions in holdings order (`None` past
+    /// its count) — `O(Bv)`.
+    pub fn nth_holding(&self, owner: &T, mut n: usize) -> Option<Partition> {
+        let e = self.index.get(owner)?;
+        if e.count as usize == e.parts.len() {
+            // Every block has weight one.
+            return e.parts.get(n).map(|h| h.part());
+        }
+        for h in &e.parts {
+            let depth = e.depth(h.mark);
+            if n >> depth == 0 {
+                return Some(Partition::new(h.level + depth, (h.index << depth) | n as u64));
+            }
+            n -= 1 << depth;
+        }
+        None
     }
 
     /// Number of partitions held by `owner` — `O(1)`.
     pub fn partition_count_of(&self, owner: &T) -> usize {
-        self.holdings(owner).len()
+        self.index.get(owner).map_or(0, |e| e.count as usize)
     }
 
     /// Verifies invariant G1: the entries tile `R_h` exactly — no gaps, no
     /// overlaps, total size `2^Bh`.
     pub fn verify_coverage(&self) -> Result<(), MapError> {
         let mut cursor: u128 = 0;
-        for (&start, (p, _)) in &self.entries {
+        for (&start, e) in &self.entries {
             if (start as u128) != cursor {
                 return Err(MapError::Gap(cursor as u64));
             }
-            cursor = start as u128 + p.size(self.space);
+            cursor = start as u128 + e.part.size(self.space);
         }
         if cursor != self.space.size() {
             return Err(MapError::BadTotal { covered: cursor, expected: self.space.size() });
@@ -467,34 +714,67 @@ impl<T: OwnerKey> OwnerMap<T> {
     }
 
     /// Verifies the owner index against a from-scratch recomputation over
-    /// the entry map (O(P log P); test/debug oracle).
+    /// the entry map: each owner's blocks tile exactly its entries, at
+    /// their depth; its count is the weights they sum; `len` is the counts'
+    /// sum (O(E log E); test/debug oracle).
     pub fn verify_index(&self) -> Result<(), MapError> {
-        let mut fresh: BTreeMap<usize, Vec<Partition>> = BTreeMap::new();
-        for (p, o) in self.iter() {
-            fresh.entry(o.dense()).or_default().push(p);
+        let drift = |d: String| Err(MapError::IndexDrift(d));
+        let mut fresh: BTreeMap<usize, Vec<&Entry<T>>> = BTreeMap::new();
+        for (&start, e) in &self.entries {
+            if start != e.part.start(self.space) {
+                return drift(format!("entry {} keyed at {start}", e.part));
+            }
+            fresh.entry(e.owner.dense()).or_default().push(e);
         }
-        if fresh.len() != self.owner_count {
-            return Err(MapError::IndexDrift(format!(
-                "{} owners indexed, {} found in entries",
-                self.owner_count,
+        let indexed = self.index.slots.iter().flatten().count();
+        if fresh.len() != indexed || indexed != self.index.owners {
+            return drift(format!(
+                "{} owners counted, {indexed} indexed, {} found in entries",
+                self.index.owners,
                 fresh.len()
-            )));
+            ));
         }
-        for (slot, parts) in fresh {
-            let Some(e) = self.owners.get(slot).and_then(Option::as_ref) else {
-                return Err(MapError::IndexDrift(format!("owner slot {slot} missing")));
+        let mut total = 0;
+        for (slot, entries) in fresh {
+            let owner = &entries[0].owner;
+            let Some(o) = self.index.slots.get(slot).and_then(Option::as_ref) else {
+                return drift(format!("owner {owner:?} missing"));
             };
-            if e.owner.dense() != slot {
-                return Err(MapError::IndexDrift(format!("owner slot {slot} holds {:?}", e.owner)));
+            if let Some(e) = entries.iter().find(|e| e.owner != *owner) {
+                return drift(format!("owners {owner:?} and {:?} share slot {slot}", e.owner));
             }
-            let mut indexed = e.parts.clone();
-            indexed.sort_unstable_by_key(|p| p.start(self.space));
-            if indexed != parts {
-                return Err(MapError::IndexDrift(format!(
-                    "owner {:?}: partition sets differ",
-                    e.owner
-                )));
+            let mut blocks = o.parts.clone();
+            blocks.sort_unstable_by_key(|h| h.start(self.space));
+            let mut blocks = blocks.into_iter();
+            for e in entries {
+                let level = e.part.level() + o.depth(e.mark);
+                let mut cursor = e.part.start(self.space) as u128;
+                while cursor < e.part.end(self.space) {
+                    let tiles = blocks.next().is_some_and(|h| {
+                        h.start(self.space) as u128 == cursor
+                            && (e.part == h.part() || e.part.is_ancestor_of(&h.part()))
+                            && h.level + o.depth(h.mark) == level
+                            && {
+                                cursor += h.part().size(self.space);
+                                true
+                            }
+                    });
+                    if !tiles {
+                        return drift(format!("owner {owner:?}: blocks do not tile {}", e.part));
+                    }
+                }
             }
+            if blocks.next().is_some() {
+                return drift(format!("owner {owner:?}: blocks outside its entries"));
+            }
+            let weight: usize = o.parts.iter().map(|h| 1usize << o.depth(h.mark)).sum();
+            if weight != o.count as usize {
+                return drift(format!("owner {owner:?}: count {} of weight {weight}", o.count));
+            }
+            total += weight;
+        }
+        if total != self.partitions {
+            return drift(format!("{} partitions counted, {total} held", self.partitions));
         }
         Ok(())
     }
@@ -508,6 +788,11 @@ mod tests {
         HashSpace::new(8)
     }
 
+    /// `owner`'s partitions in holdings order.
+    fn held(m: &OwnerMap<u32>, owner: u32) -> Vec<Partition> {
+        m.holdings(&owner).flat_map(|(p, depth)| p.descendants(depth)).collect()
+    }
+
     #[test]
     fn whole_map_routes_everything_to_one_owner() {
         let m = OwnerMap::whole(space(), 0u32);
@@ -519,7 +804,7 @@ mod tests {
         m.verify_coverage().unwrap();
         m.verify_index().unwrap();
         assert_eq!(m.owner_count(), 1);
-        assert_eq!(m.holdings(&0), [Partition::ROOT]);
+        assert_eq!(held(&m, 0), [Partition::ROOT]);
     }
 
     #[test]
@@ -531,7 +816,8 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.owner_of(a), Some(&0));
         assert_eq!(m.owner_of(b), Some(&0));
-        assert_eq!(m.holdings(&0), [a, b]);
+        assert_eq!(m.owner_of(Partition::ROOT), None, "the parent is no longer routed");
+        assert_eq!(held(&m, 0), [a, b]);
     }
 
     #[test]
@@ -542,8 +828,8 @@ mod tests {
         assert_eq!(old, 0);
         assert_eq!(m.lookup(0).unwrap().1, &0);
         assert_eq!(m.lookup(255).unwrap().1, &1);
-        assert_eq!(m.holdings(&0), [a]);
-        assert_eq!(m.holdings(&1), [b]);
+        assert_eq!(held(&m, 0), [a]);
+        assert_eq!(held(&m, 1), [b]);
         assert_eq!(m.partition_count_of(&0), 1);
         m.verify_index().unwrap();
     }
@@ -591,7 +877,7 @@ mod tests {
         assert_eq!(m.owner_count(), 1);
         m.remove(Partition::ROOT).unwrap();
         assert_eq!(m.owner_count(), 0);
-        assert!(m.holdings(&3).is_empty());
+        assert!(held(&m, 3).is_empty());
         m.verify_index().unwrap();
     }
 
@@ -649,19 +935,25 @@ mod tests {
         let p = |l, i| Partition::new(l, i);
         // A split leaves the left half in place and the right half after it.
         m.split(p(2, 1)).unwrap();
-        assert_eq!(m.holdings(&0), [p(2, 0), p(3, 2), p(3, 3), p(2, 2), p(2, 3)]);
+        assert_eq!(held(&m, 0), [p(2, 0), p(3, 2), p(3, 3), p(2, 2), p(2, 3)]);
         // A transfer fills the donor's hole with its last partition and
         // appends at the receiver.
         m.transfer(p(3, 2), 1).unwrap();
         m.transfer(p(2, 0), 1).unwrap();
-        assert_eq!(m.holdings(&0), [p(2, 2), p(2, 3), p(3, 3)]);
-        assert_eq!(m.holdings(&1), [p(3, 2), p(2, 0)]);
+        assert_eq!(held(&m, 0), [p(2, 2), p(2, 3), p(3, 3)]);
+        assert_eq!(held(&m, 1), [p(3, 2), p(2, 0)]);
         // The shifting transfer keeps the donor's order.
         m.transfer_shifting(p(2, 3), 1).unwrap();
-        assert_eq!(m.holdings(&0), [p(2, 2), p(3, 3)]);
-        assert_eq!(m.holdings(&1), [p(3, 2), p(2, 0), p(2, 3)]);
-        m.sort_holdings(&1);
-        assert_eq!(m.holdings(&1), [p(2, 0), p(3, 2), p(2, 3)]);
+        assert_eq!(held(&m, 0), [p(2, 2), p(3, 3)]);
+        assert_eq!(held(&m, 1), [p(3, 2), p(2, 0), p(2, 3)]);
+        // A merge puts the parent in the left child's place; lowering
+        // merges every pair and leaves hash-space order.
+        m.transfer(p(2, 2), 1).unwrap();
+        m.transfer(p(3, 3), 1).unwrap();
+        m.merge(p(3, 2), p(3, 3)).unwrap();
+        assert_eq!(held(&m, 1), [p(2, 1), p(2, 0), p(2, 3), p(2, 2)]);
+        m.lower(&1).unwrap();
+        assert_eq!(held(&m, 1), [p(1, 0), p(1, 1)]);
         m.verify_index().unwrap();
     }
 
@@ -691,17 +983,20 @@ mod tests {
             m.insert(Partition::new(2, i), i as u32).unwrap();
         }
         // Starting inside the third quarter: 2, 3, then wrap to 0, 1.
-        let walk: Vec<u32> = m.successors(130).map(|(_, &o)| o).collect();
+        let walk: Vec<u32> = m.successors(130).copied().collect();
         assert_eq!(walk, vec![2, 3, 0, 1]);
         // Starting at point 0 is plain hash-space order.
-        let walk: Vec<u32> = m.successors(0).map(|(_, &o)| o).collect();
+        let walk: Vec<u32> = m.successors(0).copied().collect();
         assert_eq!(walk, vec![0, 1, 2, 3]);
         // The first item always matches lookup.
         for point in [0u64, 77, 128, 255] {
-            let (p, o) = m.successors(point).next().unwrap();
-            let (lp, lo) = m.lookup(point).unwrap();
-            assert_eq!((p, o), (lp, lo));
+            assert_eq!(m.successors(point).next(), m.lookup(point).map(|(_, o)| o));
         }
+        // A raised owner's entry stands for several partitions but is
+        // walked once: the distinct owners keep their order.
+        m.raise(&2);
+        assert_eq!(m.len(), 5);
+        assert_eq!(m.successors(130).copied().collect::<Vec<_>>(), vec![2, 3, 0, 1]);
         assert_eq!(OwnerMap::<u32>::new(space()).successors(9).count(), 0);
     }
 
@@ -714,38 +1009,209 @@ mod tests {
     }
 
     #[test]
-    fn split_all_doubles_every_entry() {
+    fn raise_doubles_every_holding() {
         let mut m = OwnerMap::new(space());
         for i in 0..4u64 {
             m.insert(Partition::new(2, i), (i % 2) as u32).unwrap();
         }
-        let n = m.split_all();
-        assert_eq!(n, 4);
+        m.raise(&0);
+        m.raise(&1);
         assert_eq!(m.len(), 8);
+        assert_eq!(m.entry_count(), 4, "a raise stores nothing new");
         m.verify_coverage().unwrap();
         m.verify_index().unwrap();
         for i in 0..8u64 {
             assert_eq!(m.owner_of(Partition::new(3, i)), Some(&(((i / 2) % 2) as u32)));
+            assert_eq!(m.lookup(i * 32 + 5).unwrap().0, Partition::new(3, i));
         }
+        assert_eq!(m.owner_of(Partition::new(2, 0)), None, "level-2 partitions are gone");
         // Every owner's holdings interleave the halves, in place.
         let at3 = |is: [u64; 4]| is.map(|i| Partition::new(3, i));
-        assert_eq!(m.holdings(&0), at3([0, 1, 4, 5]));
-        assert_eq!(m.holdings(&1), at3([2, 3, 6, 7]));
+        assert_eq!(held(&m, 0), at3([0, 1, 4, 5]));
+        assert_eq!(held(&m, 1), at3([2, 3, 6, 7]));
+        assert_eq!(m.nth_holding(&1, 2), Some(Partition::new(3, 6)));
+        assert_eq!(m.nth_holding(&1, 4), None);
     }
 
     #[test]
-    fn replace_all_rebuilds_entries_and_index() {
+    fn lower_merges_sibling_pairs_or_changes_nothing() {
+        let p = |l, i| Partition::new(l, i);
         let mut m = OwnerMap::whole(space(), 0u32);
-        m.replace_all(vec![
-            (Partition::new(1, 0), 4u32),
-            (Partition::new(2, 2), 5),
-            (Partition::new(2, 3), 4),
-        ]);
+        m.raise(&0);
+        m.raise(&0);
+        // Four level-2 partitions in one entry; moving the second one out
+        // cuts the entry along the path to it. The donor's last partition
+        // fills the hole in its index only.
+        m.transfer(p(2, 1), 1).unwrap();
+        assert_eq!(held(&m, 0), [p(2, 0), p(2, 3), p(2, 2)]);
+        assert_eq!(m.entry_count(), 3);
+        m.verify_index().unwrap();
+        // Owner 0 lacks p(2, 1): nothing changes.
+        assert_eq!(m.lower(&0), Err(MapError::Missing(p(2, 1))));
+        assert_eq!(held(&m, 0), [p(2, 0), p(2, 3), p(2, 2)]);
+        m.transfer(p(2, 1), 0).unwrap();
+        m.lower(&0).unwrap();
+        assert_eq!(held(&m, 0), [p(1, 0), p(1, 1)]);
+        assert_eq!(m.entry_count(), 2);
+        // A raised owner lowers without touching its entries.
+        m.raise(&0);
+        m.lower(&0).unwrap();
+        assert_eq!(m.entry_count(), 2);
+        assert_eq!(m.len(), 2);
         m.verify_coverage().unwrap();
         m.verify_index().unwrap();
-        assert_eq!(m.owner_count(), 2);
-        assert_eq!(m.holdings(&4), [Partition::new(1, 0), Partition::new(2, 3)]);
-        assert_eq!(m.holdings(&5), [Partition::new(2, 2)]);
+    }
+
+    /// The order contract, spelled out over one flat list of partitions
+    /// per owner — the representation before entries stood for their
+    /// descendants.
+    #[derive(Default)]
+    struct Flat {
+        held: Vec<Vec<Partition>>,
+    }
+
+    impl Flat {
+        fn owner_of(&self, p: Partition) -> Option<(usize, usize)> {
+            self.held
+                .iter()
+                .enumerate()
+                .find_map(|(o, h)| Some((o, h.iter().position(|&q| q == p)?)))
+        }
+        fn give(&mut self, p: Partition, to: usize, shift: bool) {
+            let (o, at) = self.owner_of(p).unwrap();
+            if shift {
+                self.held[o].remove(at);
+            } else {
+                self.held[o].swap_remove(at);
+            }
+            self.held[to].push(p);
+        }
+        fn split(&mut self, p: Partition) {
+            let (o, at) = self.owner_of(p).unwrap();
+            let (a, b) = p.split();
+            self.held[o][at] = a;
+            self.held[o].insert(at + 1, b);
+        }
+        fn merge(&mut self, a: Partition, b: Partition) {
+            let (o, at) = self.owner_of(b).unwrap();
+            self.held[o].swap_remove(at);
+            let (_, at) = self.owner_of(a).unwrap();
+            self.held[o][at] = a.parent().unwrap();
+        }
+        fn raise(&mut self, o: usize) {
+            self.held[o] = self.held[o].iter().flat_map(|p| <[_; 2]>::from(p.split())).collect();
+        }
+        /// `false` (changing nothing) unless `o` holds every sibling.
+        fn lower(&mut self, o: usize) -> bool {
+            let h = &self.held[o];
+            if !h.iter().all(|p| p.level() > 0 && h.contains(&p.sibling())) {
+                return false;
+            }
+            let mut parents: Vec<Partition> = h.iter().filter_map(|p| p.parent()).collect();
+            parents.sort_by_key(|p| p.start(space()));
+            parents.dedup();
+            self.held[o] = parents;
+            true
+        }
+        fn lookup(&self, point: u64) -> Option<(Partition, u32)> {
+            self.held.iter().enumerate().find_map(|(o, h)| {
+                h.iter().find(|p| p.contains(point, space())).map(|&p| (p, o as u32))
+            })
+        }
+    }
+
+    #[test]
+    fn randomized_walk_matches_the_flat_order_contract() {
+        const OWNERS: usize = 6;
+        let mut m = OwnerMap::whole(space(), 0u32);
+        let mut flat = Flat { held: vec![Vec::new(); OWNERS] };
+        flat.held[0].push(Partition::ROOT);
+        let mut x = 0x9E3779B97F4A7C15u64;
+        let mut rng = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let mut lowered = 0;
+        for step in 0..3000 {
+            let o = rng(OWNERS);
+            let count = flat.held[o].len();
+            match rng(8) {
+                // Raise an owner while its partitions stay coarse enough.
+                0 if count > 0 && count < 16 && flat.held[o].iter().all(|p| p.level() < 7) => {
+                    flat.raise(o);
+                    m.raise(&(o as u32));
+                }
+                1 => {
+                    let ok = flat.lower(o);
+                    assert_eq!(m.lower(&(o as u32)).is_ok(), ok, "step {step}: lower({o})");
+                    lowered += ok as usize;
+                }
+                // Gather the siblings of an owner's holdings, so lowers
+                // succeed.
+                2 => {
+                    for p in flat.held[o].clone() {
+                        let sibling = if p.level() > 0 { p.sibling() } else { continue };
+                        if flat.owner_of(sibling).is_some_and(|(s, _)| s != o) {
+                            flat.give(sibling, o, false);
+                            m.transfer(sibling, o as u32).unwrap();
+                        }
+                    }
+                }
+                // Hand one partition on, picked as the donor policies pick.
+                3..=5 if count > 0 => {
+                    let (n, shift) = match rng(3) {
+                        0 => (rng(count), false),
+                        1 => (count - 1, false),
+                        _ => (0, true),
+                    };
+                    let p = m.nth_holding(&(o as u32), n).unwrap();
+                    assert_eq!(p, flat.held[o][n], "step {step}: pick {n} of owner {o}");
+                    let to = rng(OWNERS);
+                    flat.give(p, to, shift);
+                    let old = if shift {
+                        m.transfer_shifting(p, to as u32)
+                    } else {
+                        m.transfer(p, to as u32)
+                    };
+                    assert_eq!(old, Ok(o as u32));
+                }
+                6 if count > 0 => {
+                    let p = flat.held[o][rng(count)];
+                    if p.level() < 8 {
+                        flat.split(p);
+                        assert_eq!(m.split(p), Ok(p.split()));
+                    }
+                }
+                7 if count > 0 => {
+                    let p = flat.held[o][rng(count)];
+                    if p.level() > 0 && flat.owner_of(p.sibling()).is_some_and(|(s, _)| s == o) {
+                        let (a, b) =
+                            if p.index() % 2 == 0 { (p, p.sibling()) } else { (p.sibling(), p) };
+                        flat.merge(a, b);
+                        assert_eq!(m.merge(a, b), Ok(a.parent().unwrap()));
+                    }
+                }
+                _ => {}
+            }
+            for owner in 0..OWNERS {
+                assert_eq!(held(&m, owner as u32), flat.held[owner], "step {step}: owner {owner}");
+                assert_eq!(m.partition_count_of(&(owner as u32)), flat.held[owner].len());
+            }
+            for point in (0..256).step_by(7) {
+                assert_eq!(
+                    m.lookup(point).map(|(p, &o)| (p, o)),
+                    flat.lookup(point),
+                    "step {step}"
+                );
+            }
+            assert_eq!(m.len(), flat.held.iter().map(Vec::len).sum::<usize>());
+            m.verify_coverage().unwrap_or_else(|e| panic!("step {step}: {e}"));
+            m.verify_index().unwrap_or_else(|e| panic!("step {step}: {e}"));
+        }
+        assert!(lowered > 50, "the walk exercised lower only {lowered} times");
+        assert!(m.entry_count() < m.len(), "the walk ends with entries standing for several");
     }
 
     #[test]

@@ -66,10 +66,12 @@ proptest! {
         prop_assert!(total.is_one(), "leaves sum to {total}");
     }
 
-    /// An OwnerMap driven by random split/transfer sequences always
-    /// verifies coverage (and an exact owner index), and every point
-    /// lookup agrees with the entry set. Owners are drawn from a small
-    /// range — the `OwnerKey` contract requires dense arena indices.
+    /// An OwnerMap driven by random split / transfer / raise / lower
+    /// sequences always verifies coverage (and an exact owner index), keeps
+    /// every owner's partitions in the order a flat per-owner list gets
+    /// from the same operations, and every point lookup agrees with the
+    /// entry set. Owners are drawn from a small range — the `OwnerKey`
+    /// contract requires dense arena indices.
     #[test]
     fn owner_map_coverage_under_churn(
         script in prop::collection::vec((any::<prop::sample::Index>(), 0u32..64), 1..80),
@@ -77,25 +79,52 @@ proptest! {
     ) {
         let space = HashSpace::new(16);
         let mut map = OwnerMap::whole(space, 0u32);
-        let mut parts = vec![Partition::ROOT];
+        let mut flat: Vec<Vec<Partition>> = vec![Vec::new(); 64];
+        flat[0].push(Partition::ROOT);
         for (idx, owner) in script {
-            let i = idx.index(parts.len());
-            let p = parts[i];
-            if p.level() < space.bits() && (owner & 1 == 0) {
-                let (a, b) = map.split(p).unwrap();
-                parts.swap_remove(i);
-                parts.push(a);
-                parts.push(b);
-            } else {
-                map.transfer(p, owner).unwrap();
+            let parts: Vec<(Partition, u32)> = map.iter().map(|(p, &o)| (p, o)).collect();
+            let (p, held_by) = parts[idx.index(parts.len())];
+            let held = &mut flat[held_by as usize];
+            match owner & 3 {
+                0 if p.level() < space.bits() => {
+                    let (a, b) = map.split(p).unwrap();
+                    let at = held.iter().position(|&q| q == p).unwrap();
+                    held[at] = a;
+                    held.insert(at + 1, b);
+                }
+                2 if held.len() < 64 && held.iter().all(|q| q.level() < space.bits()) => {
+                    map.raise(&held_by);
+                    *held = held.iter().flat_map(|q| <[_; 2]>::from(q.split())).collect();
+                }
+                3 => {
+                    let pairs = held.iter().all(|q| q.level() > 0 && held.contains(&q.sibling()));
+                    prop_assert_eq!(map.lower(&held_by).is_ok(), pairs);
+                    if pairs {
+                        held.retain(|q| q.index() % 2 == 0);
+                        *held = held.iter().map(|q| q.parent().unwrap()).collect();
+                        held.sort_by_key(|q| q.start(space));
+                    }
+                }
+                _ => {
+                    map.transfer(p, owner).unwrap();
+                    let at = held.iter().position(|&q| q == p).unwrap();
+                    held.swap_remove(at);
+                    flat[owner as usize].push(p);
+                }
             }
             map.verify_coverage().map_err(|e| TestCaseError::fail(e.to_string()))?;
             map.verify_index().map_err(|e| TestCaseError::fail(e.to_string()))?;
+            for (o, held) in flat.iter().enumerate() {
+                let listed: Vec<Partition> =
+                    map.holdings(&(o as u32)).flat_map(|(q, depth)| q.descendants(depth)).collect();
+                prop_assert_eq!(&listed, held);
+            }
         }
         for probe in probes {
             let point = probe & space.max_point();
-            let (p, _) = map.lookup(point).expect("covered");
+            let (p, &o) = map.lookup(point).expect("covered");
             prop_assert!(p.contains(point, space));
+            prop_assert!(flat[o as usize].contains(&p));
         }
     }
 
