@@ -56,7 +56,7 @@ use domus_core::{DhtEngine, SnodeId, VnodeId};
 use domus_sim::{ClusterNet, CostModel, EventCost, EventPricer, SimTime};
 use plant::Plant;
 use readers::ReadPlane;
-use roster::{follow_rename, Roster};
+use roster::Roster;
 use route::RoutePlane;
 use std::time::Instant;
 
@@ -292,30 +292,24 @@ impl<E: DhtEngine> ChurnDriver<E> {
         self.lease(|r| handles.iter().for_each(|&v| r.note_join(v, snode, now)));
     }
 
-    /// Removes `victims` in order, patching not-yet-removed handles when a
-    /// removal internally migrates (renames) a surviving vnode. An empty
-    /// list (the node is already gone — a failure took it — or nobody is
-    /// live) counts one skipped operation.
-    fn remove_all(&mut self, mut victims: Vec<VnodeId>) {
+    /// Removes `victims` in order. An empty list (the node is already
+    /// gone — a failure took it — or nobody is live) counts one skipped
+    /// operation.
+    fn remove_all(&mut self, victims: Vec<VnodeId>) {
         if victims.is_empty() {
             self.open.skipped += 1;
         }
-        for i in 0..victims.len() {
-            if let Some(rename) = self.remove_one(victims[i]) {
-                follow_rename(victims[i + 1..].iter_mut(), rename);
-            }
-        }
+        victims.into_iter().for_each(|v| self.remove_one(v));
     }
 
-    /// Removes one vnode; returns the rename a group-merge migration
-    /// applied to a *surviving* vnode, if any.
-    fn remove_one(&mut self, v: VnodeId) -> Option<(VnodeId, VnodeId)> {
+    /// Removes one vnode.
+    fn remove_one(&mut self, v: VnodeId) {
         if self.roster.len() <= 1 {
             // The model has no representation for an empty DHT; a real
             // deployment would be down. Count it instead of crashing —
             // the guard is state-parallel, so every engine skips alike.
             self.open.skipped += 1;
-            return None;
+            return;
         }
         self.pricer.begin();
         let entries_moved = self.plant.remove(v, &mut self.pricer);
@@ -327,17 +321,7 @@ impl<E: DhtEngine> ChurnDriver<E> {
         self.absorb(cost, entries_moved);
         self.open.leaves += 1;
         self.roster.remove(v);
-        let migrated = self.pricer.migrated();
-        if let Some(rename) = migrated {
-            self.roster.rename(rename);
-        }
-        self.lease(|r| {
-            r.note_remove(v);
-            if let Some((old, new)) = migrated {
-                r.note_rename(old, new);
-            }
-        });
-        migrated
+        self.lease(|r| r.note_remove(v));
     }
 
     /// Crashes the snode identified by `tag` ungracefully (see
@@ -372,13 +356,9 @@ impl<E: DhtEngine> ChurnDriver<E> {
             return self.lease(|r| r.note_fail(snode));
         };
         self.roster.remove_tag(tag);
-        // Survivor renames re-key their leases; then the dead holder's
-        // leases are released (the confirmation a tick's failover asks for).
-        self.lease(|r| {
-            crash.renames.iter().for_each(|&(old, new)| r.note_rename(old, new));
-            r.note_fail(snode);
-        });
-        crash.renames.iter().for_each(|&rename| self.roster.rename(rename));
+        // The dead holder's leases are released (the confirmation a tick's
+        // failover asks for).
+        self.lease(|r| r.note_fail(snode));
         // The governing record after the event: the first transfer
         // receiver when it survived the whole crash, else any survivor.
         let (record_len, participants) = self

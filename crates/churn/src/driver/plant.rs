@@ -222,11 +222,7 @@ impl<E: DhtEngine> Plant<E> {
             Backing::Bare(e) => {
                 let out = view.tapped(pricer, |sink| e.fail_snode(snode, sink)).expect(FAILED);
                 view.publish(|b| b.note_fail(snode));
-                CrashReport {
-                    vnodes_failed: out.vnodes.len(),
-                    renames: out.renames,
-                    ..CrashReport::default()
-                }
+                CrashReport { vnodes_failed: out.vnodes.len(), ..CrashReport::default() }
             }
             Backing::Kv(_) => return None,
             Backing::Repl(store) => {
@@ -389,25 +385,12 @@ impl<E: DhtEngine> ChurnDriver<E> {
         self.plant.with_engine(f)
     }
 
-    /// The KV service handle, when the plain overlay is active.
-    pub fn kv(&self) -> Option<&KvService<E>> {
-        match &self.plant.backing {
-            Backing::Kv(svc) => Some(svc),
-            _ => None,
-        }
-    }
-
     /// Read access to the replicated store, when that overlay is active.
     pub fn with_replicated<T>(&self, f: impl FnOnce(&ReplicatedStore<E>) -> T) -> Option<T> {
         match &self.plant.backing {
             Backing::Repl(store) => Some(f(&store.read())),
             _ => None,
         }
-    }
-
-    /// The serving-plane cell readers pin snapshots from.
-    pub fn serve_cell(&self) -> &Arc<SnapshotCell> {
-        self.plant.cell()
     }
 }
 

@@ -4,28 +4,15 @@
 //!
 //! Events name victims by *tag* or by *rank* into this order, never by
 //! engine handle, so the roster is what makes one stream drive every
-//! backend through the same decisions. Every selection rule and the
-//! rename-following rule are written here once. Lookups scan the `Vec`:
-//! the order is part of the replay contract, and an index over it is a
-//! change for whoever can show a gain from it.
+//! backend through the same decisions. Every selection rule is written
+//! here once. A vnode keeps its handle for life (a migration between
+//! groups included), so this order is also the engine's `vnodes()`
+//! order. Lookups scan the `Vec`: the order is part of the replay
+//! contract, and an index over it is a change for whoever can show a
+//! gain from it.
 
 use crate::event::NodeTag;
 use domus_core::{SnodeId, VnodeId};
-
-/// Points every handle equal to `old` at `new`: a removal may migrate a
-/// *surviving* vnode between groups, retiring its handle, and everything
-/// still holding the old one — the roster, victims not yet removed —
-/// must follow.
-pub(crate) fn follow_rename<'a>(
-    handles: impl Iterator<Item = &'a mut VnodeId>,
-    (old, new): (VnodeId, VnodeId),
-) {
-    for h in handles {
-        if *h == old {
-            *h = new;
-        }
-    }
-}
 
 /// The replay roster (shared across engines: same stream ⇒ same roster).
 #[derive(Debug, Default)]
@@ -93,11 +80,6 @@ impl Roster {
     /// Drops every vnode of `tag`.
     pub(crate) fn remove_tag(&mut self, tag: NodeTag) {
         self.live.retain(|&(t, _)| t != tag);
-    }
-
-    /// Follows a survivor's rename (see [`follow_rename`]).
-    pub(crate) fn rename(&mut self, rename: (VnodeId, VnodeId)) {
-        follow_rename(self.live.iter_mut().map(|(_, v)| v), rename);
     }
 
     /// Records that `tag` crashed while hosting `vnodes` vnodes.
@@ -170,18 +152,13 @@ mod tests {
     }
 
     #[test]
-    fn renames_are_followed_by_the_roster_and_by_pending_victims() {
+    fn removals_keep_the_rest_in_creation_order() {
         let mut r = roster();
-        let mut pending = r.vnodes_of(NodeTag(1));
-        // Removing vnode 10 migrated survivor 12 to a fresh handle 99.
         r.remove(VnodeId(10));
-        r.rename((VnodeId(12), VnodeId(99)));
-        follow_rename(pending.iter_mut(), (VnodeId(12), VnodeId(99)));
-        assert_eq!(r.vnodes_of(NodeTag(1)), vec![VnodeId(11), VnodeId(99)]);
-        assert_eq!(pending, vec![VnodeId(11), VnodeId(99)], "the queued victim follows too");
+        assert_eq!(r.vnodes_of(NodeTag(1)), vec![VnodeId(11), VnodeId(12)]);
         assert_eq!(r.len(), 4);
-        // A rename of a handle nobody holds is a no-op.
-        r.rename((VnodeId(500), VnodeId(501)));
+        // Removing a handle nobody holds is a no-op.
+        r.remove(VnodeId(500));
         assert_eq!(r.hosting().count(), 4);
         r.remove_tag(NodeTag(1));
         assert_eq!(

@@ -8,6 +8,10 @@
 //! reproduce them bit for bit — a column dropped, reordered or
 //! reformatted, a roster rule changed, or a publish moved shows up here
 //! before it shows up in `results/*.csv`.
+//!
+//! The first three local digests were re-captured once a group migration
+//! came to keep the vnode's handle: those runs migrate (14, 14 and 13
+//! times); no other run here does.
 
 use domus_ch::ChEngine;
 use domus_churn::{Capacity, ChurnDriver, DriverConfig, Lifetime, Process, Scenario};
@@ -65,7 +69,7 @@ fn cfg(vmin: u64) -> DhtConfig {
 fn local_csvs_match_the_golden_digests() {
     assert_eq!(
         plants(|| LocalDht::with_seed(cfg(8), SEED)),
-        [0x2a246aeba8202ec8, 0x22d2bafc5bb2112c, 0x66ad5c97e7f650ec, 0x945ac29a785c7ee1]
+        [0x20221db3821b7bb6, 0x10cffdf131a90fca, 0xea1bcd8615f8c8aa, 0x945ac29a785c7ee1]
     );
 }
 

@@ -11,7 +11,7 @@
 //! join with a weight, change weight (grow/shrink enrollment), leave — all
 //! implemented with the engine's create/remove primitives.
 
-use crate::engine::{DhtEngine, RenameWatch};
+use crate::engine::DhtEngine;
 use crate::errors::DhtError;
 use crate::ids::{SnodeId, VnodeId};
 use crate::sink::NullSink;
@@ -115,22 +115,6 @@ impl<E: DhtEngine> Cluster<E> {
         Ok(s)
     }
 
-    /// Removes `v` and applies the removal's side effect to the handle
-    /// bookkeeping: the deletion extension may internally *migrate* a
-    /// vnode (remove `old`, re-create it as `new` under the same snode in
-    /// another group), which retires the old handle. Returns that rename.
-    fn remove(&mut self, v: VnodeId) -> Result<Option<(VnodeId, VnodeId)>, DhtError> {
-        let mut watch = RenameWatch { out: &mut NullSink, renamed: None };
-        self.engine.remove_vnode_with(v, &mut watch)?;
-        if let Some((old, new)) = watch.renamed {
-            let mut tracked = self.nodes.values_mut().flat_map(|info| &mut info.vnodes);
-            if let Some(slot) = tracked.find(|v| **v == old) {
-                *slot = new;
-            }
-        }
-        Ok(watch.renamed)
-    }
-
     /// Changes a node's enrollment (on-line re-enrollment, §2.1.2: "that
     /// amount may change in result of on-line disk repartitioning or
     /// hot-swapping mechanisms"). Creates or removes vnodes to match.
@@ -146,7 +130,7 @@ impl<E: DhtEngine> Cluster<E> {
         }
         while self.nodes[&s].vnodes.len() > target {
             let v = self.nodes.get_mut(&s).expect("checked").vnodes.pop().expect("non-empty");
-            self.remove(v)?;
+            self.engine.remove_vnode_with(v, &mut NullSink)?;
         }
         Ok(())
     }
@@ -161,17 +145,9 @@ impl<E: DhtEngine> Cluster<E> {
         if hosted == self.engine.vnode_count() {
             return Err(DhtError::LastVnode);
         }
-        let mut pending = self.nodes.remove(&s).expect("checked above").vnodes;
-        while let Some(v) = pending.pop() {
-            // A migration may have renamed one of this node's own pending
-            // vnodes; patch the local work list as well as other nodes'.
-            if let Some((old, new)) = self.remove(v)? {
-                for slot in pending.iter_mut() {
-                    if *slot == old {
-                        *slot = new;
-                    }
-                }
-            }
+        let vnodes = self.nodes.remove(&s).expect("checked above").vnodes;
+        for &v in vnodes.iter().rev() {
+            self.engine.remove_vnode_with(v, &mut NullSink)?;
         }
         Ok(())
     }

@@ -21,8 +21,10 @@
 //!    harmonised upward and counts re-levelled.
 //! 3. **Internal vnode migration** (`V_g = Vmin`, sibling unavailable, but
 //!    some group exceeds `Vmin`): move one vnode from the largest group
-//!    into the victim's group (remove there + re-create here), restoring
-//!    headroom; then case 1 applies.
+//!    into the victim's group (drained there as a removal would, admitted
+//!    here as a creation would), restoring headroom; then case 1 applies.
+//!    The vnode keeps its handle and canonical name: a vnode is
+//!    `snode_id.vnode_id` for as long as it lives (§2.1, footnote 2).
 //! 4. **Deepest-pair merge** (every group sits at exactly `Vmin`): merge
 //!    the deepest leaf with its sibling — which the trie structure
 //!    guarantees is also a leaf — producing a `Vmax` group that either
@@ -53,7 +55,8 @@ pub(crate) fn remove<P: RegionPolicy, R: DomusRng>(
     let snode = dht.vs.get(v).name.snode;
     let outcome = RemoveOutcome { group: Some(dht.groups[dht.vs.get(v).group as usize].gid) };
     make_room(dht, v, sink)?;
-    intra_group_remove(dht, dht.vs.get(v).group, v, sink);
+    drain(dht, dht.vs.get(v).group, v, sink);
+    dht.vs.kill(v);
     dht.ledger.vnode_killed(snode);
     dht.debug_check();
     Ok(outcome)
@@ -92,8 +95,9 @@ fn make_room<P: RegionPolicy, R: DomusRng>(
     Ok(())
 }
 
-/// Case 1: drain, kill, and run the merge cascade if it saturated `Pmax`.
-fn intra_group_remove<P, R: DomusRng>(
+/// Case 1: drains `v` out of its region and runs the merge cascade if that
+/// saturated `Pmax`. `v` leaves the region holding nothing, still alive.
+fn drain<P, R: DomusRng>(
     dht: &mut BalancedDht<P, R>,
     slot: u32,
     v: VnodeId,
@@ -104,8 +108,7 @@ fn intra_group_remove<P, R: DomusRng>(
         let mut ls = LedgeredSink::new(sink, ledger);
         balance::greedy_remove(vs, routing, &mut groups[slot as usize], v, cfg, rng, &mut ls);
     }
-    assert_eq!(count(&dht.routing, v), 0, "killing {v} while it still owns partitions");
-    dht.vs.kill(v);
+    assert_eq!(count(&dht.routing, v), 0, "{v} still owns partitions after its drain");
     let saturated = balance::all_at_pmax(&dht.groups[slot as usize], &dht.cfg);
     if saturated {
         let pairs = {
@@ -221,9 +224,9 @@ fn merge_groups<P: RegionPolicy, R: DomusRng>(
     Ok(merged_slot)
 }
 
-/// Case 3: migrate one vnode from `donor` into `dest` (remove + re-create
-/// under the same snode), announcing the handle change as a
-/// `VnodeMigrated` event.
+/// Case 3: migrates one vnode from `donor` into `dest` under its own
+/// handle, announced as a `VnodeMigrated` event whose `old` and `new` are
+/// both that handle.
 fn migrate_one<P: RegionPolicy, R: DomusRng>(
     dht: &mut BalancedDht<P, R>,
     donor: u32,
@@ -231,13 +234,9 @@ fn migrate_one<P: RegionPolicy, R: DomusRng>(
     sink: &mut dyn RebalanceSink,
 ) -> Result<(), DhtError> {
     let w = *dht.groups[donor as usize].members.last().expect("donor group is non-empty");
-    let snode = dht.vs.get(w).name.snode;
-    intra_group_remove(dht, donor, w, sink);
-    let outcome = dht.admit_into_group(snode, dest, sink)?;
-    // The re-creation was ledgered by the admission path; balance the
-    // kill of the retired handle.
-    dht.ledger.vnode_killed(snode);
-    sink.event(RebalanceEvent::VnodeMigrated { old: w, new: outcome.vnode });
+    drain(dht, donor, w, sink);
+    dht.admit_into_group(dest, sink, |_| w)?;
+    sink.event(RebalanceEvent::VnodeMigrated { old: w, new: w });
     Ok(())
 }
 

@@ -3,7 +3,7 @@
 //!
 //! Each membership operation has exactly one call:
 //! [`DhtEngine::create_vnode_with`] / [`DhtEngine::remove_vnode_with`]
-//! stream typed [`RebalanceEvent`]s into a caller-supplied
+//! stream typed [`RebalanceEvent`](crate::RebalanceEvent)s into a caller-supplied
 //! [`RebalanceSink`] while they run. Callers pick the sink —
 //! [`crate::NullSink`] when only the outcome matters, [`crate::CountOnly`]
 //! for tallies, [`crate::CollectReport`] to materialise a
@@ -16,7 +16,7 @@ use crate::group_id::GroupId;
 use crate::ids::{CanonicalName, SnodeId, VnodeId};
 use crate::invariants::InvariantViolation;
 use crate::record::Pdr;
-use crate::sink::{RebalanceEvent, RebalanceSink};
+use crate::sink::RebalanceSink;
 use crate::stats::BalanceSnapshot;
 use domus_hashspace::Partition;
 use std::collections::BTreeSet;
@@ -67,14 +67,11 @@ pub struct RemoveOutcome {
 /// The scalar outcome of one snode crash ([`DhtEngine::fail_snode`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FailOutcome {
-    /// The failed snode's vnodes, by their handle at crash time, in the
-    /// order they were torn down. Handles renamed mid-crash by a
-    /// group-merge migration appear under the handle that was actually
-    /// removed.
+    /// The failed snode's vnodes, in the order they were torn down (their
+    /// creation order).
     pub vnodes: Vec<VnodeId>,
-    /// Renames a group-merge migration applied while the crash was being
-    /// absorbed, as `(old, new)` — survivors keep their data under a new
-    /// handle; renamed vnodes of the failed snode were torn down too.
+    /// Always empty: a migration keeps the vnode's handle. Kept until the
+    /// benchmark stops reading it.
     pub renames: Vec<(VnodeId, VnodeId)>,
 }
 
@@ -91,28 +88,10 @@ pub struct RejoinOutcome {
     pub vnodes: Vec<VnodeId>,
 }
 
-/// Observes [`RebalanceEvent::VnodeMigrated`] renames passing through a
-/// removal, forwarding everything — shared by [`DhtEngine::fail_snode`]
-/// and [`crate::Cluster`], whose pending-victim patching must follow the
-/// rename.
-pub(crate) struct RenameWatch<'a> {
-    pub(crate) out: &'a mut dyn RebalanceSink,
-    pub(crate) renamed: Option<(VnodeId, VnodeId)>,
-}
-
-impl RebalanceSink for RenameWatch<'_> {
-    fn event(&mut self, e: RebalanceEvent) {
-        if let RebalanceEvent::VnodeMigrated { old, new } = e {
-            self.renamed = Some((old, new));
-        }
-        self.out.event(e);
-    }
-}
-
 /// Everything that happened while creating one vnode.
 ///
 /// Materialised view: [`DhtEngine::create_vnode_with`] emits the same
-/// facts as [`RebalanceEvent`]s without allocating; a
+/// facts as [`RebalanceEvent`](crate::RebalanceEvent)s without allocating; a
 /// [`crate::CollectReport`] sink assembles them into this struct for
 /// consumers that want the event list as data.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -146,8 +125,8 @@ pub struct RemoveReport {
     /// A group merge `(a, b) → parent`, if one was required.
     pub group_merge: Option<(GroupId, GroupId, GroupId)>,
     /// A vnode internally migrated between groups to make the removal
-    /// legal (old handle, new handle), if any.
-    pub migrated: Option<(VnodeId, VnodeId)>,
+    /// legal, if any. It keeps its handle.
+    pub migrated: Option<VnodeId>,
 }
 
 /// Common interface of [`crate::GlobalDht`], [`crate::LocalDht`] and the
@@ -266,42 +245,23 @@ pub trait DhtEngine {
     ///
     /// Fails with [`DhtError::EmptySnode`] when `s` hosts nothing and
     /// [`DhtError::LastVnode`] when the crash would empty the DHT; both
-    /// are checked before anything mutates. Mid-crash group-merge
-    /// migrations renaming a pending victim are followed (the replacement
-    /// lives on the same failed snode, so it is torn down too) and
-    /// reported in [`FailOutcome::renames`].
+    /// are checked before anything mutates.
     fn fail_snode(
         &mut self,
         s: SnodeId,
         sink: &mut dyn RebalanceSink,
     ) -> Result<FailOutcome, DhtError> {
-        let mut victims = self.vnodes_of_snode(s);
+        let victims = self.vnodes_of_snode(s);
         if victims.is_empty() {
             return Err(DhtError::EmptySnode(s));
         }
         if victims.len() == self.vnode_count() {
             return Err(DhtError::LastVnode);
         }
-        let mut outcome = FailOutcome::default();
-        let mut i = 0;
-        while i < victims.len() {
-            let v = victims[i];
-            let mut watch = RenameWatch { out: sink, renamed: None };
-            self.remove_vnode_with(v, &mut watch)?;
-            outcome.vnodes.push(v);
-            if let Some((old, new)) = watch.renamed {
-                outcome.renames.push((old, new));
-                // The replacement is hosted by the same snode as the
-                // retired handle; a renamed pending victim stays a victim.
-                for pending in &mut victims[i + 1..] {
-                    if *pending == old {
-                        *pending = new;
-                    }
-                }
-            }
-            i += 1;
+        for &v in &victims {
+            self.remove_vnode_with(v, sink)?;
         }
-        Ok(outcome)
+        Ok(FailOutcome { vnodes: victims, renames: Vec::new() })
     }
 
     /// Re-enrols a previously crashed snode with `vnodes` fresh vnodes,
@@ -338,7 +298,8 @@ pub trait DhtEngine {
         Ok(outcome)
     }
 
-    /// Visits every live vnode handle, in creation order — the
+    /// Visits every live vnode handle, in creation order (a vnode keeps
+    /// its handle and its place through a group migration) — the
     /// allocation-free primitive behind [`DhtEngine::vnodes`].
     fn for_each_vnode(&self, f: &mut dyn FnMut(VnodeId));
 

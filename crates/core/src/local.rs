@@ -178,16 +178,19 @@ impl<P: RegionPolicy, R: DomusRng> BalancedDht<P, R> {
         self.vs.is_alive(v).then_some(()).ok_or(DhtError::UnknownVnode(v))
     }
 
-    /// Admits a brand-new vnode into group `slot` and runs the paper's
-    /// balancement (split cascade + greedy handover), streaming every
-    /// step into `sink`. Shared by creation and by the deletion
-    /// extension's internal migration.
+    /// Runs the paper's balancement (§2.5) for one vnode entering group
+    /// `slot` with nothing held: the split cascade when every member sits
+    /// at `Pmin`, then the greedy handover, streaming every step into
+    /// `sink`. `enter` names the vnode once the cascade has succeeded — a
+    /// fresh one on creation, the drained survivor on the deletion
+    /// extension's internal migration — so a refused cascade creates
+    /// nothing.
     pub(crate) fn admit_into_group(
         &mut self,
-        snode: SnodeId,
         slot: u32,
         sink: &mut dyn RebalanceSink,
-    ) -> Result<CreateOutcome, DhtError> {
+        enter: impl FnOnce(&mut Self) -> VnodeId,
+    ) -> Result<VnodeId, DhtError> {
         // §2.5: when the region's count is a power of two every member
         // holds Pmin (G5'), and the handover would drop one below Pmin —
         // so every member binary-splits its partitions first.
@@ -195,19 +198,13 @@ impl<P: RegionPolicy, R: DomusRng> BalancedDht<P, R> {
             let count = balance::split_all(&mut self.routing, &mut self.groups[slot as usize])?;
             sink.event(RebalanceEvent::PartitionSplit { count });
         }
-        let v = self.vs.create(snode, slot);
-        self.ledger.vnode_created(snode);
+        let v = enter(self);
+        self.vs.get_mut(v).group = slot;
         self.groups[slot as usize].admit(v, 0);
-        {
-            let Self { vs, groups, routing, ledger, rng, cfg, .. } = self;
-            let mut ls = LedgeredSink::new(sink, ledger);
-            balance::greedy_add(vs, routing, &mut groups[slot as usize], v, cfg, rng, &mut ls);
-        }
-        Ok(CreateOutcome {
-            vnode: v,
-            group: Some(self.groups[slot as usize].gid),
-            group_size_after: self.groups[slot as usize].len(),
-        })
+        let Self { vs, groups, routing, ledger, rng, cfg, .. } = self;
+        let mut ls = LedgeredSink::new(sink, ledger);
+        balance::greedy_add(vs, routing, &mut groups[slot as usize], v, cfg, rng, &mut ls);
+        Ok(v)
     }
 
     /// Runs the full invariant suite after every mutation in debug builds.
@@ -359,9 +356,13 @@ impl<P: RegionPolicy, R: DomusRng> DhtEngine for BalancedDht<P, R> {
         }
 
         let slot = P::container(self, sink);
-        let outcome = self.admit_into_group(snode, slot, sink)?;
+        let vnode = self.admit_into_group(slot, sink, |dht| {
+            dht.ledger.vnode_created(snode);
+            dht.vs.create(snode, slot)
+        })?;
         self.debug_check();
-        Ok(outcome)
+        let g = &self.groups[slot as usize];
+        Ok(CreateOutcome { vnode, group: Some(g.gid), group_size_after: g.len() })
     }
 
     fn remove_vnode_with(

@@ -9,8 +9,7 @@
 //!   stream [`RebalanceEvent`]s exactly as before, and a
 //!   [`SnapshotBuilder`] taps that stream to maintain the routing view
 //!   incrementally (interval surgery per [`Transfer`](crate::Transfer),
-//!   a rename per
-//!   `VnodeMigrated` — no engine re-walk per event);
+//!   no engine re-walk per event);
 //! * the **serving plane** is an immutable [`EngineSnapshot`] — a flat,
 //!   binary-searchable array of owner spans plus the vnode→snode map and
 //!   a per-snode quota summary — published into a [`SnapshotCell`].
@@ -431,8 +430,7 @@ impl RouteCounters {
 ///
 /// Feed it as (or tee'd into) the [`RebalanceSink`] of every membership
 /// operation; each [`Transfer`] is `O(log spans)` interval surgery on a
-/// boundary map, a `VnodeMigrated` is a rename, and everything else
-/// leaves ownership untouched. After the operation, record the outcome
+/// boundary map, and everything else leaves ownership untouched. After the operation, record the outcome
 /// ([`SnapshotBuilder::note_create`] / [`SnapshotBuilder::note_remove`])
 /// and [`SnapshotBuilder::publish`] the next epoch.
 ///
@@ -514,19 +512,6 @@ impl SnapshotBuilder {
         self.owners.insert(start, to);
     }
 
-    /// Applies a vnode rename (`VnodeMigrated`): coverage and host entry
-    /// move from `old` to `new` under the same snode.
-    fn rename(&mut self, old: VnodeId, new: VnodeId) {
-        for v in self.owners.values_mut() {
-            if *v == old {
-                *v = new;
-            }
-        }
-        if let Some(snode) = self.hosts.remove(&old) {
-            self.hosts.insert(new, snode);
-        }
-    }
-
     /// Records a creation outcome: the new vnode's host. The first vnode
     /// of an empty DHT receives the whole space (its creation streams no
     /// transfers — there was nothing to hand over).
@@ -549,8 +534,7 @@ impl SnapshotBuilder {
 
     /// Records a crash outcome: every vnode `snode` hosted is gone. The
     /// failure operation already streamed the transfers that drained their
-    /// coverage (and the renames that preserved survivors), so this only
-    /// drops the dead host entries.
+    /// coverage, so this only drops the dead host entries.
     pub fn note_fail(&mut self, snode: SnodeId) {
         self.hosts.retain(|_, s| *s != snode);
         debug_assert!(
@@ -591,15 +575,11 @@ impl SnapshotBuilder {
 
 impl RebalanceSink for SnapshotBuilder {
     fn event(&mut self, e: RebalanceEvent) {
-        match e {
-            RebalanceEvent::Transfer(t) => {
-                let (start, end) = (t.partition.start(self.space), t.partition.end(self.space));
-                self.assign(start, end, t.to);
-            }
-            RebalanceEvent::VnodeMigrated { old, new } => self.rename(old, new),
-            // Splits/merges subdivide or fuse partitions under the same
-            // owner; group events alter structure, not ownership.
-            _ => {}
+        // Splits/merges subdivide or fuse partitions under the same owner;
+        // group events and migrations alter structure, not ownership.
+        if let RebalanceEvent::Transfer(t) = e {
+            let (start, end) = (t.partition.start(self.space), t.partition.end(self.space));
+            self.assign(start, end, t.to);
         }
     }
 }
@@ -657,8 +637,8 @@ mod tests {
             x
         };
         for round in 0..120u32 {
-            // The builder's host map is the live roster (renames and all),
-            // so victims are drawn from it directly.
+            // The builder's host map is the live roster, so victims are
+            // drawn from it directly.
             let live: Vec<VnodeId> = b.hosts.keys().copied().collect();
             if live.len() < 4 || rnd() % 3 != 0 {
                 let snode = SnodeId(rnd() as u32 % 10);

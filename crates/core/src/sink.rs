@@ -71,12 +71,12 @@ pub enum RebalanceEvent {
         parent: GroupId,
     },
     /// A vnode was internally migrated between groups to make a removal
-    /// legal: the `old` handle was retired and re-created as `new` under
-    /// the same snode.
+    /// legal. It keeps its handle, so `old == new` always; the pair stays
+    /// until the benchmark stops reading it.
     VnodeMigrated {
-        /// The retired handle.
+        /// The migrated vnode.
         old: VnodeId,
-        /// The replacement handle.
+        /// The migrated vnode again (`== old`).
         new: VnodeId,
     },
     /// The victim-selection lookup of the local approach (§3.6): a random
@@ -187,7 +187,7 @@ pub struct CollectReport {
     partition_splits: u64,
     partition_merges: u64,
     group_merge: Option<(GroupId, GroupId, GroupId)>,
-    migrated: Option<(VnodeId, VnodeId)>,
+    migrated: Option<VnodeId>,
     transfers: Vec<Transfer>,
 }
 
@@ -253,7 +253,7 @@ impl RebalanceSink for CollectReport {
             RebalanceEvent::GroupMerge { left, right, parent } => {
                 self.group_merge = Some((left, right, parent));
             }
-            RebalanceEvent::VnodeMigrated { old, new } => self.migrated = Some((old, new)),
+            RebalanceEvent::VnodeMigrated { old, .. } => self.migrated = Some(old),
             RebalanceEvent::LookupProbe { point, victim } => {
                 self.lookup_point = Some(point);
                 self.victim = Some(victim);
@@ -376,7 +376,7 @@ mod tests {
     fn null_sink_ignores_everything() {
         let mut n = NullSink;
         n.event(RebalanceEvent::PartitionMerge { pairs: 5 });
-        n.event(RebalanceEvent::VnodeMigrated { old: VnodeId(0), new: VnodeId(1) });
+        n.event(RebalanceEvent::VnodeMigrated { old: VnodeId(0), new: VnodeId(0) });
         assert_eq!(n, NullSink);
     }
 }

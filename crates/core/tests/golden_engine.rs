@@ -12,6 +12,10 @@
 //!
 //! The 6-bit spaces run the scripts into `LevelOverflow`, so the error
 //! paths (and whatever state they leave behind) are pinned too.
+//!
+//! The local digests were re-captured once a group migration came to
+//! keep the vnode's handle: the four local scripts migrate 17, 14, 1 and
+//! 8 times; the global ones never do.
 
 use domus_core::{CollectReport, DhtConfig, DhtEngine, GlobalDht, LocalDht, SnodeId, VnodeId};
 use domus_hashspace::{hasher::Fnv1aHasher, HashSpace};
@@ -147,6 +151,6 @@ fn global_transcripts_match_the_golden_digests() {
 fn local_transcripts_match_the_golden_digests() {
     assert_eq!(
         [local(32, 4, 4), local(32, 4, 2), local(6, 4, 4), local(6, 4, 2)],
-        [0xa737ff29c98a55f1, 0x3458a6acaa7f0da6, 0x065daa6ffd1da82d, 0xf6e972fd257763b1]
+        [0x497e6505846dedbd, 0x0ec4197d163f99af, 0x30f36e5b0171a1ce, 0x2e29dd6e1192f06f]
     );
 }

@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 pub struct CrashReport {
     /// Vnodes of the failed snode torn down.
     pub vnodes_failed: usize,
-    /// Handle renames group-merge migrations applied to *survivors* while
-    /// the crash was absorbed (`(old, new)`), for roster bookkeeping.
+    /// Always empty: a migration keeps the vnode's handle. Kept until the
+    /// benchmark stops reading it.
     pub renames: Vec<(VnodeId, VnodeId)>,
     /// Replica copies destroyed with the snode.
     pub copies_destroyed: u64,
@@ -69,9 +69,9 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         // `LastVnode`) before anything mutates — and the store holds no
         // in-line migration (the tap just collects ranges), so a refused
         // crash destroys nothing.
-        let victims = self.engine.vnodes_of_snode(s);
         let space = self.space();
         let (outcome, mut touched) = self.drive(sink, |e, tap| e.fail_snode(s, tap))?;
+        let victims = outcome.vnodes;
 
         // The crash proper: every in-memory copy the snode held is gone
         // (and so are its bucket digests) — but its WAL survives: the
@@ -119,8 +119,8 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         self.keys -= keys_lost;
 
         Ok(CrashReport {
-            vnodes_failed: outcome.vnodes.len(),
-            renames: outcome.renames,
+            vnodes_failed: victims.len(),
+            renames: Vec::new(),
             copies_destroyed: doomed.len() as u64,
             keys_lost,
             copies_relocated,

@@ -9,6 +9,10 @@
 //! counters *and* un-checkpointed records, the primary key order and
 //! the copy count — a copy placed, logged or dropped differently shows
 //! up here before it shows up in a churn CSV.
+//!
+//! The local digests were re-captured once a group migration came to
+//! keep the vnode's handle: each local run migrates twice; no global or
+//! CH run ever does.
 
 use domus_ch::ChEngine;
 use domus_core::{DhtConfig, DhtEngine, GlobalDht, LocalDht, SnodeId};
@@ -101,7 +105,7 @@ fn at_each_r<E: DhtEngine>(engine: impl Fn() -> E) -> [u64; 3] {
 fn local_transcripts_match_the_golden_digests() {
     assert_eq!(
         at_each_r(|| LocalDht::with_seed(cfg(2), SEED)),
-        [0x0ee10575aafae9ee, 0x9ebb871bdbb3e270, 0xce4df0f82f4ea76e]
+        [0x50f2970c04369af4, 0xf6feb4775b6ca70e, 0x916675be08827a84]
     );
 }
 

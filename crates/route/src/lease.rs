@@ -85,14 +85,6 @@ impl LeaseTable {
         self.leases.remove(&v)
     }
 
-    /// Re-keys a lease after a `VnodeMigrated` rename: the holder and
-    /// expiry carry over to the new handle.
-    pub fn rename(&mut self, old: VnodeId, new: VnodeId) {
-        if let Some(lease) = self.leases.remove(&old) {
-            self.leases.insert(new, lease);
-        }
-    }
-
     /// Releases every lease held by `s` (snode gone), returning how many.
     pub fn release_holder(&mut self, s: SnodeId) -> usize {
         let before = self.leases.len();
@@ -194,16 +186,6 @@ mod tests {
         t.grant(VnodeId(7), SnodeId(3), ms(10));
         assert_eq!(t.len(), 1, "the map key is the uniqueness invariant");
         assert_eq!(t.holder_of(VnodeId(7)).unwrap().holder, SnodeId(3));
-    }
-
-    #[test]
-    fn rename_carries_the_lease() {
-        let mut t = LeaseTable::new(ms(50));
-        t.grant(VnodeId(1), SnodeId(0), ms(0));
-        t.rename(VnodeId(1), VnodeId(9));
-        assert!(t.holder_of(VnodeId(1)).is_none());
-        assert_eq!(t.holder_of(VnodeId(9)).unwrap().holder, SnodeId(0));
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

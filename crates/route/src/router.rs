@@ -2,15 +2,15 @@
 //! failover, and capacity-weighted hot-spot scheduling.
 //!
 //! A [`Router`] owns no data plane. It watches membership (the driver
-//! notifies it of joins/leaves/crashes/renames), keeps the lease table,
+//! notifies it of joins/leaves/crashes), keeps the lease table,
 //! and once per window — one deterministic [`Router::tick`] on the sim
 //! clock — decides what should move:
 //!
 //! * **Failover.** Healthy snodes renew their leases every tick; a
 //!   stalled snode silently stops. When its leases lapse, the tick
 //!   emits [`RouteAction::Failover`] and the executor drives the same
-//!   `fail_snode` machinery an explicit crash would — `VnodeMigrated` /
-//!   `Transfer` events through the existing sinks, repair re-replicates
+//!   `fail_snode` machinery an explicit crash would — `Transfer` events
+//!   through the existing sinks, repair re-replicates
 //!   the survivors' copies.
 //! * **Hot-spot scheduling.** Per-window [`SnodeLoad`]s are judged
 //!   against each snode's *declared capacity* (Mirrezaei-style: a node
@@ -203,11 +203,6 @@ impl Router {
         if let Some(lease) = self.leases.release(v) {
             self.forget_if_empty(lease.holder);
         }
-    }
-
-    /// A survivor vnode was renamed by a group-merge migration.
-    pub fn note_rename(&mut self, old: VnodeId, new: VnodeId) {
-        self.leases.rename(old, new);
     }
 
     /// Drops a snode's capacity/stall/streak records once its last lease

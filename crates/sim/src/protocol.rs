@@ -208,7 +208,9 @@ impl EventPricer {
         self.group_split
     }
 
-    /// The internal vnode migration observed, if any (removals only).
+    /// The internal vnode migration observed, if any (removals only), as
+    /// `(v, v)`: a migration keeps the vnode's handle. The pair stays until
+    /// the benchmark stops reading it.
     pub fn migrated(&self) -> Option<(VnodeId, VnodeId)> {
         self.migrated
     }

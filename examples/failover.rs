@@ -13,8 +13,7 @@
 //!    its data but stops renewing;
 //! 4. once the lease TTL lapses, a tick emits
 //!    [`RouteAction::Failover`]; the executor crashes the snode out of
-//!    the store, replays the survivors' handle renames into the router,
-//!    and confirms with [`Router::note_fail`];
+//!    the store and confirms with [`Router::note_fail`];
 //! 5. repair re-mints the lost replica copies and **every key is still
 //!    readable** — `R = 2` kept a live copy of everything the stalled
 //!    snode held.
@@ -98,17 +97,9 @@ fn main() {
             assert_eq!(snode, victim, "only the stalled holder may lapse");
             println!("        -> failover ordered for {snode} ({} vnode(s))", vnodes.len());
 
-            // The executor: crash the snode out of the store, replay the
-            // survivors' handle renames, confirm, repair.
+            // The executor: crash the snode out of the store, confirm,
+            // repair.
             let report = kv.fail_snode(snode).expect("failover executes");
-            for &(old, new) in &report.renames {
-                router.note_rename(old, new);
-                for entry in &mut roster {
-                    if entry.0 == old {
-                        entry.0 = new;
-                    }
-                }
-            }
             router.note_fail(snode);
             roster.retain(|&(_, s)| s != snode);
             let repair = kv.repair();

@@ -45,8 +45,8 @@ impl RebalanceSink for Narrator {
             RebalanceEvent::GroupMerge { left, right, parent } => {
                 println!("    group     {left} + {right} re-fused into {parent}");
             }
-            RebalanceEvent::VnodeMigrated { old, new } => {
-                println!("    migrate   {old} re-created as {new} in another group");
+            RebalanceEvent::VnodeMigrated { old, .. } => {
+                println!("    migrate   {old} moved to another group, keeping its handle");
             }
             RebalanceEvent::LookupProbe { point, victim } => {
                 if self.verbose {
@@ -88,7 +88,8 @@ fn main() {
     );
 
     // Shrink through the same surface; removals narrate merges/migrations.
-    // Each victim comes from the live roster: a migration may rename one.
+    // Each victim comes from the live roster; a migrated vnode keeps its
+    // handle and its place in it.
     println!("\ndecommission of 12 vnodes:");
     let mut tee = Tee(CountOnly::default(), Narrator::default());
     for i in 0..12 {

@@ -150,10 +150,9 @@ fn run_interleaved<E: DhtEngine>(label: &str, mut dht: E) {
         assert_contract(label, &dht, live);
     }
     // Correlated failure: a contiguous slice of the roster leaves at once.
-    // Handles are re-fetched per removal: a removal may rename a survivor
-    // (group-merge migration), so pre-collected handles can go stale.
-    for _ in 0..4 {
-        let v = dht.vnodes()[2];
+    // A migration keeps the vnode's handle, so handles collected up front
+    // stay live until removed.
+    for v in dht.vnodes()[2..6].to_vec() {
         dht.remove_vnode_with(v, &mut NullSink).unwrap();
         live -= 1;
         assert_contract(label, &dht, live);
@@ -180,7 +179,7 @@ fn drive_dyn(label: &str, dht: &mut dyn DhtEngine) {
     assert!(counts.transfers > 0, "{label}: growth must move partitions");
 
     // Removals through the same dyn handle. Victims come from the live
-    // roster: a group-merge migration may rename a survivor.
+    // roster.
     for i in 0..4 {
         let live = dht.vnodes();
         dht.remove_vnode_with(live[(3 * i) % live.len()], &mut NullSink).unwrap();
@@ -196,12 +195,26 @@ fn drive_dyn(label: &str, dht: &mut dyn DhtEngine) {
     dht.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
 }
 
+/// Counts internal migrations, checking that each keeps its handle.
+#[derive(Default)]
+struct Migrations(u64);
+
+impl RebalanceSink for Migrations {
+    fn event(&mut self, e: RebalanceEvent) {
+        if let RebalanceEvent::VnodeMigrated { old, new } = e {
+            assert_eq!(old, new, "a migration must keep the vnode's handle");
+            self.0 += 1;
+        }
+    }
+}
+
 /// A deep shrink with `Vmin = 2` forces group merges and internal
-/// migrations, with fresh creations interleaved. Each victim is picked
-/// from the live roster, so a handle a migration retired is never used.
+/// migrations, with fresh creations interleaved. The victims come from
+/// one list of handles taken before the shrink: a migrated vnode keeps its
+/// handle, so every held handle not yet removed stays live on its snode.
 #[test]
-fn deep_shrink_picks_live_victims_across_renames() {
-    let mut renames_seen = 0u64;
+fn deep_shrink_keeps_every_held_handle_live() {
+    let mut migrations = Migrations::default();
     for seed in 0..20u64 {
         let cfg = DhtConfig::new(HashSpace::new(32), 4, 2).unwrap();
         let mut dht = LocalDht::with_seed(cfg, seed);
@@ -210,20 +223,26 @@ fn deep_shrink_picks_live_victims_across_renames() {
         }
 
         // Decommission most of the fleet with fresh creates interleaved.
-        let mut counts = CountOnly::default();
-        for i in 0..28u32 {
-            let v = dht.vnodes()[0];
-            dht.remove_vnode_with(v, &mut counts)
+        let held = dht.vnodes();
+        for (i, &v) in held[..28].iter().enumerate() {
+            dht.remove_vnode_with(v, &mut migrations)
                 .unwrap_or_else(|e| panic!("seed {seed}: removing {v}: {e}"));
             if i % 5 == 0 {
-                dht.create_vnode_with(SnodeId(100 + i), &mut counts).unwrap();
+                dht.create_vnode_with(SnodeId(100 + i as u32), &mut migrations).unwrap();
+            }
+            dht.check_invariants().unwrap_or_else(|e| panic!("seed {seed}, step {i}: {e}"));
+            for (j, &w) in held.iter().enumerate().skip(i + 1) {
+                assert_eq!(
+                    dht.snode_of(w),
+                    Ok(SnodeId(j as u32 % 6)),
+                    "seed {seed}: {w} went dead"
+                );
+                assert!(dht.quota_of(w).is_ok(), "seed {seed}: {w} lost its quota");
             }
         }
-        renames_seen += counts.migrations;
         assert_eq!(dht.vnode_count(), 32 - 28 + 6, "seed {seed}");
-        dht.check_invariants().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
-    assert!(renames_seen > 0, "the scenario must exercise the rename path");
+    assert!(migrations.0 > 0, "the scenario must migrate vnodes");
 }
 
 #[test]
@@ -253,24 +272,13 @@ fn run_fail_snode<E: DhtEngine>(label: &str, mut dht: E) {
         assert!(!hosted.is_empty(), "{label}: s{victim} must host vnodes");
         let mut counts = domus_core::CountOnly::default();
         let outcome = dht.fail_snode(s, &mut counts).unwrap();
-        assert_eq!(outcome.vnodes.len(), hosted.len(), "{label}: crash must take every vnode");
+        assert_eq!(outcome.vnodes, hosted, "{label}: crash must take every vnode, in order");
         assert!(counts.transfers > 0, "{label}: the crash must redistribute partitions");
         live -= hosted.len();
         assert!(dht.vnodes_of_snode(s).is_empty(), "{label}: s{victim} still hosts vnodes");
-        // Dead handles answer nothing; renamed survivors answer under the
-        // new handle.
+        // Dead handles answer nothing.
         for v in &outcome.vnodes {
             assert!(dht.quota_of(*v).is_err(), "{label}: failed vnode {v} still live");
-        }
-        for (old, new) in &outcome.renames {
-            assert!(dht.quota_of(*old).is_err(), "{label}: retired handle {old} still live");
-            // The rename target lives on the same snode as the retired
-            // handle: when that snode is the one crashing, the replacement
-            // was itself torn down later in the sequence.
-            assert!(
-                dht.quota_of(*new).is_ok() || outcome.vnodes.contains(new),
-                "{label}: renamed handle {new} neither live nor torn down"
-            );
         }
         assert_contract(label, &dht, live);
     }

@@ -18,8 +18,6 @@ enum LeaseOp {
     Join(u8),
     /// Remove the i-th live vnode, if any.
     Remove(u8),
-    /// Rename the i-th live vnode to a fresh handle.
-    Rename(u8),
     /// Crash the holder of the i-th live vnode.
     Fail(u8),
     /// Silently stall the holder of the i-th live vnode.
@@ -33,7 +31,6 @@ fn lease_ops(max: usize) -> impl Strategy<Value = Vec<LeaseOp>> {
         prop_oneof![
             4 => any::<u8>().prop_map(LeaseOp::Join),
             2 => any::<u8>().prop_map(LeaseOp::Remove),
-            1 => any::<u8>().prop_map(LeaseOp::Rename),
             1 => any::<u8>().prop_map(LeaseOp::Fail),
             1 => any::<u8>().prop_map(LeaseOp::Stall),
             3 => Just(LeaseOp::Tick),
@@ -45,7 +42,7 @@ fn lease_ops(max: usize) -> impl Strategy<Value = Vec<LeaseOp>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// After *any* interleaving of joins, removals, renames, crashes,
+    /// After *any* interleaving of joins, removals, crashes,
     /// stalls and clock ticks — with every emitted failover executed —
     /// the lease table covers exactly the live roster: one lease per
     /// live vnode, held by its hosting snode, and no lease on a dead
@@ -73,16 +70,6 @@ proptest! {
                     if !roster.is_empty() {
                         let (v, _) = roster.remove(usize::from(i) % roster.len());
                         router.note_remove(v);
-                    }
-                }
-                LeaseOp::Rename(i) => {
-                    if !roster.is_empty() {
-                        let at = usize::from(i) % roster.len();
-                        let fresh = VnodeId(next_vnode);
-                        next_vnode += 1;
-                        let old = roster[at].0;
-                        roster[at].0 = fresh;
-                        router.note_rename(old, fresh);
                     }
                 }
                 LeaseOp::Fail(i) => {
