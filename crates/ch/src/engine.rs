@@ -63,13 +63,11 @@ use std::collections::BTreeMap;
 pub struct ChEngine {
     ring: ChRing,
     cfg: DhtConfig,
-    /// Hosting snode per node slot (slot = `ChNodeId` index = `VnodeId`
+    /// Canonical name per node slot (slot = `ChNodeId` index = `VnodeId`
     /// index; slots are never reused, mirroring the engines' tombstones).
     hosts: Vec<CanonicalName>,
-    /// Vnodes created per snode (for canonical `snode.local` names).
-    per_snode: Vec<u32>,
-    /// Incremental per-snode quota ledger (fed by the same transfers the
-    /// reports carry, so it is exact).
+    /// The per-snode table: each snode's vnodes, names and exact quota
+    /// (fed by the same transfers the reports carry, so it is exact).
     ledger: SnodeLedger,
 }
 
@@ -107,12 +105,11 @@ impl ChEngine {
             ring: ChRing::with_seed(cfg.hash_space(), virtual_servers, seed),
             cfg,
             hosts: Vec::new(),
-            per_snode: Vec::new(),
             ledger: SnodeLedger::new(),
         }
     }
 
-    /// The incremental per-snode quota ledger.
+    /// The per-snode table: each snode's vnodes and exact quota.
     pub fn ledger(&self) -> &SnodeLedger {
         &self.ledger
     }
@@ -225,13 +222,8 @@ impl DhtEngine for ChEngine {
         let (node, claims) = self.ring.join_with_points_reporting(k);
         let v = VnodeId(node.0);
         debug_assert_eq!(v.index(), self.hosts.len(), "ring slots are dense");
-        if self.per_snode.len() <= snode.index() {
-            self.per_snode.resize(snode.index() + 1, 0);
-        }
-        let local = self.per_snode[snode.index()];
-        self.per_snode[snode.index()] += 1;
-        self.hosts.push(CanonicalName { snode, local });
-        self.ledger.vnode_created(snode);
+        let name = self.ledger.vnode_created(snode, v);
+        self.hosts.push(name);
         if self.ring.node_count() == 1 {
             // The first node claimed the whole circle from nobody.
             self.ledger.gain(snode, Quota::ONE);
@@ -261,7 +253,7 @@ impl DhtEngine for ChEngine {
             let mut ls = LedgeredSink::new(sink, &mut self.ledger);
             Self::emit_claims(self.ring.space(), &self.hosts, &claims, v, false, &mut ls);
         }
-        self.ledger.vnode_killed(self.hosts[v.index()].snode);
+        self.ledger.vnode_killed(self.hosts[v.index()].snode, v);
         Ok(RemoveOutcome { group: Some(GroupId::FIRST) })
     }
 
@@ -313,6 +305,14 @@ impl DhtEngine for ChEngine {
 
     fn snode_of(&self, v: VnodeId) -> Result<SnodeId, DhtError> {
         Ok(self.name_of(v)?.snode)
+    }
+
+    fn vnodes_of_snode(&self, s: SnodeId) -> &[VnodeId] {
+        self.ledger.vnodes_of(s)
+    }
+
+    fn snode_count(&self) -> usize {
+        self.ledger.snode_count()
     }
 
     fn partitions_of(&self, v: VnodeId) -> Result<Vec<Partition>, DhtError> {
@@ -411,16 +411,20 @@ impl DhtEngine for ChEngine {
                 space.size()
             )));
         }
-        // The incremental snode ledger matches a per-arc recomputation.
-        let mut fresh: BTreeMap<SnodeId, Quota> = BTreeMap::new();
+        // The incremental snode ledger matches a per-arc recomputation,
+        // and each snode's handle list a creation-order filter of the ring.
+        let mut fresh: BTreeMap<SnodeId, (Quota, Vec<VnodeId>)> = BTreeMap::new();
         for v in self.vnodes() {
-            let e = fresh.entry(self.hosts[v.index()].snode).or_insert(Quota::ZERO);
+            let e = fresh.entry(self.hosts[v.index()].snode).or_insert((Quota::ZERO, Vec::new()));
             for piece in self.tiles_of(ChNodeId(v.0)) {
-                *e = *e + piece.quota();
+                e.0 = e.0 + piece.quota();
             }
+            e.1.push(v);
         }
         if fresh.len() != self.ledger.snode_count()
-            || self.ledger.iter().any(|(s, share)| fresh.get(&s) != Some(&share.quota))
+            || self.ledger.iter().any(|(s, share)| {
+                !matches!(fresh.get(&s), Some((q, vs)) if *q == share.quota && *vs == share.vnodes)
+            })
         {
             return Err(InvariantViolation::Coverage(
                 "snode ledger drifted from the partition view".into(),

@@ -15,13 +15,16 @@
 //! ## Layout
 //!
 //! This file is the replay protocol and nothing else: config, the clock
-//! and its windows, and `step` — event → roster decision → plant
-//! operation → price → accumulate. What it composes has one home each:
+//! and its windows, and `step` — event → victim choice → plant
+//! operation → price → accumulate. Who is live, and which vnodes a tag
+//! hosts, is asked of the engine (`DhtEngine::vnodes` and
+//! `DhtEngine::vnodes_of_snode`, through `Plant::with_engine`); the
+//! driver keeps no copy. What it composes has one home each:
 //!
 //! * `plant` — what is driven: the engine, bare or under a KV overlay,
 //!   one method per membership operation; probe set; repair pass.
-//! * `roster` — who is live, in creation order, and who is crashed;
-//!   every tag / rank / slice selection rule.
+//! * `roster` — who is crashed, and the rank / slice selection rules
+//!   over the engine's creation order.
 //! * `sample` — the output rows, the run totals, the CSV schema.
 //! * `readers` — [`ChurnDriver::with_readers`]: paced reader threads (a
 //!   64-read burst per pinned snapshot, then a 1 ms pause — constants).
@@ -93,6 +96,7 @@ pub struct ChurnDriver<E: DhtEngine> {
     /// The streaming pricing sink every operation runs through (scratch
     /// reused across events — the hot path allocates nothing per event).
     pricer: EventPricer,
+    /// The crashed snodes awaiting a rejoin.
     roster: Roster,
     clock: SimTime,
     next_window_end: SimTime,
@@ -154,9 +158,23 @@ impl<E: DhtEngine> ChurnDriver<E> {
         }
     }
 
-    /// Live vnodes currently tracked by the replay roster.
+    /// Live vnodes in the engine.
     pub fn live(&self) -> usize {
-        self.roster.len()
+        self.plant.with_engine(|e| e.vnode_count())
+    }
+
+    /// The tag hosting the live vnode at rank `draw` of the engine's
+    /// creation order (`None` when nothing is live).
+    fn tag_at(&self, draw: u64) -> Option<NodeTag> {
+        self.plant.with_engine(|e| {
+            let v = roster::at_rank(&e.vnodes(), draw)?;
+            Some(NodeTag(e.snode_of(v).expect("a listed vnode is live").0))
+        })
+    }
+
+    /// The live vnodes `tag` hosts, in creation order.
+    fn hosted_by(&self, tag: NodeTag) -> Vec<VnodeId> {
+        self.plant.with_engine(|e| e.vnodes_of_snode(SnodeId(tag.0)).to_vec())
     }
 
     /// Replays one event (time must be nondecreasing across calls).
@@ -164,12 +182,14 @@ impl<E: DhtEngine> ChurnDriver<E> {
         self.advance_to(event.at);
         match event.kind {
             EventKind::Join { node, vnodes } => self.enroll(node, vnodes),
-            EventKind::Leave { node } => self.remove_all(self.roster.vnodes_of(node)),
+            EventKind::Leave { node } => self.remove_all(self.hosted_by(node)),
             EventKind::FailSlice { fraction_ppm, draw } => {
-                self.remove_all(self.roster.slice(fraction_ppm, draw));
+                let victims =
+                    self.plant.with_engine(|e| roster::slice(&e.vnodes(), fraction_ppm, draw));
+                self.remove_all(victims);
             }
             EventKind::Crash { node } => self.crash_tag(node, false),
-            EventKind::CrashRank { draw } => match self.roster.tag_at(draw) {
+            EventKind::CrashRank { draw } => match self.tag_at(draw) {
                 Some(tag) => self.crash_tag(tag, false),
                 None => self.open.skipped += 1,
             },
@@ -287,7 +307,6 @@ impl<E: DhtEngine> ChurnDriver<E> {
         let cost = self.pricer.finish_create(record_len, participants);
         self.absorb(cost, entries_moved);
         self.open.joins += handles.len() as u64;
-        handles.iter().for_each(|&v| self.roster.push(tag, v));
         let (snode, now) = (SnodeId(tag.0), self.clock);
         self.lease(|r| handles.iter().for_each(|&v| r.note_join(v, snode, now)));
     }
@@ -304,7 +323,7 @@ impl<E: DhtEngine> ChurnDriver<E> {
 
     /// Removes one vnode.
     fn remove_one(&mut self, v: VnodeId) {
-        if self.roster.len() <= 1 {
+        if self.live() <= 1 {
             // The model has no representation for an empty DHT; a real
             // deployment would be down. Count it instead of crashing —
             // the guard is state-parallel, so every engine skips alike.
@@ -320,7 +339,6 @@ impl<E: DhtEngine> ChurnDriver<E> {
         let cost = self.pricer.finish_remove(record_len, participants);
         self.absorb(cost, entries_moved);
         self.open.leaves += 1;
-        self.roster.remove(v);
         self.lease(|r| r.note_remove(v));
     }
 
@@ -332,8 +350,8 @@ impl<E: DhtEngine> ChurnDriver<E> {
     /// set the teardown was ordered by the control plane (a lapsed lease,
     /// not a crash notification): same mechanics, different accounting.
     fn crash_tag(&mut self, tag: NodeTag, failover: bool) {
-        let count = self.roster.count_of(tag);
-        if count == 0 || count == self.roster.len() {
+        let count = self.hosted_by(tag).len();
+        if count == 0 || count == self.live() {
             // Already gone, or crashing the whole fleet would empty the
             // DHT — skip, state-parallel across engines.
             self.open.skipped += 1;
@@ -352,10 +370,9 @@ impl<E: DhtEngine> ChurnDriver<E> {
             // removals — identical membership trajectory, data migrates.
             // They release the leases one by one; `note_fail` clears the
             // holder's capacity/stall records too.
-            self.remove_all(self.roster.vnodes_of(tag));
+            self.remove_all(self.hosted_by(tag));
             return self.lease(|r| r.note_fail(snode));
         };
-        self.roster.remove_tag(tag);
         // The dead holder's leases are released (the confirmation a tick's
         // failover asks for).
         self.lease(|r| r.note_fail(snode));
@@ -365,7 +382,7 @@ impl<E: DhtEngine> ChurnDriver<E> {
             .pricer
             .first_receiver()
             .filter(|&v| self.with_engine(|e| e.snode_of(v).is_ok()))
-            .or_else(|| self.roster.first())
+            .or_else(|| self.plant.with_engine(|e| e.vnodes().first().copied()))
             .map_or((1, 1), |v| self.plant.record_shape_of(v));
         let cost = self.pricer.finish_remove(record_len, participants);
         self.absorb(cost, crash.copies_relocated);
@@ -382,7 +399,7 @@ impl<E: DhtEngine> ChurnDriver<E> {
     /// a join of the whole returning node; a plant with no log re-enrolls
     /// the tag through ordinary joins.
     fn rejoin_tag(&mut self, tag: NodeTag, vnodes: u32) {
-        if self.roster.first_of(tag).is_some() {
+        if !self.hosted_by(tag).is_empty() {
             // The tag re-enrolled through the event stream while down —
             // there is nothing to bring back.
             self.open.skipped += 1;

@@ -73,7 +73,7 @@ impl View {
         }
     }
 
-    /// When live: applies the operation's roster change to the builder
+    /// When live: applies the operation's membership change to the builder
     /// and publishes the next epoch. Callers hold the store's write
     /// guard across this call.
     fn publish(&mut self, note: impl FnOnce(&mut SnapshotBuilder)) {

@@ -1,7 +1,7 @@
 //! The routing control plane riding the replay: a [`Router`] ticked once
 //! per window on the sim clock, its decisions executed through the
 //! driver's ordinary membership operations, lease safety verified
-//! against the roster, and a deterministic client-cache probe.
+//! against the engine, and a deterministic client-cache probe.
 //!
 //! Everything here runs on simulated time, so the route columns are
 //! byte-deterministic.
@@ -19,7 +19,7 @@ pub(crate) struct RoutePlane {
     router: Router,
     /// The deterministic client cache the per-window probe routes through.
     cache: RouteCache,
-    /// Windows whose lease table disagreed with the roster (must stay 0).
+    /// Windows whose lease table disagreed with the engine (must stay 0).
     lease_violations: u64,
 }
 
@@ -72,9 +72,10 @@ impl<E: DhtEngine> ChurnDriver<E> {
     /// rank `draw`: a silent stall performs no engine operation (the
     /// victim just stops renewing its leases) and a degradation only
     /// shrinks a capacity record, so without a control plane — or on an
-    /// empty roster — the event is skipped.
+    /// empty DHT — the event is skipped.
     pub(super) fn fault(&mut self, draw: u64, inject: impl FnOnce(&mut Router, SnodeId)) {
-        match (&mut self.route, self.roster.tag_at(draw)) {
+        let tag = self.tag_at(draw);
+        match (&mut self.route, tag) {
             (Some(plane), Some(tag)) => inject(&mut plane.router, SnodeId(tag.0)),
             _ => self.open.skipped += 1,
         }
@@ -83,7 +84,7 @@ impl<E: DhtEngine> ChurnDriver<E> {
     /// One control-plane window, sampled into the open window's route
     /// columns: tick the router on the published loads, execute its
     /// decisions through the ordinary membership machinery, verify lease
-    /// safety against the roster, and probe the client cache at 64
+    /// safety against the engine, and probe the client cache at 64
     /// deterministic points. A no-op without a router.
     pub(super) fn route_window(&mut self, end: SimTime) {
         let Some(plane) = &mut self.route else { return };
@@ -93,12 +94,12 @@ impl<E: DhtEngine> ChurnDriver<E> {
             match action {
                 RouteAction::Failover { snode, .. } => {
                     let tag = NodeTag(snode.0);
-                    let count = self.roster.count_of(tag);
+                    let count = self.hosted_by(tag).len();
                     if count == 0 {
-                        // The leases outlived the roster (verify below
+                        // The leases outlived the vnodes (verify below
                         // would flag it) — confirm to clean the table.
                         self.lease(|r| r.note_fail(*snode));
-                    } else if count == self.roster.len() {
+                    } else if count == self.live() {
                         // Failing over the whole fleet would empty the
                         // DHT: push the expiry out one TTL and retry.
                         self.lease(|r| r.defer(*snode, end));
@@ -110,10 +111,10 @@ impl<E: DhtEngine> ChurnDriver<E> {
                     // Shed the hot snode's first-enrolled vnode; grow the
                     // coldest peer by one in the same stroke so the
                     // population stays level and the load lands colder.
-                    if let Some(v) = self.roster.first_of(NodeTag(from.0)) {
-                        let live_before = self.roster.len();
+                    if let Some(&v) = self.hosted_by(NodeTag(from.0)).first() {
+                        let live_before = self.live();
                         self.remove_one(v);
-                        if self.roster.len() < live_before {
+                        if self.live() < live_before {
                             if let Some(t) = to {
                                 self.create_one(NodeTag(t.0));
                             }
@@ -124,10 +125,16 @@ impl<E: DhtEngine> ChurnDriver<E> {
             }
         }
         let plane = self.route.as_mut().expect("checked on entry");
-        // Lease safety, checked against the authoritative roster every
-        // single window: every live vnode exactly one lease, held by its
-        // hosting snode.
-        if plane.router.verify(self.roster.hosting()).is_err() {
+        // Lease safety, checked against the engine every single window:
+        // every live vnode exactly one lease, held by its hosting snode.
+        let hosting = self.plant.with_engine(|e| {
+            let mut out = Vec::with_capacity(e.vnode_count());
+            e.for_each_vnode(&mut |v| {
+                out.push((v, e.snode_of(v).expect("a listed vnode is live")))
+            });
+            out
+        });
+        if plane.router.verify(hosting).is_err() {
             plane.lease_violations += 1;
         }
         // The deterministic client-cache probe: 64 grid points through

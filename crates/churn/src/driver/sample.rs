@@ -28,7 +28,7 @@ pub struct WindowSample {
     /// Vnodes removed.
     pub leaves: u64,
     /// Membership operations that could not be applied: a departure of an
-    /// already-gone node or a failure on an empty roster count one each;
+    /// already-gone node or a failure on an empty DHT count one each;
     /// the keep-one-vnode guard counts one per guarded removal.
     pub skipped: u64,
     /// Partition transfers across all events.
@@ -193,8 +193,8 @@ pub struct RunTotals {
     /// `false` iff a hot episode was still open at the horizon (always
     /// `true` without a router).
     pub route_converged: bool,
-    /// Windows where the lease table disagreed with the authoritative
-    /// roster — lease safety demands 0 (and 0 without a router).
+    /// Windows where the lease table disagreed with the engine's live
+    /// vnodes — lease safety demands 0 (and 0 without a router).
     pub lease_violations: u64,
     /// Crashed snodes that came back by replaying their write-ahead log
     /// (0 without [`crate::event::EventKind::RejoinRank`] events).

@@ -425,23 +425,3 @@ fn availability_series_extraction() {
     assert_eq!(s.len(), outcome.samples.len());
     assert!(s.y.iter().all(|&y| (0.0..=1.0).contains(&y)));
 }
-
-/// A leave that migrates a vnode between groups keeps its handle, so the
-/// roster's creation order is the engine's after every step.
-#[test]
-fn roster_order_is_the_engine_order_through_migrations() {
-    let engine = LocalDht::with_seed(DhtConfig::new(HashSpace::full(), 4, 2).unwrap(), 0xC1);
-    let stream = small_scenario().build(6);
-    let mut driver = ChurnDriver::new(engine, DriverConfig::default());
-    let mut migrations = 0;
-    for e in stream.events() {
-        driver.step(e);
-        migrations += u64::from(driver.pricer.migrated().is_some());
-        let roster: Vec<VnodeId> = driver.roster.hosting().map(|(v, _)| v).collect();
-        driver.with_engine(|engine| {
-            assert_eq!(roster, engine.vnodes(), "roster and engine orders differ after {e:?}");
-            engine.check_invariants().unwrap_or_else(|err| panic!("after {e:?}: {err}"));
-        });
-    }
-    assert!(migrations > 0, "the stream's leaves must migrate vnodes");
-}

@@ -2,8 +2,8 @@
 //!
 //! A scenario compiles to a flat, time-sorted [`EventStream`] **before**
 //! any engine is involved: events reference cluster nodes by an abstract
-//! [`NodeTag`] (the arrival's identity) or by rank in the live-vnode
-//! roster, never by engine-specific handles. The same stream therefore
+//! [`NodeTag`] (the arrival's identity) or by rank in the live vnodes'
+//! creation order, never by engine-specific handles. The same stream therefore
 //! replays bit-identically into the global approach, the local approach
 //! and Consistent Hashing — which is what makes cross-backend churn
 //! comparisons fair, and what [`EventStream::fingerprint`] asserts.
@@ -55,13 +55,13 @@ pub enum EventKind {
         /// The departing arrival.
         node: NodeTag,
     },
-    /// Correlated mass failure: a contiguous slice of the live-vnode
-    /// roster departs at once (a rack or sub-cluster dying). The slice is
-    /// `max(1, fraction_ppm·live/10⁶)` vnodes starting at roster index
+    /// Correlated mass failure: a contiguous slice of the live vnodes, in
+    /// creation order, departs at once (a rack or sub-cluster dying). The
+    /// slice is `max(1, fraction_ppm·live/10⁶)` vnodes starting at rank
     /// `draw mod live` — rank-based, so the selection is identical on
     /// every engine.
     FailSlice {
-        /// Failed fraction of the live roster, in parts per million.
+        /// Failed fraction of the live vnodes, in parts per million.
         fraction_ppm: u32,
         /// Pre-drawn randomness locating the slice.
         draw: u64,
@@ -75,7 +75,7 @@ pub enum EventKind {
         node: NodeTag,
     },
     /// An ungraceful crash of a rank-selected node: the snode owning the
-    /// live-roster vnode at rank `draw mod live` crashes with **all** its
+    /// live vnode at rank `draw mod live` crashes with **all** its
     /// vnodes — rank-based, so the victim is identical on every engine.
     CrashRank {
         /// Pre-drawn randomness locating the victim.

@@ -35,8 +35,9 @@
 //!     per-window availability, and (replicated) durability
 //!     (`keys_lost`/`keys_total`) plus quorum-read availability with an
 //!     anti-entropy repair pass at every window close;
-//!   - `roster` — live vnodes in creation order and the crashed list,
-//!     with every tag / rank / slice selection rule;
+//!   - `roster` — the crashed list and the rank / slice selection
+//!     rules over the engine's creation order (who is live, and which
+//!     vnodes a tag hosts, is asked of the engine's per-snode index);
 //!   - `sample` — [`WindowSample`], [`RunTotals`], [`ChurnOutcome`] and
 //!     the CSV schema (one column table);
 //!   - `readers` — [`ChurnDriver::with_readers`]: paced reader threads

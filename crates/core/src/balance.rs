@@ -440,6 +440,12 @@ mod tests {
         (vs, routing, region, cfg, Xoshiro256pp::seed_from_u64(1))
     }
 
+    /// A fresh vnode on snode `s` in group slot `group` (names are not
+    /// under test here).
+    fn vnode(vs: &mut VnodeStore, s: u32, group: u32) -> VnodeId {
+        vs.create(crate::ids::CanonicalName { snode: crate::ids::SnodeId(s), local: 0 }, group)
+    }
+
     /// A ledger seeded from the region's current distribution, so the
     /// streamed moves have registered snodes to debit and credit.
     fn seeded_ledger(
@@ -450,7 +456,7 @@ mod tests {
         let mut l = SnodeLedger::new();
         for &m in &region.members {
             let s = vs.get(m).name.snode;
-            l.vnode_created(s);
+            l.vnode_created(s, m);
             if count(routing, m) > 0 {
                 l.gain(s, Quota::new(count(routing, m) as u128, region.level));
             }
@@ -461,7 +467,7 @@ mod tests {
     #[test]
     fn seed_first_tiles_the_space_with_pmin_partitions() {
         let (mut vs, mut routing, mut region, cfg, _) = setup(8);
-        let v = vs.create(crate::ids::SnodeId(0), 0);
+        let v = vnode(&mut vs, 0, 0);
         seed_first(&mut routing, &mut region, v, &cfg);
         assert_eq!(count(&routing, v), 8);
         assert_eq!(region.level, 3);
@@ -472,7 +478,7 @@ mod tests {
     #[test]
     fn split_all_doubles_counts_and_advances_level() {
         let (mut vs, mut routing, mut region, cfg, _) = setup(4);
-        let v = vs.create(crate::ids::SnodeId(0), 0);
+        let v = vnode(&mut vs, 0, 0);
         seed_first(&mut routing, &mut region, v, &cfg);
         let splits = split_all(&mut routing, &mut region).unwrap();
         assert_eq!(splits, 4);
@@ -497,7 +503,7 @@ mod tests {
         let mut vs = VnodeStore::new();
         let mut routing = OwnerMap::new(cfg.hash_space());
         let mut region = GroupState::new(GroupId::FIRST, cfg.initial_level());
-        let v = vs.create(crate::ids::SnodeId(0), 0);
+        let v = vnode(&mut vs, 0, 0);
         seed_first(&mut routing, &mut region, v, &cfg);
         // Level 4 on a 4-bit space: no further splits possible.
         assert!(matches!(
@@ -509,10 +515,10 @@ mod tests {
     #[test]
     fn greedy_add_stops_at_spread_one() {
         let (mut vs, mut routing, mut region, cfg, mut rng) = setup(4);
-        let a = vs.create(crate::ids::SnodeId(0), 0);
+        let a = vnode(&mut vs, 0, 0);
         seed_first(&mut routing, &mut region, a, &cfg);
         split_all(&mut routing, &mut region).unwrap();
-        let b = vs.create(crate::ids::SnodeId(1), 0);
+        let b = vnode(&mut vs, 1, 0);
         region.admit(b, 0);
         let mut ledger = seeded_ledger(&vs, &routing, &region);
         let mut collect = CollectReport::new();
@@ -533,12 +539,12 @@ mod tests {
     #[test]
     fn all_at_pmin_uses_accumulators_correctly() {
         let (mut vs, mut routing, mut region, cfg, mut rng) = setup(4);
-        let a = vs.create(crate::ids::SnodeId(0), 0);
+        let a = vnode(&mut vs, 0, 0);
         seed_first(&mut routing, &mut region, a, &cfg);
         assert!(all_at_pmin(&region, &cfg));
         split_all(&mut routing, &mut region).unwrap();
         assert!(!all_at_pmin(&region, &cfg), "counts are at Pmax now");
-        let b = vs.create(crate::ids::SnodeId(1), 0);
+        let b = vnode(&mut vs, 1, 0);
         region.admit(b, 0);
         let mut ledger = seeded_ledger(&vs, &routing, &region);
         let mut null = NullSink;
@@ -551,10 +557,10 @@ mod tests {
     #[test]
     fn greedy_remove_then_merge_all_restores_seed_state() {
         let (mut vs, mut routing, mut region, cfg, mut rng) = setup(4);
-        let a = vs.create(crate::ids::SnodeId(0), 0);
+        let a = vnode(&mut vs, 0, 0);
         seed_first(&mut routing, &mut region, a, &cfg);
         split_all(&mut routing, &mut region).unwrap();
-        let b = vs.create(crate::ids::SnodeId(1), 0);
+        let b = vnode(&mut vs, 1, 0);
         region.admit(b, 0);
         let mut ledger = seeded_ledger(&vs, &routing, &region);
         let mut collect = CollectReport::new();
@@ -593,8 +599,8 @@ mod tests {
         let mut routing = OwnerMap::new(cfg.hash_space());
         let mut region = GroupState::new(GroupId::FIRST, 2);
         region.birth_level = 1;
-        let a = vs.create(crate::ids::SnodeId(0), 0);
-        let b = vs.create(crate::ids::SnodeId(1), 0);
+        let a = vnode(&mut vs, 0, 0);
+        let b = vnode(&mut vs, 1, 0);
         // Level-2 partitions 0..4: a gets {0, 2}, b gets {1, 3} — fully
         // interleaved, no co-located pair.
         for (i, owner) in [(0u64, a), (1, b), (2, a), (3, b)] {
@@ -627,11 +633,11 @@ mod tests {
         let mut routing = OwnerMap::new(cfg.hash_space());
         let mut region = GroupState::new(GroupId::FIRST, 2);
         region.birth_level = 1;
-        let a = vs.create(crate::ids::SnodeId(0), 0);
+        let a = vnode(&mut vs, 0, 0);
         // Partitions {0, 2}: siblings 1 and 3 are missing (owned by a
         // different region in a real structure). Pad coverage with a
         // stand-alone vnode outside the region so the map stays total.
-        let outside = vs.create(crate::ids::SnodeId(9), 1);
+        let outside = vnode(&mut vs, 9, 1);
         for (i, owner) in [(0u64, a), (1, outside), (2, a), (3, outside)] {
             let p = Partition::new(2, i);
             routing.insert(p, owner).unwrap();
@@ -653,9 +659,9 @@ mod tests {
         let mut region = GroupState::new(GroupId::FIRST, 4);
         // Three vnodes with counts 10 / 4 / 2 at level 4 (16 partitions).
         let vels = [
-            (vs.create(crate::ids::SnodeId(0), 0), 0u64..10),
-            (vs.create(crate::ids::SnodeId(1), 0), 10..14),
-            (vs.create(crate::ids::SnodeId(2), 0), 14..16),
+            (vnode(&mut vs, 0, 0), 0u64..10),
+            (vnode(&mut vs, 1, 0), 10..14),
+            (vnode(&mut vs, 2, 0), 14..16),
         ];
         for (v, range) in vels {
             for i in range.clone() {
@@ -687,7 +693,7 @@ mod tests {
         let mut routing = OwnerMap::new(cfg.hash_space());
         let mut region = GroupState::new(GroupId::FIRST, 10);
         region.birth_level = cfg.initial_level();
-        let members: Vec<VnodeId> = (0..32).map(|s| vs.create(crate::ids::SnodeId(s), 0)).collect();
+        let members: Vec<VnodeId> = (0..32).map(|s| vnode(&mut vs, s, 0)).collect();
         for (i, p) in Partition::all_at_level(10).enumerate() {
             routing.insert(p, members[i % 32]).unwrap();
         }
@@ -720,7 +726,7 @@ mod tests {
         // hole's fill cuts only the index. One level deep, that is at most
         // one new entry per transfer.
         split_all(&mut routing, &mut region).unwrap();
-        let new = vs.create(crate::ids::SnodeId(32), 0);
+        let new = vnode(&mut vs, 32, 0);
         region.admit(new, 0);
         let mut ledger = seeded_ledger(&vs, &routing, &region);
         {

@@ -9,7 +9,9 @@
 //!
 //! [`Cluster`] wraps any [`DhtEngine`] and exposes node-level operations:
 //! join with a weight, change weight (grow/shrink enrollment), leave — all
-//! implemented with the engine's create/remove primitives.
+//! implemented with the engine's create/remove primitives. It keeps only
+//! each node's weight; which vnodes a node hosts is the engine's
+//! [`DhtEngine::vnodes_of_snode`].
 
 use crate::engine::DhtEngine;
 use crate::errors::DhtError;
@@ -44,19 +46,13 @@ impl EnrollmentPolicy {
     }
 }
 
-/// Per-node bookkeeping.
-#[derive(Debug, Clone)]
-struct NodeInfo {
-    weight: f64,
-    vnodes: Vec<VnodeId>,
-}
-
 /// A heterogeneous cluster driving a DHT engine.
 #[derive(Debug, Clone)]
 pub struct Cluster<E: DhtEngine> {
     engine: E,
     policy: EnrollmentPolicy,
-    nodes: BTreeMap<SnodeId, NodeInfo>,
+    /// Enrollment weight per node.
+    weights: BTreeMap<SnodeId, f64>,
     next_snode: u32,
 }
 
@@ -68,7 +64,7 @@ impl<E: DhtEngine> Cluster<E> {
 
     /// Wraps an engine with an explicit policy.
     pub fn with_policy(engine: E, policy: EnrollmentPolicy) -> Self {
-        Self { engine, policy, nodes: BTreeMap::new(), next_snode: 0 }
+        Self { engine, policy, weights: BTreeMap::new(), next_snode: 0 }
     }
 
     /// Immutable access to the underlying engine.
@@ -83,22 +79,22 @@ impl<E: DhtEngine> Cluster<E> {
 
     /// Number of cluster nodes currently enrolled.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.weights.len()
     }
 
     /// The snodes currently enrolled, in id order.
     pub fn nodes(&self) -> Vec<SnodeId> {
-        self.nodes.keys().copied().collect()
+        self.weights.keys().copied().collect()
     }
 
     /// A node's enrollment weight.
     pub fn weight_of(&self, s: SnodeId) -> Option<f64> {
-        self.nodes.get(&s).map(|n| n.weight)
+        self.weights.get(&s).copied()
     }
 
-    /// A node's current vnode handles.
+    /// A node's current vnode handles, in creation order.
     pub fn vnodes_of(&self, s: SnodeId) -> Option<&[VnodeId]> {
-        self.nodes.get(&s).map(|n| n.vnodes.as_slice())
+        self.weights.contains_key(&s).then(|| self.engine.vnodes_of_snode(s))
     }
 
     /// Enrolls a new node with `weight`, creating its vnodes one at a time
@@ -106,12 +102,10 @@ impl<E: DhtEngine> Cluster<E> {
     pub fn join(&mut self, weight: f64) -> Result<SnodeId, DhtError> {
         let s = SnodeId(self.next_snode);
         self.next_snode += 1;
-        let n = self.policy.vnodes_for(weight);
-        let mut vnodes = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            vnodes.push(self.engine.create_vnode_with(s, &mut NullSink)?.vnode);
+        for _ in 0..self.policy.vnodes_for(weight) {
+            self.engine.create_vnode_with(s, &mut NullSink)?;
         }
-        self.nodes.insert(s, NodeInfo { weight, vnodes });
+        self.weights.insert(s, weight);
         Ok(s)
     }
 
@@ -119,17 +113,13 @@ impl<E: DhtEngine> Cluster<E> {
     /// amount may change in result of on-line disk repartitioning or
     /// hot-swapping mechanisms"). Creates or removes vnodes to match.
     pub fn set_weight(&mut self, s: SnodeId, weight: f64) -> Result<(), DhtError> {
-        let target = {
-            let info = self.nodes.get_mut(&s).ok_or(DhtError::EmptySnode(s))?;
-            info.weight = weight;
-            self.policy.vnodes_for(weight) as usize
-        };
-        while self.nodes[&s].vnodes.len() < target {
-            let v = self.engine.create_vnode_with(s, &mut NullSink)?.vnode;
-            self.nodes.get_mut(&s).expect("checked").vnodes.push(v);
+        *self.weights.get_mut(&s).ok_or(DhtError::EmptySnode(s))? = weight;
+        let target = self.policy.vnodes_for(weight) as usize;
+        while self.engine.vnodes_of_snode(s).len() < target {
+            self.engine.create_vnode_with(s, &mut NullSink)?;
         }
-        while self.nodes[&s].vnodes.len() > target {
-            let v = self.nodes.get_mut(&s).expect("checked").vnodes.pop().expect("non-empty");
+        while self.engine.vnodes_of_snode(s).len() > target {
+            let v = *self.engine.vnodes_of_snode(s).last().expect("more than target");
             self.engine.remove_vnode_with(v, &mut NullSink)?;
         }
         Ok(())
@@ -141,12 +131,12 @@ impl<E: DhtEngine> Cluster<E> {
     /// vnode — checked before anything mutates, as
     /// [`DhtEngine::fail_snode`] does.
     pub fn leave(&mut self, s: SnodeId) -> Result<(), DhtError> {
-        let hosted = self.nodes.get(&s).ok_or(DhtError::EmptySnode(s))?.vnodes.len();
-        if hosted == self.engine.vnode_count() {
+        let hosted = self.vnodes_of(s).ok_or(DhtError::EmptySnode(s))?.to_vec();
+        if hosted.len() == self.engine.vnode_count() {
             return Err(DhtError::LastVnode);
         }
-        let vnodes = self.nodes.remove(&s).expect("checked above").vnodes;
-        for &v in vnodes.iter().rev() {
+        self.weights.remove(&s);
+        for &v in hosted.iter().rev() {
             self.engine.remove_vnode_with(v, &mut NullSink)?;
         }
         Ok(())
@@ -155,13 +145,14 @@ impl<E: DhtEngine> Cluster<E> {
     /// Per-node quotas `(snode, Qn)` in id order — `Qn` is the sum of the
     /// node's vnode quotas (the figure-9 abstraction over both models).
     pub fn node_quotas(&self) -> Vec<(SnodeId, f64)> {
-        self.nodes
-            .iter()
-            .map(|(&s, info)| {
-                let q = info
-                    .vnodes
+        self.weights
+            .keys()
+            .map(|&s| {
+                let q = self
+                    .engine
+                    .vnodes_of_snode(s)
                     .iter()
-                    .map(|&v| self.engine.quota_of(v).expect("cluster-tracked vnode is alive"))
+                    .map(|&v| self.engine.quota_of(v).expect("a listed vnode is alive"))
                     .sum();
                 (s, q)
             })
@@ -176,7 +167,7 @@ impl<E: DhtEngine> Cluster<E> {
     /// Quota per unit of weight, for heterogeneity verification: a
     /// well-balanced heterogeneous cluster has nearly equal values here.
     pub fn quota_per_weight(&self) -> Vec<(SnodeId, f64)> {
-        self.node_quotas().into_iter().map(|(s, q)| (s, q / self.nodes[&s].weight)).collect()
+        self.node_quotas().into_iter().map(|(s, q)| (s, q / self.weights[&s])).collect()
     }
 }
 

@@ -57,7 +57,7 @@ pub(crate) fn remove<P: RegionPolicy, R: DomusRng>(
     make_room(dht, v, sink)?;
     drain(dht, dht.vs.get(v).group, v, sink);
     dht.vs.kill(v);
-    dht.ledger.vnode_killed(snode);
+    dht.ledger.vnode_killed(snode, v);
     dht.debug_check();
     Ok(outcome)
 }

@@ -220,16 +220,12 @@ pub trait DhtEngine {
         }
     }
 
-    /// The live vnodes hosted by `s`, in creation order.
-    fn vnodes_of_snode(&self, s: SnodeId) -> Vec<VnodeId> {
-        let mut out = Vec::new();
-        self.for_each_vnode(&mut |v| {
-            if self.snode_of(v) == Ok(s) {
-                out.push(v);
-            }
-        });
-        out
-    }
+    /// The live vnodes hosted by `s`, in creation order (empty when it
+    /// hosts none) — O(1), off the engine's per-snode index.
+    fn vnodes_of_snode(&self, s: SnodeId) -> &[VnodeId];
+
+    /// Number of snodes hosting at least one live vnode — O(1).
+    fn snode_count(&self) -> usize;
 
     /// Crashes a snode: every vnode it hosts is removed **ungracefully**,
     /// streaming the resulting rebalancement into `sink`.
@@ -251,7 +247,7 @@ pub trait DhtEngine {
         s: SnodeId,
         sink: &mut dyn RebalanceSink,
     ) -> Result<FailOutcome, DhtError> {
-        let victims = self.vnodes_of_snode(s);
+        let victims = self.vnodes_of_snode(s).to_vec();
         if victims.is_empty() {
             return Err(DhtError::EmptySnode(s));
         }

@@ -105,8 +105,8 @@ pub enum InvariantViolation {
         /// Detail.
         detail: String,
     },
-    /// The incremental snode ledger disagrees with a per-vnode
-    /// recomputation.
+    /// The incremental snode ledger (a quota or a handle list) disagrees
+    /// with a per-vnode recomputation.
     LedgerDrift {
         /// Detail.
         detail: String,
@@ -404,15 +404,15 @@ pub fn check(
         }
     }
 
-    // --- The incremental snode ledger matches a per-vnode recomputation.
-    let mut fresh: BTreeMap<SnodeId, (Quota, u32)> = BTreeMap::new();
-    for g in &live {
-        for &m in &g.members {
-            let s = vs.get(m).name.snode;
-            let e = fresh.entry(s).or_insert((Quota::ZERO, 0));
-            e.0 = e.0 + Quota::of_partitions(count(routing, m), g.level);
-            e.1 += 1;
-        }
+    // --- The incremental snode ledger matches a per-vnode recomputation:
+    //     each snode's quota, and its handle list as a creation-order
+    //     filter of the live vnodes.
+    let mut fresh: BTreeMap<SnodeId, (Quota, Vec<VnodeId>)> = BTreeMap::new();
+    for v in vs.iter_alive() {
+        let state = vs.get(v);
+        let e = fresh.entry(state.name.snode).or_insert((Quota::ZERO, Vec::new()));
+        e.0 = e.0 + Quota::of_partitions(count(routing, v), groups[state.group as usize].level);
+        e.1.push(v);
     }
     if ledger.snode_count() != fresh.len() {
         return Err(InvariantViolation::LedgerDrift {
@@ -421,7 +421,7 @@ pub fn check(
     }
     for (s, share) in ledger.iter() {
         match fresh.get(&s) {
-            Some(&(q, n)) if q == share.quota && n == share.vnodes => {}
+            Some((q, vnodes)) if *q == share.quota && *vnodes == share.vnodes => {}
             found => {
                 return Err(InvariantViolation::LedgerDrift {
                     detail: format!("snode {s}: ledgered {share:?}, recomputed {found:?}"),

@@ -1,31 +1,38 @@
-//! Exact per-snode quota accounting.
+//! The per-snode table: who hosts what, and each snode's exact quota.
+//!
+//! The paper makes a physical node's share a function of how many vnodes
+//! it enrolls (§1, §2.1.2), so "which vnodes does snode `s` host" is a
+//! model fact. The ledger is where both engines keep it: each snode's
+//! live vnode handles in creation order, its next canonical-name index,
+//! and its exact [`Quota`].
 //!
 //! The figure-9 metric `σ̄(Qn)` and the churn driver's per-window
 //! [`crate::BalanceSnapshot`] both need the quota handled by each
 //! *physical* node. Recomputing that means a pass over every live vnode —
-//! O(V) per sample. The ledger instead tracks each snode's exact
-//! [`Quota`] incrementally: every partition [`crate::Transfer`] moves
-//! `1/2^l` between two snodes (O(log S) per transfer), split/merge
-//! cascades and group splits move nothing (per-vnode quotas are
-//! unchanged), and creations/removals only seed or drain whole shares.
-//! Sampling then costs O(S) over the snodes, with the same exact dyadic
-//! arithmetic the invariant checker uses — no float drift to accumulate.
+//! O(V) per sample. The ledger instead tracks each snode's exact quota
+//! incrementally: every partition [`crate::Transfer`] moves `1/2^l`
+//! between two snodes (one map probe each side), split/merge cascades
+//! and group splits move nothing (per-vnode quotas are unchanged), and
+//! creations/removals only seed or drain whole shares. Sampling then
+//! costs O(S) over the snodes, with the same exact dyadic arithmetic the
+//! invariant checker uses — no float drift to accumulate.
 
-use crate::ids::SnodeId;
+use crate::ids::{CanonicalName, SnodeId, VnodeId};
 use domus_hashspace::Quota;
 use domus_util::FxHashMap;
 
-/// One snode's aggregate: its exact quota and its live-vnode count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One snode's aggregate: its exact quota and its live vnodes.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnodeShare {
     /// Sum of the snode's vnode quotas (exact).
     pub quota: Quota,
-    /// Live vnodes hosted by the snode.
-    pub vnodes: u32,
+    /// Live vnodes hosted by the snode, in creation order (a vnode keeps
+    /// its handle and its place through a group migration).
+    pub vnodes: Vec<VnodeId>,
 }
 
-/// Incremental per-snode quota ledger. Entries exist exactly for the
-/// snodes hosting at least one live vnode.
+/// Incremental per-snode table. Entries exist exactly for the snodes
+/// hosting at least one live vnode.
 ///
 /// Mutations go through a flat hash map (snode ids are sparse, so a
 /// dense arena is out; the deterministic `Fx` hasher keeps each update
@@ -35,6 +42,10 @@ pub struct SnodeShare {
 #[derive(Debug, Clone, Default)]
 pub struct SnodeLedger {
     map: FxHashMap<SnodeId, SnodeShare>,
+    /// Vnodes ever created per snode index: the `local` part of the next
+    /// canonical name. It outlives the snode's entry, so a snode that
+    /// rejoins after losing every vnode keeps counting.
+    named: Vec<u32>,
 }
 
 impl SnodeLedger {
@@ -43,20 +54,37 @@ impl SnodeLedger {
         Self::default()
     }
 
-    /// Registers one new (partition-less) vnode on `snode`.
-    pub fn vnode_created(&mut self, snode: SnodeId) {
-        self.map.entry(snode).or_insert(SnodeShare { quota: Quota::ZERO, vnodes: 0 }).vnodes += 1;
+    /// Registers the new (partition-less) vnode `v` on `snode`, last in
+    /// the snode's creation order, and returns its canonical name.
+    pub fn vnode_created(&mut self, snode: SnodeId, v: VnodeId) -> CanonicalName {
+        if self.named.len() <= snode.index() {
+            self.named.resize(snode.index() + 1, 0);
+        }
+        let local = self.named[snode.index()];
+        self.named[snode.index()] += 1;
+        let share =
+            self.map.entry(snode).or_insert(SnodeShare { quota: Quota::ZERO, vnodes: Vec::new() });
+        debug_assert!(share.vnodes.last() < Some(&v), "handles grow in creation order");
+        share.vnodes.push(v);
+        CanonicalName { snode, local }
     }
 
-    /// Unregisters a (drained) vnode of `snode`, evicting the entry when
-    /// it was the snode's last.
-    pub fn vnode_killed(&mut self, snode: SnodeId) {
+    /// Unregisters the (drained) vnode `v` of `snode`, keeping the rest in
+    /// creation order, and evicts the entry when it was the snode's last.
+    pub fn vnode_killed(&mut self, snode: SnodeId, v: VnodeId) {
         let share = self.map.get_mut(&snode).expect("killed vnode's snode is ledgered");
-        share.vnodes -= 1;
-        if share.vnodes == 0 {
+        let pos = share.vnodes.iter().position(|&w| w == v).expect("killed vnode is ledgered");
+        share.vnodes.remove(pos);
+        if share.vnodes.is_empty() {
             debug_assert!(share.quota.is_zero(), "last vnode of {snode} died owning quota");
             self.map.remove(&snode);
         }
+    }
+
+    /// The live vnodes hosted by `snode`, in creation order (empty when it
+    /// hosts none) — O(1).
+    pub fn vnodes_of(&self, snode: SnodeId) -> &[VnodeId] {
+        self.map.get(&snode).map_or(&[], |share| &share.vnodes)
     }
 
     /// Credits `q` to `snode`.
@@ -87,9 +115,9 @@ impl SnodeLedger {
     }
 
     /// `(snode, share)` pairs in snode order (sorted on demand).
-    pub fn iter(&self) -> impl Iterator<Item = (SnodeId, SnodeShare)> + '_ {
-        let mut out: Vec<(SnodeId, SnodeShare)> =
-            self.map.iter().map(|(&s, &share)| (s, share)).collect();
+    pub fn iter(&self) -> impl Iterator<Item = (SnodeId, &SnodeShare)> + '_ {
+        let mut out: Vec<(SnodeId, &SnodeShare)> =
+            self.map.iter().map(|(&s, share)| (s, share)).collect();
         out.sort_unstable_by_key(|&(s, _)| s);
         out.into_iter()
     }
@@ -119,12 +147,12 @@ mod tests {
     #[test]
     fn create_move_kill_lifecycle() {
         let mut l = SnodeLedger::new();
-        l.vnode_created(SnodeId(0));
+        l.vnode_created(SnodeId(0), VnodeId(0));
         l.gain(SnodeId(0), Quota::ONE);
         assert_eq!(l.snode_count(), 1);
         assert!(l.total().is_one());
 
-        l.vnode_created(SnodeId(1));
+        l.vnode_created(SnodeId(1), VnodeId(1));
         l.move_quota(SnodeId(0), SnodeId(1), Quota::new(1, 1));
         assert!(l.total().is_one());
         let shares: Vec<_> = l.iter().collect();
@@ -133,28 +161,46 @@ mod tests {
         assert_eq!(l.relstd_pct(), 0.0);
 
         l.move_quota(SnodeId(1), SnodeId(0), Quota::new(1, 1));
-        l.vnode_killed(SnodeId(1));
+        l.vnode_killed(SnodeId(1), VnodeId(1));
         assert_eq!(l.snode_count(), 1);
+        assert!(l.vnodes_of(SnodeId(1)).is_empty(), "the emptied snode is evicted");
         assert!(l.total().is_one());
     }
 
     #[test]
     fn intra_snode_moves_are_free() {
         let mut l = SnodeLedger::new();
-        l.vnode_created(SnodeId(3));
-        l.vnode_created(SnodeId(3));
+        l.vnode_created(SnodeId(3), VnodeId(0));
+        l.vnode_created(SnodeId(3), VnodeId(1));
         l.gain(SnodeId(3), Quota::ONE);
         l.move_quota(SnodeId(3), SnodeId(3), Quota::new(1, 2));
         assert!(l.total().is_one());
-        l.vnode_killed(SnodeId(3));
+        l.vnode_killed(SnodeId(3), VnodeId(0));
         assert_eq!(l.snode_count(), 1, "one vnode left on the snode");
+    }
+
+    #[test]
+    fn handle_lists_keep_creation_order_and_names_outlive_eviction() {
+        let mut l = SnodeLedger::new();
+        for v in 0..4 {
+            l.vnode_created(SnodeId(7), VnodeId(v));
+        }
+        l.vnode_killed(SnodeId(7), VnodeId(1));
+        assert_eq!(l.vnodes_of(SnodeId(7)), [0, 2, 3].map(VnodeId));
+        for v in [0, 2, 3] {
+            l.vnode_killed(SnodeId(7), VnodeId(v));
+        }
+        assert_eq!(l.snode_count(), 0);
+        let back = l.vnode_created(SnodeId(7), VnodeId(9));
+        assert_eq!(back.to_string(), "7.4", "a rejoined snode keeps counting");
+        assert_eq!(l.vnodes_of(SnodeId(7)), [VnodeId(9)]);
     }
 
     #[test]
     #[should_panic(expected = "underflow")]
     fn overdraining_panics() {
         let mut l = SnodeLedger::new();
-        l.vnode_created(SnodeId(0));
+        l.vnode_created(SnodeId(0), VnodeId(0));
         l.gain(SnodeId(0), Quota::new(1, 2));
         l.lose(SnodeId(0), Quota::ONE);
     }
@@ -163,7 +209,7 @@ mod tests {
     fn relstd_matches_direct_computation() {
         let mut l = SnodeLedger::new();
         for (s, num) in [(0u32, 1u128), (1, 2), (2, 1)] {
-            l.vnode_created(SnodeId(s));
+            l.vnode_created(SnodeId(s), VnodeId(s));
             l.gain(SnodeId(s), Quota::new(num, 2));
         }
         let direct = domus_metrics::rel_std_dev_pct([0.25, 0.5, 0.25]);

@@ -109,4 +109,4 @@ pub use serve::{
 pub use sink::{
     CollectReport, CountOnly, LedgeredSink, NullSink, RebalanceEvent, RebalanceSink, Tee,
 };
-pub use stats::{snode_count, snode_quota_relstd_pct, snode_quotas, BalanceSnapshot};
+pub use stats::{snode_quota_relstd_pct, snode_quotas, BalanceSnapshot};

@@ -129,7 +129,7 @@ impl<P: RegionPolicy, R: DomusRng> BalancedDht<P, R> {
         }
     }
 
-    /// The incremental per-snode quota ledger.
+    /// The per-snode table: each snode's vnodes and exact quota.
     pub fn ledger(&self) -> &SnodeLedger {
         &self.ledger
     }
@@ -176,6 +176,13 @@ impl<P: RegionPolicy, R: DomusRng> BalancedDht<P, R> {
 
     pub(crate) fn ensure_alive(&self, v: VnodeId) -> Result<(), DhtError> {
         self.vs.is_alive(v).then_some(()).ok_or(DhtError::UnknownVnode(v))
+    }
+
+    /// A fresh, partition-less vnode on `snode` in group `slot`: its
+    /// handle from the arena, its name and index entry from the ledger.
+    fn new_vnode(&mut self, snode: SnodeId, slot: u32) -> VnodeId {
+        let name = self.ledger.vnode_created(snode, self.vs.next_handle());
+        self.vs.create(name, slot)
     }
 
     /// Runs the paper's balancement (§2.5) for one vnode entering group
@@ -343,9 +350,8 @@ impl<P: RegionPolicy, R: DomusRng> DhtEngine for BalancedDht<P, R> {
         // First vnode: seed the root group (§3.7 case a).
         if self.vs.alive_count() == 0 {
             let slot = self.live_slots[0];
-            let v = self.vs.create(snode, slot);
+            let v = self.new_vnode(snode, slot);
             balance::seed_first(&mut self.routing, &mut self.groups[slot as usize], v, &self.cfg);
-            self.ledger.vnode_created(snode);
             self.ledger.gain(snode, Quota::ONE);
             self.debug_check();
             return Ok(CreateOutcome {
@@ -356,10 +362,7 @@ impl<P: RegionPolicy, R: DomusRng> DhtEngine for BalancedDht<P, R> {
         }
 
         let slot = P::container(self, sink);
-        let vnode = self.admit_into_group(slot, sink, |dht| {
-            dht.ledger.vnode_created(snode);
-            dht.vs.create(snode, slot)
-        })?;
+        let vnode = self.admit_into_group(slot, sink, |dht| dht.new_vnode(snode, slot))?;
         self.debug_check();
         let g = &self.groups[slot as usize];
         Ok(CreateOutcome { vnode, group: Some(g.gid), group_size_after: g.len() })
@@ -397,6 +400,14 @@ impl<P: RegionPolicy, R: DomusRng> DhtEngine for BalancedDht<P, R> {
     fn snode_of(&self, v: VnodeId) -> Result<SnodeId, DhtError> {
         self.ensure_alive(v)?;
         Ok(self.vs.get(v).name.snode)
+    }
+
+    fn vnodes_of_snode(&self, s: SnodeId) -> &[VnodeId] {
+        self.ledger.vnodes_of(s)
+    }
+
+    fn snode_count(&self) -> usize {
+        self.ledger.snode_count()
     }
 
     fn partitions_of(&self, v: VnodeId) -> Result<Vec<Partition>, DhtError> {

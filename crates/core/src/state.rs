@@ -4,7 +4,8 @@
 //!
 //! * [`VnodeStore`] — a dense arena of [`VnodeState`]s: name, group and
 //!   liveness. Handles are never reused; deleted vnodes leave tombstones so
-//!   stale handles fail loudly. What a vnode holds is not here: the routing
+//!   stale handles fail loudly. Names are allocated by the snode ledger
+//!   ([`crate::SnodeLedger`]), which also lists each snode's vnodes. What a vnode holds is not here: the routing
 //!   map's owner index ([`OwnerMap::holdings`]) is the one list of each
 //!   vnode's partitions, in the donor order the balance kernel indexes
 //!   into, and [`count`] reads `Pv` off it.
@@ -16,7 +17,7 @@
 //!   measures after *every* creation, so this is the hot path.
 
 use crate::group_id::GroupId;
-use crate::ids::{CanonicalName, SnodeId, VnodeId};
+use crate::ids::{CanonicalName, VnodeId};
 use domus_hashspace::OwnerMap;
 
 /// Partition count `Pv` of `v`, off the routing map's owner index.
@@ -41,8 +42,6 @@ pub struct VnodeState {
 pub struct VnodeStore {
     slots: Vec<VnodeState>,
     alive: usize,
-    /// Per-snode counter for canonical names (`local` part).
-    per_snode: Vec<u32>,
 }
 
 impl VnodeStore {
@@ -51,16 +50,16 @@ impl VnodeStore {
         Self::default()
     }
 
-    /// Creates a vnode hosted by `snode`, assigned to group slot `group`,
-    /// with no partitions yet.
-    pub fn create(&mut self, snode: SnodeId, group: u32) -> VnodeId {
-        let id = VnodeId(self.slots.len() as u32);
-        if self.per_snode.len() <= snode.index() {
-            self.per_snode.resize(snode.index() + 1, 0);
-        }
-        let local = self.per_snode[snode.index()];
-        self.per_snode[snode.index()] += 1;
-        self.slots.push(VnodeState { name: CanonicalName { snode, local }, group, alive: true });
+    /// The handle the next [`VnodeStore::create`] returns.
+    pub fn next_handle(&self) -> VnodeId {
+        VnodeId(self.slots.len() as u32)
+    }
+
+    /// Creates a vnode named `name`, assigned to group slot `group`, with
+    /// no partitions yet.
+    pub fn create(&mut self, name: CanonicalName, group: u32) -> VnodeId {
+        let id = self.next_handle();
+        self.slots.push(VnodeState { name, group, alive: true });
         self.alive += 1;
         id
     }
@@ -274,26 +273,35 @@ impl GroupState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::SnodeId;
+    use crate::ledger::SnodeLedger;
+
+    /// A vnode on `snode` in group 0, named as the engines name it.
+    fn create(vs: &mut VnodeStore, ledger: &mut SnodeLedger, snode: u32) -> VnodeId {
+        let name = ledger.vnode_created(SnodeId(snode), vs.next_handle());
+        vs.create(name, 0)
+    }
 
     #[test]
     fn create_assigns_canonical_names_per_snode() {
-        let mut vs = VnodeStore::new();
-        let a = vs.create(SnodeId(0), 0);
-        let b = vs.create(SnodeId(0), 0);
-        let c = vs.create(SnodeId(1), 0);
+        let (mut vs, mut ledger) = (VnodeStore::new(), SnodeLedger::new());
+        let a = create(&mut vs, &mut ledger, 0);
+        let b = create(&mut vs, &mut ledger, 0);
+        let c = create(&mut vs, &mut ledger, 1);
         assert_eq!(vs.get(a).name.to_string(), "0.0");
         assert_eq!(vs.get(b).name.to_string(), "0.1");
         assert_eq!(vs.get(c).name.to_string(), "1.0");
         assert_eq!(vs.alive_count(), 3);
+        assert_eq!(ledger.vnodes_of(SnodeId(0)), [a, b]);
     }
 
     #[test]
     fn kill_tombstones_without_reuse() {
-        let mut vs = VnodeStore::new();
-        let a = vs.create(SnodeId(0), 0);
+        let (mut vs, mut ledger) = (VnodeStore::new(), SnodeLedger::new());
+        let a = create(&mut vs, &mut ledger, 0);
         vs.kill(a);
         assert!(!vs.is_alive(a));
-        let b = vs.create(SnodeId(0), 0);
+        let b = create(&mut vs, &mut ledger, 0);
         assert_ne!(a, b, "handles are never reused");
         assert_eq!(vs.alive_count(), 1);
         assert_eq!(vs.capacity(), 2);
@@ -302,10 +310,10 @@ mod tests {
 
     #[test]
     fn accumulators_track_moves() {
-        let mut vs = VnodeStore::new();
+        let (mut vs, mut ledger) = (VnodeStore::new(), SnodeLedger::new());
         let mut g = GroupState::new(GroupId::FIRST, 3);
-        let a = vs.create(SnodeId(0), 0);
-        let b = vs.create(SnodeId(0), 0);
+        let a = create(&mut vs, &mut ledger, 0);
+        let b = create(&mut vs, &mut ledger, 0);
         // a holds 5, b holds 3 (synthetic counts: the accumulators are
         // driven by the caller).
         g.admit(a, 5);

@@ -21,11 +21,6 @@ pub fn snode_quota_relstd_pct<E: DhtEngine + ?Sized>(dht: &E) -> f64 {
     rel_std_dev_pct(snode_quotas(dht).into_values())
 }
 
-/// Number of distinct physical nodes currently hosting vnodes.
-pub fn snode_count<E: DhtEngine + ?Sized>(dht: &E) -> usize {
-    snode_quotas(dht).len()
-}
-
 /// A point-in-time balance/shape sample of an engine — everything the
 /// churn driver records per observation window, gathered in **one pass**
 /// over the live vnodes (cheap enough to sample at a high cadence).
@@ -116,7 +111,7 @@ mod tests {
         let max_q = dht.quotas().into_iter().fold(0.0f64, f64::max);
         assert!((snap.max_quota_over_ideal - max_q * 24.0).abs() < 1e-9);
         assert!(snap.max_quota_over_ideal >= 1.0 - 1e-9, "peak load is never below ideal");
-        assert_eq!(snode_count(&dht), 6);
+        assert_eq!(dht.snode_count(), 6);
     }
 
     #[test]

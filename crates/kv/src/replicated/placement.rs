@@ -177,16 +177,8 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         // shorter walk can miss ranges holding follower copies placed
         // under an earlier, wider membership. Cover the whole space in one
         // range instead — the honest repair scope at this size, and O(1)
-        // to decide.
-        let mut live: Vec<SnodeId> = Vec::new();
-        self.engine.for_each_vnode(&mut |v| {
-            if let Ok(s) = self.engine.snode_of(v) {
-                if !live.contains(&s) {
-                    live.push(s);
-                }
-            }
-        });
-        if live.len() < self.r {
+        // to decide off the engine's snode count.
+        if self.engine.snode_count() < self.r {
             return vec![(0, space.size())];
         }
         let mut out: Vec<Range> = Vec::with_capacity(touched.len() + 2);

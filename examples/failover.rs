@@ -36,11 +36,9 @@ fn main() {
     let mut now = SimTime::ZERO;
 
     // Phase 1: the fleet joins; every vnode gets a lease.
-    let mut roster: Vec<(VnodeId, SnodeId)> = Vec::new();
     for s in 0..FLEET {
         let snode = SnodeId(s);
         let (v, _) = kv.join(snode).expect("join");
-        roster.push((v, snode));
         router.note_join(v, snode, now);
     }
     for i in 0..KEYS {
@@ -101,7 +99,6 @@ fn main() {
             // repair.
             let report = kv.fail_snode(snode).expect("failover executes");
             router.note_fail(snode);
-            roster.retain(|&(_, s)| s != snode);
             let repair = kv.repair();
             println!(
                 "        -> {} vnode(s) torn down, {} copies destroyed, {} keys lost; \
@@ -122,7 +119,7 @@ fn main() {
     // and R=2 means not one key went missing.
     let crash = crash.expect("the stall must fail over within ttl/window + 1 ticks");
     assert_eq!(crash.keys_lost, 0, "R=2 must survive one silent stall");
-    router.verify(roster.iter().copied()).expect("leases cover exactly the survivors");
+    router.verify(hosting(kv.engine())).expect("leases cover exactly the survivors");
     kv.verify_replication().expect("repair restored full replication");
     for i in 0..KEYS {
         assert!(
@@ -132,13 +129,21 @@ fn main() {
     }
     println!(
         "\nsurvivors: {} snodes, {} leases, {} keys all readable — totals: {} failover(s), {} lease(s) expired",
-        roster.iter().map(|&(_, s)| s).collect::<std::collections::BTreeSet<_>>().len(),
+        kv.engine().snode_count(),
         router.leases().len(),
         kv.len(),
         router.totals().failovers,
         router.totals().leases_expired,
     );
     println!("OK: silent stall failed over via lease expiry with zero lost keys at R=2");
+}
+
+/// `(vnode, hosting snode)` for every live vnode — what lease safety is
+/// verified against.
+fn hosting(engine: &LocalDht) -> Vec<(VnodeId, SnodeId)> {
+    let mut out = Vec::new();
+    engine.for_each_vnode(&mut |v| out.push((v, engine.snode_of(v).expect("live vnode"))));
+    out
 }
 
 /// The per-snode load vector the scheduler ticks against, read off a

@@ -8,6 +8,7 @@
 
 use domus::prelude::*;
 use domus_core::DhtEngine;
+use std::collections::BTreeSet;
 
 const BITS: u32 = 32;
 
@@ -257,6 +258,84 @@ fn dyn_engine_objects_drive_all_backends() {
     }
 }
 
+/// `vnodes()`, every `vnodes_of_snode(s)` and `snode_count()` against a
+/// reference list of `(snode, vnode)` in creation order.
+fn assert_index<E: DhtEngine>(label: &str, dht: &E, reference: &[(SnodeId, VnodeId)]) {
+    let order: Vec<VnodeId> = reference.iter().map(|&(_, v)| v).collect();
+    assert_eq!(dht.vnodes(), order, "{label}: creation order");
+    let snodes: BTreeSet<SnodeId> = reference.iter().map(|&(s, _)| s).collect();
+    assert_eq!(dht.snode_count(), snodes.len(), "{label}: snode count");
+    for s in (0..INDEX_SNODES).map(SnodeId) {
+        let hosted: Vec<VnodeId> =
+            reference.iter().filter(|&&(h, _)| h == s).map(|&(_, v)| v).collect();
+        assert_eq!(dht.vnodes_of_snode(s), hosted.as_slice(), "{label}: vnodes of {s}");
+    }
+}
+
+/// Snodes the index script draws from.
+const INDEX_SNODES: u32 = 5;
+
+/// A seeded script of creations, removals, a crash and a rejoin, checking
+/// the engine's per-snode index against a reference list after every
+/// step: push on create, order-preserving delete on remove or fail, no
+/// change on a migration (the vnode keeps its handle and its place).
+/// Returns the migrations seen.
+fn run_index_script<E: DhtEngine>(label: &str, mut dht: E, seed: u64) -> u64 {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let mut migrations = Migrations::default();
+    let mut reference: Vec<(SnodeId, VnodeId)> = Vec::new();
+    fn create<E: DhtEngine>(
+        dht: &mut E,
+        reference: &mut Vec<(SnodeId, VnodeId)>,
+        rng: &mut Xoshiro256pp,
+        sink: &mut Migrations,
+    ) {
+        let s = SnodeId(rng.next_below(u64::from(INDEX_SNODES)) as u32);
+        reference.push((s, dht.create_vnode_with(s, sink).unwrap().vnode));
+    }
+    for _ in 0..30 {
+        create(&mut dht, &mut reference, &mut rng, &mut migrations);
+        assert_index(label, &dht, &reference);
+    }
+    // Shrink deep (merges and, on the local approach, migrations), with
+    // creations interleaved; one snode crashes half-way and rejoins.
+    for step in 0..26 {
+        let (_, v) = reference.remove(rng.index(reference.len()));
+        dht.remove_vnode_with(v, &mut migrations).unwrap();
+        assert_index(label, &dht, &reference);
+        if step % 4 == 0 {
+            create(&mut dht, &mut reference, &mut rng, &mut migrations);
+            assert_index(label, &dht, &reference);
+        }
+        if step == 12 {
+            let (s, _) = reference[rng.index(reference.len())];
+            let outcome = dht.fail_snode(s, &mut migrations).unwrap();
+            let hosted: Vec<VnodeId> =
+                reference.iter().filter(|&&(h, _)| h == s).map(|&(_, v)| v).collect();
+            assert_eq!(outcome.vnodes, hosted, "{label}: a crash takes the snode's list");
+            reference.retain(|&(h, _)| h != s);
+            assert_index(label, &dht, &reference);
+            let back = dht.rejoin_snode(s, hosted.len(), &mut migrations).unwrap();
+            reference.extend(back.vnodes.iter().map(|&v| (s, v)));
+            assert_index(label, &dht, &reference);
+        }
+    }
+    dht.check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
+    migrations.0
+}
+
+#[test]
+fn vnode_index_matches_a_reference_list_through_migrations() {
+    let mut local_migrations = 0;
+    for seed in 0..8u64 {
+        let cfg = DhtConfig::new(space(), 4, 2).unwrap();
+        local_migrations += run_index_script("local", LocalDht::with_seed(cfg, seed), seed);
+        run_index_script("global", global(), seed);
+        run_index_script("ch", ch(), seed);
+    }
+    assert!(local_migrations > 0, "the script must migrate vnodes");
+}
+
 /// The crash path: `fail_snode` tears down every vnode of one snode at
 /// once on any backend, leaving the engine passing `invariants::check`
 /// (via `check_invariants`) with the snode gone and routing still total.
@@ -268,7 +347,7 @@ fn run_fail_snode<E: DhtEngine>(label: &str, mut dht: E) {
     let mut live = 18usize;
     for victim in [2u32, 4, 0] {
         let s = SnodeId(victim);
-        let hosted = dht.vnodes_of_snode(s);
+        let hosted = dht.vnodes_of_snode(s).to_vec();
         assert!(!hosted.is_empty(), "{label}: s{victim} must host vnodes");
         let mut counts = domus_core::CountOnly::default();
         let outcome = dht.fail_snode(s, &mut counts).unwrap();
