@@ -287,7 +287,7 @@ impl<E: DhtEngine> ChurnDriver<E> {
         // The arrival's enrollment is its *declared capacity* — the
         // fixed basis hot-spot decisions weigh against (later moves
         // shrink its quota, not its capacity).
-        self.lease(|r| r.note_capacity(SnodeId(node.0), vnodes.max(1)));
+        self.lease(|r, _| r.note_capacity(SnodeId(node.0), vnodes.max(1)));
         for _ in 0..vnodes.max(1) {
             self.create_one(node);
         }
@@ -308,7 +308,7 @@ impl<E: DhtEngine> ChurnDriver<E> {
         self.absorb(cost, entries_moved);
         self.open.joins += handles.len() as u64;
         let (snode, now) = (SnodeId(tag.0), self.clock);
-        self.lease(|r| handles.iter().for_each(|&v| r.note_join(v, snode, now)));
+        self.lease(|r, _| handles.iter().for_each(|&v| r.note_join(v, snode, now)));
     }
 
     /// Removes `victims` in order. An empty list (the node is already
@@ -330,6 +330,8 @@ impl<E: DhtEngine> ChurnDriver<E> {
             self.open.skipped += 1;
             return;
         }
+        // The holder is read while `v` still resolves to it.
+        let holder = self.lease(|_, e| e.snode_of(v).expect("a removed vnode is live"));
         self.pricer.begin();
         let entries_moved = self.plant.remove(v, &mut self.pricer);
         // The governing record after the event is visible through any
@@ -339,7 +341,9 @@ impl<E: DhtEngine> ChurnDriver<E> {
         let cost = self.pricer.finish_remove(record_len, participants);
         self.absorb(cost, entries_moved);
         self.open.leaves += 1;
-        self.lease(|r| r.note_remove(v));
+        if let Some(s) = holder {
+            self.lease(|r, e| r.note_remove(s, e.vnodes_of_snode(s).len()));
+        }
     }
 
     /// Crashes the snode identified by `tag` ungracefully (see
@@ -368,14 +372,12 @@ impl<E: DhtEngine> ChurnDriver<E> {
         let Some(crash) = self.plant.fail(snode, &mut self.pricer) else {
             // The plant cannot represent loss: degrade to graceful
             // removals — identical membership trajectory, data migrates.
-            // They release the leases one by one; `note_fail` clears the
-            // holder's capacity/stall records too.
-            self.remove_all(self.hosted_by(tag));
-            return self.lease(|r| r.note_fail(snode));
+            // The last removal forgets the holder's lease and records.
+            return self.remove_all(self.hosted_by(tag));
         };
-        // The dead holder's leases are released (the confirmation a tick's
+        // The dead holder's lease is released (the confirmation a tick's
         // failover asks for).
-        self.lease(|r| r.note_fail(snode));
+        self.lease(|r, _| r.note_fail(snode));
         // The governing record after the event: the first transfer
         // receiver when it survived the whole crash, else any survivor.
         let (record_len, participants) = self
@@ -426,7 +428,7 @@ impl<E: DhtEngine> ChurnDriver<E> {
         self.open.repair_bytes += report.repair.bytes_shipped;
         self.repair_bytes_full += report.repair.bytes_full;
         self.open.rejoins += 1;
-        self.lease(|r| r.note_capacity(snode, report.handles.len().max(1) as u32));
+        self.lease(|r, _| r.note_capacity(snode, report.handles.len().max(1) as u32));
         self.enrolled(tag, &report.handles, report.repair.copies_placed + report.recovered);
     }
 }

@@ -60,12 +60,12 @@ impl<E: DhtEngine> ChurnDriver<E> {
         self.route.as_ref().map(|plane| &plane.router)
     }
 
-    /// Lease bookkeeping for a membership change (a no-op without a
-    /// router).
-    pub(super) fn lease(&mut self, note: impl FnOnce(&mut Router)) {
-        if let Some(plane) = &mut self.route {
-            note(&mut plane.router);
-        }
+    /// Lease bookkeeping for a membership change, with the engine to
+    /// read (a no-op without a router, so a driver without one never
+    /// pays for the reads).
+    pub(super) fn lease<T>(&mut self, note: impl FnOnce(&mut Router, &E) -> T) -> Option<T> {
+        let plane = self.route.as_mut()?;
+        Some(self.plant.with_engine(|e| note(&mut plane.router, e)))
     }
 
     /// A fault only a router can observe, injected into the snode at
@@ -92,17 +92,17 @@ impl<E: DhtEngine> ChurnDriver<E> {
         let report = plane.router.tick(end, &loads);
         for action in &report.actions {
             match action {
-                RouteAction::Failover { snode, .. } => {
+                RouteAction::Failover { snode } => {
                     let tag = NodeTag(snode.0);
                     let count = self.hosted_by(tag).len();
                     if count == 0 {
-                        // The leases outlived the vnodes (verify below
+                        // The lease outlived the vnodes (verify below
                         // would flag it) — confirm to clean the table.
-                        self.lease(|r| r.note_fail(*snode));
+                        self.lease(|r, _| r.note_fail(*snode));
                     } else if count == self.live() {
                         // Failing over the whole fleet would empty the
                         // DHT: push the expiry out one TTL and retry.
-                        self.lease(|r| r.defer(*snode, end));
+                        self.lease(|r, _| r.defer(*snode, end));
                     } else {
                         self.crash_tag(tag, true);
                     }
@@ -125,18 +125,16 @@ impl<E: DhtEngine> ChurnDriver<E> {
             }
         }
         let plane = self.route.as_mut().expect("checked on entry");
-        // Lease safety, checked against the engine every single window:
-        // every live vnode exactly one lease, held by its hosting snode.
-        let hosting = self.plant.with_engine(|e| {
-            let mut out = Vec::with_capacity(e.vnode_count());
-            e.for_each_vnode(&mut |v| {
-                out.push((v, e.snode_of(v).expect("a listed vnode is live")))
-            });
-            out
+        // Lease safety, checked against the engine's per-snode index
+        // every single window in O(S): the leased snodes are exactly the
+        // hosting ones, and each lease covers its holder's vnodes.
+        let leases_live = self.plant.with_engine(|e| {
+            let hosted = |s| e.vnodes_of_snode(s).len();
+            if plane.router.verify(e.snode_count(), hosted).is_err() {
+                plane.lease_violations += 1;
+            }
+            plane.router.leases().iter().map(|(s, _)| hosted(s) as u64).sum()
         });
-        if plane.router.verify(hosting).is_err() {
-            plane.lease_violations += 1;
-        }
         // The deterministic client-cache probe: 64 grid points through
         // the cache. At most one refresh per published epoch lands as a
         // stale read — the ≤1-round repair contract, in the CSV.
@@ -150,7 +148,7 @@ impl<E: DhtEngine> ChurnDriver<E> {
         s.route_version = plane.cache.version().0;
         s.cache_hit_rate = probe.hit_rate();
         s.cache_stale = probe.stale_reads;
-        s.leases_live = plane.router.leases().len() as u64;
+        s.leases_live = leases_live;
         s.leases_expired = report.expired;
         s.hot_snodes = report.hot.len() as u64;
     }

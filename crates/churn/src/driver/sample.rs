@@ -93,9 +93,11 @@ pub struct WindowSample {
     /// Cache refreshes the probe needed — at most one per published
     /// epoch, the ≤1-round repair contract (0 without a router).
     pub cache_stale: u64,
-    /// Live leases at the window end (0 without a router).
+    /// Live vnodes covered by a lease at the window end (0 without a
+    /// router).
     pub leases_live: u64,
-    /// Leases that lapsed at this window's tick (0 without a router).
+    /// Vnodes whose holder's lease lapsed at this window's tick (0
+    /// without a router).
     pub leases_expired: u64,
     /// Lease-expiry failovers *executed* in this window (0 without a
     /// router).
@@ -174,7 +176,7 @@ pub struct RunTotals {
     /// Total settled-epoch read misses (must be 0 on a loss-free
     /// overlay).
     pub read_errors: u64,
-    /// Total leases that lapsed (0 without a router).
+    /// Total vnodes whose holder's lease lapsed (0 without a router).
     pub leases_expired: u64,
     /// Total lease-expiry failovers executed (0 without a router).
     pub failovers: u64,

@@ -65,9 +65,12 @@ pub fn compute(ctx: &Ctx, events: Option<usize>) -> Comparison {
 
 /// Runs the CHURN-ROUTE experiment: replays, CSVs, table, contract.
 pub fn run(ctx: &Ctx, events: Option<usize>) -> ExpReport {
-    let mut rep = ExpReport::new("CHURN-ROUTE");
-    let cmp = compute(ctx, events);
+    report(ctx, &compute(ctx, events))
+}
 
+/// Reports one routed comparison: CSVs, table, contract.
+fn report(ctx: &Ctx, cmp: &Comparison) -> ExpReport {
+    let mut rep = ExpReport::new("CHURN-ROUTE");
     cmp.write_csvs(ctx, "churn_route", 2);
 
     println!(
@@ -147,11 +150,19 @@ pub fn run(ctx: &Ctx, events: Option<usize>) -> ExpReport {
 mod tests {
     use super::*;
     use crate::compare::Backend;
+    use std::sync::OnceLock;
+
+    /// The quick routed comparison, replayed once for every test that
+    /// reads it.
+    fn quick() -> &'static Comparison {
+        static CMP: OnceLock<Comparison> = OnceLock::new();
+        CMP.get_or_init(|| compute(&Ctx::quick(std::env::temp_dir().join("domus-routex")), None))
+    }
 
     #[test]
     fn churn_route_runs_the_full_contract_on_all_backends() {
         let ctx = Ctx::quick(std::env::temp_dir().join("domus-routex-smoke"));
-        let rep = run(&ctx, None);
+        let rep = report(&ctx, quick());
         assert_eq!(rep.id, "CHURN-ROUTE");
         assert!(rep.summary.iter().any(|l| l.contains("zero key loss")));
         for name in Backend::ALL.map(Backend::name) {
@@ -178,7 +189,7 @@ mod tests {
     #[test]
     fn routed_comparison_is_deterministic_per_seed() {
         // Pinned from the pre-`compare.rs` replay loop (see `churnx`).
-        let cmp = compute(&Ctx::quick(std::env::temp_dir().join("domus-routex-det")), None);
+        let cmp = quick();
         assert_eq!(cmp.fingerprint, 0x8c5d1b2eb995cc88);
         let digests: Vec<u64> = cmp.cells.iter().map(|c| c.outcome.csv_digest()).collect();
         assert_eq!(digests, [0x9f75837e3e4082e2, 0x73de63a0d244557e, 0x61c61b6644cf0901]);

@@ -1,40 +1,48 @@
-//! Lease-based vnode ownership.
+//! Lease-based liveness, one lease per snode.
 //!
-//! Every live vnode is covered by exactly **one** lease naming the snode
-//! that serves it — the map from vnode to lease is the table's key
-//! structure, so "no two live leases on one vnode" holds by
-//! construction, not by convention (`tests/property_route.rs` hammers
-//! this). Leases expire on a deterministic sim clock: a holder that
-//! keeps renewing (the healthy case) pushes its expiry forward every
-//! tick; a holder that goes silent — a crash the cluster never heard
-//! about, a stalled process — simply stops renewing, and after the TTL
-//! its leases surface in [`LeaseTable::expired`] for the control plane
-//! to fail over.
+//! Liveness belongs to the physical host, not its vnodes, so the table
+//! keeps one record per snode; which vnodes a lease covers is the
+//! engine's per-snode index, never a copy here. On a deterministic sim
+//! clock, a **grant** keeps the earlier of the current expiry and `now +
+//! ttl` (no lease yet counts as never expiring), so a snode lapses
+//! exactly when its earliest-granted vnode would; a **renewal** (each
+//! healthy tick) sets `now + ttl`; a silent holder stops renewing and,
+//! one TTL later, the router fails it over. The record also carries the
+//! router's other per-snode state, so a departed snode is forgotten
+//! with one [`LeaseTable::release`].
 
-use domus_core::{SnodeId, VnodeId};
+use domus_core::{SnodeId, SnodeLoad};
 use domus_sim::SimTime;
 use std::collections::BTreeMap;
 
-/// One snode's claim on one vnode, valid until `expires_at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One snode's lease and the control plane's per-snode state.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Lease {
-    /// The snode serving the vnode.
-    pub holder: SnodeId,
-    /// The instant the claim lapses unless renewed first.
-    pub expires_at: SimTime,
-    /// Renewals granted so far (0 = freshly granted).
-    pub renewals: u64,
+    /// The instant the snode lapses unless renewed first; `None` until
+    /// its first vnode is granted (a record that only holds capacity or
+    /// fault state).
+    pub expires_at: Option<SimTime>,
+    /// Capacity declared when the snode joined (its initial vnode
+    /// enrollment) — the fixed basis hot-spot decisions are weighted by.
+    pub(crate) declared: Option<f64>,
+    /// Effective-capacity factor (`None` = healthy; a degraded node
+    /// serves the same quota on less machine, inflating its overload).
+    pub(crate) factor: Option<f64>,
+    /// Injected as silently stalled: the snode stops renewing.
+    pub(crate) stalled: bool,
+    /// Consecutive hot ticks.
+    pub(crate) streak: u32,
 }
 
-/// All live leases, keyed by vnode.
+/// One record per snode, keyed by snode.
 ///
-/// The key structure *is* the uniqueness invariant: a vnode maps to at
-/// most one lease, and [`LeaseTable::grant`] replaces rather than
+/// The key structure *is* the uniqueness invariant: a snode holds at
+/// most one lease, and [`LeaseTable::grant`] tightens rather than
 /// duplicates.
 #[derive(Debug, Clone)]
 pub struct LeaseTable {
     ttl: SimTime,
-    leases: BTreeMap<VnodeId, Lease>,
+    snodes: BTreeMap<SnodeId, Lease>,
 }
 
 impl LeaseTable {
@@ -45,111 +53,94 @@ impl LeaseTable {
     /// is granted can never be renewed in time.
     pub fn new(ttl: SimTime) -> Self {
         assert!(ttl > SimTime::ZERO, "lease TTL must be positive");
-        Self { ttl, leases: BTreeMap::new() }
+        Self { ttl, snodes: BTreeMap::new() }
     }
 
-    /// The TTL every grant and renewal extends to.
-    pub fn ttl(&self) -> SimTime {
-        self.ttl
-    }
-
-    /// Live leases held.
+    /// Snodes holding a lease.
     pub fn len(&self) -> usize {
-        self.leases.len()
+        self.iter().count()
     }
 
-    /// `true` when no lease is held.
+    /// `true` when no snode holds a lease.
     pub fn is_empty(&self) -> bool {
-        self.leases.is_empty()
+        self.iter().next().is_none()
     }
 
-    /// The lease covering `v`, if any.
-    pub fn holder_of(&self, v: VnodeId) -> Option<&Lease> {
-        self.leases.get(&v)
+    /// Iterates `(snode, expiry)` over the leased snodes, in snode order.
+    pub fn iter(&self) -> impl Iterator<Item = (SnodeId, SimTime)> + '_ {
+        self.snodes.iter().filter_map(|(s, l)| Some((*s, l.expires_at?)))
     }
 
-    /// Iterates `(vnode, lease)` in vnode order.
-    pub fn iter(&self) -> impl Iterator<Item = (VnodeId, &Lease)> {
-        self.leases.iter().map(|(v, l)| (*v, l))
+    /// A vnode came up on `s` at `now`: `s`'s lease expires no later
+    /// than one TTL from `now`.
+    pub fn grant(&mut self, s: SnodeId, now: SimTime) {
+        let lapse = now + self.ttl;
+        let at = &mut self.record(s).expires_at;
+        *at = Some(at.map_or(lapse, |t| t.min(lapse)));
     }
 
-    /// Grants (or re-grants) the lease on `v` to `snode`, valid for one
-    /// TTL from `now`. Replaces any previous lease on `v` — the table
-    /// never holds two.
-    pub fn grant(&mut self, v: VnodeId, snode: SnodeId, now: SimTime) {
-        self.leases.insert(v, Lease { holder: snode, expires_at: now + self.ttl, renewals: 0 });
-    }
-
-    /// Releases the lease on `v` (vnode removed or failed over).
-    pub fn release(&mut self, v: VnodeId) -> Option<Lease> {
-        self.leases.remove(&v)
-    }
-
-    /// Releases every lease held by `s` (snode gone), returning how many.
-    pub fn release_holder(&mut self, s: SnodeId) -> usize {
-        let before = self.leases.len();
-        self.leases.retain(|_, l| l.holder != s);
-        before - self.leases.len()
-    }
-
-    /// Renews every lease held by `s` to one TTL past `now`, returning
-    /// how many. A silent snode is exactly one that stops calling this.
-    pub fn renew_holder(&mut self, s: SnodeId, now: SimTime) -> usize {
-        let mut renewed = 0;
-        for lease in self.leases.values_mut().filter(|l| l.holder == s) {
-            lease.expires_at = now + self.ttl;
-            lease.renewals += 1;
-            renewed += 1;
+    /// Renews `s`'s lease to one TTL past `now` (a no-op for a snode
+    /// holding none). A silent snode is exactly one that stops calling
+    /// this.
+    pub fn renew(&mut self, s: SnodeId, now: SimTime) {
+        if let Some(at) = self.snodes.get_mut(&s).and_then(|l| l.expires_at.as_mut()) {
+            *at = now + self.ttl;
         }
-        renewed
     }
 
-    /// The leases that have lapsed at `now` (expiry ≤ now), in vnode
-    /// order — the failover worklist.
-    pub fn expired(&self, now: SimTime) -> Vec<(VnodeId, Lease)> {
-        self.iter().filter(|(_, l)| l.expires_at <= now).map(|(v, l)| (v, *l)).collect()
+    /// Forgets `s` entirely: its lease and every per-snode record.
+    pub fn release(&mut self, s: SnodeId) -> Option<Lease> {
+        self.snodes.remove(&s)
     }
 
-    /// Distinct holders with at least one lapsed lease at `now`.
-    pub fn expired_holders(&self, now: SimTime) -> Vec<SnodeId> {
-        let mut out: Vec<SnodeId> = Vec::new();
-        for (_, l) in self.iter() {
-            if l.expires_at <= now && !out.contains(&l.holder) {
-                out.push(l.holder);
+    /// Checks the table against the engine's per-snode index in O(S):
+    /// every leased snode hosts a vnode (`hosted(s)` counts them), and as
+    /// many snodes hold a lease as host vnodes (`snode_count`) — so every
+    /// live vnode is covered by its host's one lease.
+    pub fn verify(
+        &self,
+        snode_count: usize,
+        hosted: impl Fn(SnodeId) -> usize,
+    ) -> Result<(), String> {
+        let mut leased = 0usize;
+        for (s, _) in self.iter() {
+            if hosted(s) == 0 {
+                return Err(format!("{s:?} holds a lease but hosts no vnode"));
             }
+            leased += 1;
         }
-        out
-    }
-
-    /// Checks the table against the authoritative roster: every live
-    /// vnode carries exactly one lease held by its hosting snode, and no
-    /// lease covers a dead vnode. (Pairwise uniqueness needs no check —
-    /// the map key guarantees it.)
-    pub fn verify<I>(&self, roster: I) -> Result<(), String>
-    where
-        I: IntoIterator<Item = (VnodeId, SnodeId)>,
-    {
-        let mut live = 0usize;
-        for (v, s) in roster {
-            live += 1;
-            match self.leases.get(&v) {
-                None => return Err(format!("live vnode {v:?} has no lease")),
-                Some(l) if l.holder != s => {
-                    return Err(format!(
-                        "lease on {v:?} held by {:?} but hosted by {s:?}",
-                        l.holder
-                    ))
-                }
-                Some(_) => {}
-            }
-        }
-        if live != self.leases.len() {
-            return Err(format!(
-                "{} leases cover {live} live vnodes — some lease outlived its vnode",
-                self.leases.len()
-            ));
+        if leased != snode_count {
+            return Err(format!("{leased} snodes hold a lease but {snode_count} host vnodes"));
         }
         Ok(())
+    }
+
+    /// `s`'s record, if any.
+    pub(crate) fn get(&self, s: SnodeId) -> Option<&Lease> {
+        self.snodes.get(&s)
+    }
+
+    /// `s`'s record, created empty (no lease) when absent.
+    pub(crate) fn record(&mut self, s: SnodeId) -> &mut Lease {
+        self.snodes.entry(s).or_default()
+    }
+
+    /// Pairs every load with its snode's record, if any, in one merge
+    /// walk — `loads` must be in snode order.
+    pub(crate) fn joined<'a>(
+        &'a self,
+        loads: &'a [SnodeLoad],
+    ) -> impl Iterator<Item = (&'a SnodeLoad, Option<&'a Lease>)> {
+        let mut records = self.snodes.iter().peekable();
+        loads.iter().map(move |l| {
+            while records.next_if(|(s, _)| **s < l.snode).is_some() {}
+            (l, records.peek().filter(|(s, _)| **s == l.snode).map(|(_, r)| *r))
+        })
+    }
+
+    /// Every record, leased or not, in snode order.
+    pub(crate) fn records_mut(&mut self) -> impl Iterator<Item = (SnodeId, &mut Lease)> {
+        self.snodes.iter_mut().map(|(s, l)| (*s, l))
     }
 }
 
@@ -164,58 +155,57 @@ mod tests {
     #[test]
     fn grant_renew_expire_lifecycle() {
         let mut t = LeaseTable::new(ms(100));
-        t.grant(VnodeId(1), SnodeId(0), ms(0));
-        t.grant(VnodeId(2), SnodeId(1), ms(0));
+        t.grant(SnodeId(0), ms(0));
+        t.grant(SnodeId(1), ms(0));
         assert_eq!(t.len(), 2);
-        assert!(t.expired(ms(99)).is_empty());
-        // Holder 0 renews at 80ms, holder 1 goes silent.
-        assert_eq!(t.renew_holder(SnodeId(0), ms(80)), 1);
-        let lapsed = t.expired(ms(100));
-        assert_eq!(lapsed.len(), 1);
-        assert_eq!(lapsed[0].0, VnodeId(2));
-        assert_eq!(t.expired_holders(ms(100)), vec![SnodeId(1)]);
-        // The renewed lease lives on to 180ms.
-        assert!(t.holder_of(VnodeId(1)).unwrap().expires_at == ms(180));
-        assert_eq!(t.holder_of(VnodeId(1)).unwrap().renewals, 1);
+        // Holder 0 renews at 80ms, holder 1 goes silent: it lapses at
+        // 100ms, the renewed lease lives on to 180ms.
+        t.renew(SnodeId(0), ms(80));
+        assert_eq!(t.iter().collect::<Vec<_>>(), [(SnodeId(0), ms(180)), (SnodeId(1), ms(100))]);
     }
 
     #[test]
     fn a_regrant_replaces_never_duplicates() {
         let mut t = LeaseTable::new(ms(50));
-        t.grant(VnodeId(7), SnodeId(0), ms(0));
-        t.grant(VnodeId(7), SnodeId(3), ms(10));
+        t.grant(SnodeId(7), ms(10));
+        t.grant(SnodeId(7), ms(0));
+        t.grant(SnodeId(7), ms(30));
         assert_eq!(t.len(), 1, "the map key is the uniqueness invariant");
-        assert_eq!(t.holder_of(VnodeId(7)).unwrap().holder, SnodeId(3));
+        // A grant never extends the lease: the earliest one governs.
+        assert_eq!(t.iter().next(), Some((SnodeId(7), ms(50))));
+    }
+
+    #[test]
+    fn a_record_without_a_grant_holds_no_lease() {
+        let mut t = LeaseTable::new(ms(50));
+        t.record(SnodeId(2)).stalled = true;
+        t.renew(SnodeId(2), ms(10));
+        assert!(t.is_empty(), "renewal never creates a lease");
+        t.grant(SnodeId(2), ms(20));
+        assert_eq!(t.iter().next(), Some((SnodeId(2), ms(70))));
+        assert!(t.get(SnodeId(2)).is_some_and(|l| l.stalled));
     }
 
     #[test]
     fn verify_matches_roster() {
         let mut t = LeaseTable::new(ms(50));
-        t.grant(VnodeId(1), SnodeId(0), ms(0));
-        t.grant(VnodeId(2), SnodeId(1), ms(0));
-        let roster = vec![(VnodeId(1), SnodeId(0)), (VnodeId(2), SnodeId(1))];
-        t.verify(roster.clone()).unwrap();
-        // A vnode without a lease is caught...
-        t.release(VnodeId(2));
-        assert!(t.verify(roster.clone()).is_err());
-        // ...as is a lease that outlived its vnode...
-        t.grant(VnodeId(2), SnodeId(1), ms(0));
-        t.grant(VnodeId(3), SnodeId(2), ms(0));
-        assert!(t.verify(roster.clone()).is_err());
-        // ...and a holder mismatch.
-        t.release(VnodeId(3));
-        t.grant(VnodeId(2), SnodeId(5), ms(0));
-        assert!(t.verify(roster).is_err());
+        t.grant(SnodeId(0), ms(0));
+        t.grant(SnodeId(1), ms(0));
+        t.verify(2, |_| 1).unwrap();
+        // A hosting snode without a lease is caught...
+        assert!(t.verify(3, |_| 1).is_err());
+        // ...as is a lease that outlived its snode's vnodes.
+        assert!(t.verify(1, |s| usize::from(s == SnodeId(0))).is_err());
     }
 
     #[test]
     fn release_holder_sweeps_only_that_snode() {
         let mut t = LeaseTable::new(ms(50));
-        for i in 0..6u32 {
-            t.grant(VnodeId(i), SnodeId(i % 2), ms(0));
+        for s in 0..3 {
+            t.grant(SnodeId(s), ms(0));
         }
-        assert_eq!(t.release_holder(SnodeId(0)), 3);
-        assert_eq!(t.len(), 3);
-        assert!(t.iter().all(|(_, l)| l.holder == SnodeId(1)));
+        t.record(SnodeId(0)).streak = 2;
+        assert_eq!(t.release(SnodeId(0)).map(|l| l.streak), Some(2));
+        assert_eq!(t.iter().map(|(s, _)| s).collect::<Vec<_>>(), [SnodeId(1), SnodeId(2)]);
     }
 }

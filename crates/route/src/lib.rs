@@ -11,16 +11,17 @@
 //! | Module | Type | Role |
 //! |--------|------|------|
 //! | [`table`] | [`RouteVersion`] / [`RouteCache`] | shard-map versions; client caches with ≤1-round stale repair |
-//! | [`lease`] | [`Lease`] / [`LeaseTable`] | expiring per-vnode ownership on a deterministic sim clock |
+//! | [`lease`] | [`Lease`] / [`LeaseTable`] | one expiring lease per snode on a deterministic sim clock |
 //! | [`router`] | [`Router`] | the per-window tick: renewal, failover, hot-spot scheduling |
 //!
 //! ## The model in one paragraph
 //!
 //! Every published `EngineSnapshot` epoch *is* a route version
 //! ([`RouteVersion`]); clients pin a version in a [`RouteCache`] and
-//! repair staleness in at most one refresh per epoch. Every live vnode
-//! is covered by exactly one [`Lease`] naming its snode; healthy snodes
-//! renew each [`Router::tick`], silent ones stop, and a lapsed lease
+//! repair staleness in at most one refresh per epoch. Every snode that
+//! hosts a vnode holds exactly one [`Lease`], which covers every vnode
+//! the engine's per-snode index lists for it; healthy snodes renew each
+//! [`Router::tick`], silent ones stop, and a lapsed lease
 //! becomes a [`RouteAction::Failover`] that the executor drives through
 //! the ordinary `fail_snode` + repair machinery — so at `R ≥ 2` a
 //! silently-stalled snode loses zero keys. Per-window `SnodeLoad`s are

@@ -2,12 +2,12 @@
 //! failover, and capacity-weighted hot-spot scheduling.
 //!
 //! A [`Router`] owns no data plane. It watches membership (the driver
-//! notifies it of joins/leaves/crashes), keeps the lease table,
+//! notifies it of joins/leaves/crashes), keeps one lease per snode,
 //! and once per window — one deterministic [`Router::tick`] on the sim
 //! clock — decides what should move:
 //!
 //! * **Failover.** Healthy snodes renew their leases every tick; a
-//!   stalled snode silently stops. When its leases lapse, the tick
+//!   stalled snode silently stops. When its lease lapses, the tick
 //!   emits [`RouteAction::Failover`] and the executor drives the same
 //!   `fail_snode` machinery an explicit crash would — `Transfer` events
 //!   through the existing sinks, repair re-replicates
@@ -20,11 +20,14 @@
 //!   the overload factor drops under the threshold; the tick count from
 //!   onset to cleared is the **convergence time** the `CHURN-ROUTE`
 //!   experiment reports per backend.
+//!
+//! The router keeps no list of vnodes: its per-tick vnode counts come
+//! off the [`SnodeLoad`]s the caller reads from a published snapshot.
 
 use crate::lease::LeaseTable;
 use domus_core::{SnodeId, SnodeLoad, VnodeId};
 use domus_sim::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
 
 /// Tunables for the control plane (all deterministic).
 #[derive(Debug, Clone, Copy)]
@@ -58,14 +61,12 @@ impl Default for RouterConfig {
 /// One decision the control plane wants executed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RouteAction {
-    /// A holder's leases lapsed: tear its vnodes down as a crash (the
-    /// node is unreachable — its data plane cannot be drained
-    /// gracefully) and let repair re-replicate.
+    /// A holder's lease lapsed: tear its vnodes (the engine knows
+    /// which) down as a crash — the node is unreachable, so its data
+    /// plane cannot be drained gracefully — and let repair re-replicate.
     Failover {
         /// The silent snode.
         snode: SnodeId,
-        /// The vnodes its lapsed leases covered.
-        vnodes: Vec<VnodeId>,
     },
     /// Shed one vnode from a hot snode; when `to` is set, grow the
     /// coldest peer by one vnode in the same stroke so the population
@@ -81,11 +82,13 @@ pub enum RouteAction {
 /// What one [`Router::tick`] observed and decided.
 #[derive(Debug, Clone, Default)]
 pub struct TickReport {
-    /// Decisions for the executor, failovers first.
+    /// Decisions for the executor, failovers first (in snode order).
     pub actions: Vec<RouteAction>,
-    /// Leases renewed this tick (healthy holders).
+    /// Vnodes whose holder renewed its lease this tick, counted off the
+    /// tick's loads.
     pub renewed: u64,
-    /// Leases that lapsed this tick (the failover worklist).
+    /// Vnodes whose holder's lease lapsed this tick (the failover
+    /// worklist), counted off the tick's loads.
     pub expired: u64,
     /// Snodes over the hot threshold this tick.
     pub hot: Vec<SnodeId>,
@@ -96,9 +99,9 @@ pub struct TickReport {
 pub struct RouterTotals {
     /// Ticks run.
     pub ticks: u64,
-    /// Leases renewed by healthy holders (over all ticks).
+    /// Vnodes covered by healthy holders' renewals (over all ticks).
     pub leases_renewed: u64,
-    /// Leases that lapsed (over all ticks).
+    /// Vnodes covered by lapsed leases (over all ticks).
     pub leases_expired: u64,
     /// Failover actions emitted.
     pub failovers: u64,
@@ -112,17 +115,9 @@ pub struct RouterTotals {
 #[derive(Debug, Clone)]
 pub struct Router {
     cfg: RouterConfig,
+    /// One record per snode: its lease, declared capacity, degradation,
+    /// stall flag and hot streak.
     leases: LeaseTable,
-    /// Capacity each snode declared when it joined (its initial vnode
-    /// enrollment) — the fixed basis hot-spot decisions are weighted by.
-    declared: BTreeMap<SnodeId, f64>,
-    /// Effective-capacity factor (1.0 = healthy; a degraded node serves
-    /// the same quota on less machine, inflating its overload).
-    factor: BTreeMap<SnodeId, f64>,
-    /// Snodes injected as silently stalled: they stop renewing.
-    stalled: BTreeSet<SnodeId>,
-    /// Consecutive hot ticks per snode.
-    streaks: BTreeMap<SnodeId, u32>,
     totals: RouterTotals,
     /// Tick index when the current hot episode started.
     hot_onset: Option<u64>,
@@ -138,10 +133,6 @@ impl Router {
         Self {
             cfg,
             leases: LeaseTable::new(cfg.lease_ttl),
-            declared: BTreeMap::new(),
-            factor: BTreeMap::new(),
-            stalled: BTreeSet::new(),
-            streaks: BTreeMap::new(),
             totals: RouterTotals::default(),
             hot_onset: None,
             convergence: Vec::new(),
@@ -188,97 +179,94 @@ impl Router {
     /// enrollment at join time. First declaration wins — hot-spot moves
     /// later shrink the node's *quota*, not its capacity.
     pub fn note_capacity(&mut self, s: SnodeId, vnodes: u32) {
-        self.declared.entry(s).or_insert(f64::from(vnodes.max(1)));
+        self.leases.record(s).declared.get_or_insert(f64::from(vnodes.max(1)));
     }
 
-    /// A vnode came up on `s`: grant its lease.
-    pub fn note_join(&mut self, v: VnodeId, s: SnodeId, now: SimTime) {
+    /// A vnode came up on `s` at `now`: `s`'s lease lapses no later than
+    /// one TTL from `now`. `_v` is unused — a snode's lease covers every
+    /// vnode the engine lists for it — and is kept so callers compile
+    /// unchanged.
+    pub fn note_join(&mut self, _v: VnodeId, s: SnodeId, now: SimTime) {
         self.note_capacity(s, 1);
-        self.leases.grant(v, s, now);
+        self.leases.grant(s, now);
     }
 
-    /// A vnode left gracefully: release its lease (and forget the snode
-    /// entirely once its last vnode is gone).
-    pub fn note_remove(&mut self, v: VnodeId) {
-        if let Some(lease) = self.leases.release(v) {
-            self.forget_if_empty(lease.holder);
+    /// A vnode on `s` left gracefully, leaving `remaining` on it. Once
+    /// the last one is gone the snode is forgotten entirely — a departed
+    /// node must not skew the fairness denominator.
+    pub fn note_remove(&mut self, s: SnodeId, remaining: usize) {
+        if remaining == 0 {
+            self.leases.release(s);
         }
     }
 
-    /// Drops a snode's capacity/stall/streak records once its last lease
-    /// is gone — a departed node must not skew the fairness denominator.
-    fn forget_if_empty(&mut self, s: SnodeId) {
-        if !self.leases.iter().any(|(_, l)| l.holder == s) {
-            self.declared.remove(&s);
-            self.factor.remove(&s);
-            self.stalled.remove(&s);
-            self.streaks.remove(&s);
-        }
-    }
-
-    /// A snode crashed (explicitly, or a failover was executed): release
-    /// everything it held and forget it.
+    /// A snode crashed (explicitly, or a failover was executed): forget
+    /// its lease and every record of it.
     pub fn note_fail(&mut self, s: SnodeId) {
-        self.leases.release_holder(s);
-        self.declared.remove(&s);
-        self.factor.remove(&s);
-        self.stalled.remove(&s);
-        self.streaks.remove(&s);
+        self.leases.release(s);
     }
 
     /// Injects a **silent** stall: the data on `s` is unreachable but no
     /// crash notification ever arrives — the only signal is that `s`
     /// stops renewing. Failover happens via lease expiry, not here.
     pub fn inject_stall(&mut self, s: SnodeId) {
-        self.stalled.insert(s);
+        self.leases.record(s).stalled = true;
     }
 
-    /// Heals a stalled snode before its leases lapse (it resumes
+    /// Heals a stalled snode before its lease lapses (it resumes
     /// renewing on the next tick).
     pub fn heal(&mut self, s: SnodeId) {
-        self.stalled.remove(&s);
+        self.leases.record(s).stalled = false;
     }
 
     /// Degrades `s`'s effective capacity to `factor` of its declared
     /// basis (0 < factor ≤ 1) — the deterministic hot-spot injection: the
     /// node keeps its quota but can only honestly serve a fraction.
     pub fn degrade(&mut self, s: SnodeId, factor: f64) {
-        self.factor.insert(s, factor.clamp(0.01, 1.0));
+        self.leases.record(s).factor = Some(factor.clamp(0.01, 1.0));
     }
 
     /// A failover the executor could not perform (it would have emptied
     /// the DHT): push the holder's expiry out one TTL so the tick
     /// re-emits it later instead of looping every window.
     pub fn defer(&mut self, s: SnodeId, now: SimTime) {
-        self.leases.renew_holder(s, now);
+        self.leases.renew(s, now);
     }
 
-    /// Checks lease safety against the authoritative roster (see
+    /// Checks lease safety against the engine's per-snode index (see
     /// [`LeaseTable::verify`]).
-    pub fn verify<I>(&self, roster: I) -> Result<(), String>
-    where
-        I: IntoIterator<Item = (VnodeId, SnodeId)>,
-    {
-        self.leases.verify(roster)
+    pub fn verify(
+        &self,
+        snode_count: usize,
+        hosted: impl Fn(SnodeId) -> usize,
+    ) -> Result<(), String> {
+        self.leases.verify(snode_count, hosted)
     }
 
-    /// The capacity-weighted overload factor of every loaded snode:
-    /// `quota / (effective_capacity / Σ effective_capacity)`. 1.0 is a
-    /// perfectly fair node; [`RouterConfig::hot_threshold`] flags.
+    /// The capacity-weighted overload factor of every loaded snode, in
+    /// snode order: `quota / (effective_capacity / Σ effective_capacity)`.
+    /// 1.0 is a perfectly fair node; [`RouterConfig::hot_threshold`]
+    /// flags.
     pub fn overloads(&self, loads: &[SnodeLoad]) -> Vec<(SnodeId, f64)> {
-        let eff = |l: &SnodeLoad| {
-            let declared =
-                self.declared.get(&l.snode).copied().unwrap_or_else(|| f64::from(l.vnodes.max(1)));
-            declared * self.factor.get(&l.snode).copied().unwrap_or(1.0)
-        };
-        let total: f64 = loads.iter().map(eff).sum();
+        let loads = by_snode(loads);
+        let eff: Vec<f64> = self
+            .leases
+            .joined(&loads)
+            .map(|(l, record)| {
+                let declared = record.and_then(|r| r.declared);
+                declared.unwrap_or_else(|| f64::from(l.vnodes.max(1)))
+                    * record.and_then(|r| r.factor).unwrap_or(1.0)
+            })
+            .collect();
+        let total: f64 = eff.iter().sum();
         if total <= 0.0 {
             return Vec::new();
         }
         loads
             .iter()
-            .map(|l| {
-                let fair = eff(l) / total;
+            .zip(eff)
+            .map(|(l, eff)| {
+                let fair = eff / total;
                 (l.snode, if fair > 0.0 { l.quota / fair } else { f64::INFINITY })
             })
             .collect()
@@ -287,84 +275,78 @@ impl Router {
     /// One control-plane window on the deterministic clock: healthy
     /// holders renew, lapsed leases become [`RouteAction::Failover`]s,
     /// and hot snodes (judged on `loads`) shed toward the coldest peer.
-    /// The caller executes the actions, then reports the outcomes back
-    /// through `note_fail` / `note_remove` / `note_join`.
+    /// Records and loads are walked side by side in snode order, O(S);
+    /// the report's vnode counts are the holders' `loads` entries. The
+    /// caller executes the actions and reports back through `note_fail`
+    /// / `note_remove` / `note_join`.
     pub fn tick(&mut self, now: SimTime, loads: &[SnodeLoad]) -> TickReport {
         self.totals.ticks += 1;
         let mut report = TickReport::default();
+        let loads = by_snode(loads);
 
-        // 1. Renewal: every holder that is not stalled re-ups. Checked
-        //    conversions throughout: a silent `as u64` truncation here
-        //    would corrupt every per-window reconciliation downstream.
-        let holders: BTreeSet<SnodeId> = self.leases.iter().map(|(_, l)| l.holder).collect();
-        for &s in holders.iter().filter(|s| !self.stalled.contains(s)) {
-            let renewed = self.leases.renew_holder(s, now);
-            report.renewed = report
-                .renewed
-                .checked_add(u64::try_from(renewed).expect("lease count fits u64"))
-                .expect("renewal total overflow");
-        }
-        self.totals.leases_renewed += report.renewed;
-
-        // 2. Expiry → failover. Leases stay in the table until the
+        // 1. Renewal and expiry: every holder that is not stalled re-ups,
+        //    so only a stalled one can lapse. Its record stays until the
         //    executor confirms with `note_fail` (or defers). Failovers
         //    are counted where they are pushed — never as
         //    `actions.len()`, which silently absorbs any action pushed
-        //    later in the tick (the hot-spot moves of step 4).
-        for s in self.leases.expired_holders(now) {
-            let vnodes: Vec<VnodeId> =
-                self.leases.iter().filter(|(_, l)| l.holder == s).map(|(v, _)| v).collect();
-            report.expired = report
-                .expired
-                .checked_add(u64::try_from(vnodes.len()).expect("lease count fits u64"))
-                .expect("expiry total overflow");
-            report.actions.push(RouteAction::Failover { snode: s, vnodes });
-            self.totals.failovers += 1;
+        //    later in the tick (the hot-spot moves of step 3).
+        let ttl = self.cfg.lease_ttl;
+        let mut stalled = Vec::new();
+        let mut load = loads.iter().peekable();
+        for (s, lease) in self.leases.records_mut() {
+            while load.next_if(|l| l.snode < s).is_some() {}
+            if lease.stalled {
+                stalled.push(s);
+            }
+            let Some(expires_at) = &mut lease.expires_at else { continue };
+            let vnodes = load.peek().filter(|l| l.snode == s).map_or(0, |l| u64::from(l.vnodes));
+            if !lease.stalled {
+                *expires_at = now + ttl;
+                report.renewed += vnodes;
+            } else if *expires_at <= now {
+                report.expired += vnodes;
+                report.actions.push(RouteAction::Failover { snode: s });
+                self.totals.failovers += 1;
+            }
         }
+        self.totals.leases_renewed += report.renewed;
         self.totals.leases_expired += report.expired;
 
-        // 3. Hot-spot detection on capacity-weighted overload. Stalled
-        //    and expiring snodes are the failover path's problem.
-        let skip: BTreeSet<SnodeId> = report
-            .actions
-            .iter()
-            .filter_map(|a| match a {
-                RouteAction::Failover { snode, .. } => Some(*snode),
-                _ => None,
-            })
-            .chain(self.stalled.iter().copied())
-            .collect();
-        let overloads = self.overloads(loads);
-        let mut hot: Vec<(SnodeId, f64)> = overloads
-            .iter()
-            .copied()
-            .filter(|(s, o)| !skip.contains(s) && *o > self.cfg.hot_threshold)
-            .collect();
+        // 2. Hot-spot detection on capacity-weighted overload. Stalled
+        //    snodes (every one failing over among them) are the failover
+        //    path's problem; the coldest peer is the least loaded of the
+        //    rest. A hot snode's streak grows, every other one resets.
+        let (mut hot, calm): (Vec<_>, Vec<_>) = self
+            .overloads(&loads)
+            .into_iter()
+            .filter(|(s, _)| stalled.binary_search(s).is_err())
+            .partition(|&(_, o)| o > self.cfg.hot_threshold);
+        let coldest =
+            calm.iter().min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))).map(|&(s, _)| s);
         report.hot = hot.iter().map(|(s, _)| *s).collect();
-        self.streaks.retain(|s, _| report.hot.contains(s));
-        for &(s, _) in &hot {
-            *self.streaks.entry(s).or_insert(0) += 1;
+        for &s in &report.hot {
+            self.leases.record(s);
+        }
+        for (s, lease) in self.leases.records_mut() {
+            lease.streak = match report.hot.binary_search(&s) {
+                Ok(_) => lease.streak + 1,
+                Err(_) => 0,
+            };
         }
 
-        // 4. Shedding: hottest first, bounded per tick, each toward the
+        // 3. Shedding: hottest first, bounded per tick, each toward the
         //    coldest peer (if any colder node exists to grow).
         hot.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let coldest = overloads
-            .iter()
-            .copied()
-            .filter(|(s, _)| !skip.contains(s) && !report.hot.contains(s))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            .map(|(s, _)| s);
         for &(s, _) in hot
             .iter()
-            .filter(|(s, _)| self.streaks.get(s).copied().unwrap_or(0) >= self.cfg.hot_streak)
+            .filter(|&&(s, _)| self.leases.get(s).is_some_and(|l| l.streak >= self.cfg.hot_streak))
             .take(self.cfg.max_moves_per_tick)
         {
             report.actions.push(RouteAction::MoveVnode { from: s, to: coldest });
             self.totals.moves += 1;
         }
 
-        // 5. Convergence bookkeeping: an episode opens on the first hot
+        // 4. Convergence bookkeeping: an episode opens on the first hot
         //    tick and closes on the first clear one.
         if report.hot.is_empty() {
             if let Some(onset) = self.hot_onset.take() {
@@ -376,6 +358,16 @@ impl Router {
         }
         report
     }
+}
+
+/// `loads` in snode order — a published snapshot's already are, so only
+/// an out-of-order caller's slice is copied.
+fn by_snode(loads: &[SnodeLoad]) -> Cow<'_, [SnodeLoad]> {
+    let mut loads = Cow::Borrowed(loads);
+    if loads.windows(2).any(|w| w[0].snode > w[1].snode) {
+        loads.to_mut().sort_by_key(|l| l.snode);
+    }
+    loads
 }
 
 #[cfg(test)]
@@ -427,15 +419,11 @@ mod tests {
         assert!(r.tick(ms(60), &flat_loads(4)).actions.is_empty());
         // 120ms: lapsed. Exactly one failover, naming the stalled snode.
         let rep = r.tick(ms(120), &flat_loads(4));
-        assert_eq!(
-            rep.actions,
-            vec![RouteAction::Failover { snode: SnodeId(2), vnodes: vec![VnodeId(2)] }]
-        );
+        assert_eq!(rep.actions, vec![RouteAction::Failover { snode: SnodeId(2) }]);
         assert_eq!(rep.expired, 1);
         // The executor confirms; the lease table is clean again.
         r.note_fail(SnodeId(2));
-        let roster = [0u32, 1, 3].map(|s| (VnodeId(s), SnodeId(s)));
-        r.verify(roster).unwrap();
+        r.verify(3, |s| usize::from(s != SnodeId(2))).unwrap();
         assert!(r.tick(ms(180), &flat_loads(3)).actions.is_empty());
         assert_eq!(r.totals().failovers, 1);
         assert_eq!(r.totals().leases_expired, 1);
@@ -494,6 +482,85 @@ mod tests {
         }
         assert!(r.unconverged());
         assert_eq!(r.worst_convergence(), 3);
+    }
+
+    #[test]
+    fn a_stalled_snode_lapses_at_its_earliest_grant() {
+        let mut r = Router::new(cfg()); // ttl 100ms
+        join_fleet(&mut r, 3, ms(0));
+        // A later grant never extends a lease: snode 2 still lapses at
+        // 100ms, when its first vnode's lease would.
+        r.note_join(VnodeId(10), SnodeId(2), ms(50));
+        r.inject_stall(SnodeId(2));
+        // The 60ms tick renews snodes 0 and 1 to 160ms.
+        assert!(r.tick(ms(60), &flat_loads(3)).actions.is_empty());
+        // A grant stamped behind the last renewal (the driver grants a
+        // hot-spot move's new vnode at its event clock, before the tick's
+        // end) pulls snode 1's expiry back to 130ms.
+        r.note_join(VnodeId(11), SnodeId(1), ms(30));
+        r.inject_stall(SnodeId(1));
+        let mut loads = flat_loads(3);
+        loads[1].vnodes = 2;
+        loads[2].vnodes = 2;
+        let rep = r.tick(ms(100), &loads);
+        assert_eq!(rep.actions, vec![RouteAction::Failover { snode: SnodeId(2) }]);
+        assert_eq!(rep.expired, 2);
+        r.note_fail(SnodeId(2));
+        loads.pop();
+        assert!(r.tick(ms(129), &loads).actions.is_empty());
+        let rep = r.tick(ms(130), &loads);
+        assert_eq!(rep.actions, vec![RouteAction::Failover { snode: SnodeId(1) }]);
+        assert_eq!(rep.expired, 2);
+    }
+
+    #[test]
+    fn lapses_in_one_tick_fail_over_in_snode_order() {
+        let mut r = Router::new(cfg());
+        // Snode 3 holds the lowest vnode handle; the order is by snode.
+        for (v, s) in [(0, 3), (1, 3), (2, 3), (3, 0), (4, 1), (5, 1), (6, 2)] {
+            r.note_join(VnodeId(v), SnodeId(s), ms(0));
+        }
+        r.inject_stall(SnodeId(3));
+        r.inject_stall(SnodeId(1));
+        let vnodes = [1, 2, 1, 3];
+        let loads: Vec<SnodeLoad> = (0..4u32)
+            .map(|s| SnodeLoad { snode: SnodeId(s), vnodes: vnodes[s as usize], quota: 0.25 })
+            .collect();
+        let rep = r.tick(ms(100), &loads);
+        assert_eq!(
+            rep.actions,
+            vec![
+                RouteAction::Failover { snode: SnodeId(1) },
+                RouteAction::Failover { snode: SnodeId(3) }
+            ]
+        );
+        assert_eq!(rep.expired, 2 + 3, "the lapsed snodes' load vnode counts");
+        assert_eq!(rep.renewed, 1 + 1);
+        assert_eq!(r.totals().failovers, 2);
+    }
+
+    #[test]
+    fn a_graceful_last_leave_forgets_the_snode() {
+        let mut r = Router::new(cfg());
+        join_fleet(&mut r, 3, ms(0));
+        r.degrade(SnodeId(0), 0.1);
+        assert_eq!(r.tick(ms(60), &flat_loads(3)).hot, vec![SnodeId(0)]);
+        r.inject_stall(SnodeId(0));
+        let kept = *r.leases.get(SnodeId(0)).expect("snode 0 has a record");
+        assert!(kept.stalled && kept.streak == 1 && kept.factor.is_some());
+        // A leave that leaves a vnode behind keeps the record...
+        r.note_remove(SnodeId(0), 1);
+        assert_eq!(r.leases.get(SnodeId(0)), Some(&kept));
+        // ...the last one forgets capacity, degradation, stall and streak.
+        r.note_remove(SnodeId(0), 0);
+        assert!(r.leases.get(SnodeId(0)).is_none());
+        assert_eq!(r.leases().len(), 2);
+        // Rejoining, snode 0 starts clean: renewing, fair and cold.
+        r.note_join(VnodeId(9), SnodeId(0), ms(70));
+        let rep = r.tick(ms(120), &flat_loads(3));
+        assert!(rep.actions.is_empty() && rep.hot.is_empty());
+        assert_eq!(rep.renewed, 3);
+        assert!(r.overloads(&flat_loads(3)).iter().all(|&(_, o)| (o - 1.0).abs() < 1e-12));
     }
 
     #[test]

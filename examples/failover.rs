@@ -1,13 +1,13 @@
 //! Silent-stall failover, end to end: a replicated store under the
 //! routing control plane loses one snode *without telling anyone* — it
-//! simply stops renewing its leases — and the [`Router`] turns that
+//! simply stops renewing its lease — and the [`Router`] turns that
 //! silence into a confirmed failover with zero lost keys.
 //!
 //! The narrative is the control loop from the CHURN-ROUTE experiment,
 //! unrolled so every phase is visible:
 //!
-//! 1. eight snodes join an `R = 2` [`ReplicatedStore`]; each vnode is
-//!    granted a [`Lease`] held by its hosting snode;
+//! 1. eight snodes join an `R = 2` [`ReplicatedStore`]; each snode
+//!    holds one [`Lease`], covering every vnode it hosts;
 //! 2. healthy windows tick by — every holder renews, nothing happens;
 //! 3. one snode stalls silently ([`Router::inject_stall`]): it keeps
 //!    its data but stops renewing;
@@ -89,11 +89,12 @@ fn main() {
             report.expired,
         );
         for action in report.actions {
-            let RouteAction::Failover { snode, vnodes } = action else {
+            let RouteAction::Failover { snode } = action else {
                 continue;
             };
             assert_eq!(snode, victim, "only the stalled holder may lapse");
-            println!("        -> failover ordered for {snode} ({} vnode(s))", vnodes.len());
+            let vnodes = kv.engine().vnodes_of_snode(snode).len();
+            println!("        -> failover ordered for {snode} ({vnodes} vnode(s))");
 
             // The executor: crash the snode out of the store, confirm,
             // repair.
@@ -119,7 +120,10 @@ fn main() {
     // and R=2 means not one key went missing.
     let crash = crash.expect("the stall must fail over within ttl/window + 1 ticks");
     assert_eq!(crash.keys_lost, 0, "R=2 must survive one silent stall");
-    router.verify(hosting(kv.engine())).expect("leases cover exactly the survivors");
+    let engine = kv.engine();
+    router
+        .verify(engine.snode_count(), |s| engine.vnodes_of_snode(s).len())
+        .expect("leases cover exactly the survivors");
     kv.verify_replication().expect("repair restored full replication");
     for i in 0..KEYS {
         assert!(
@@ -136,14 +140,6 @@ fn main() {
         router.totals().leases_expired,
     );
     println!("OK: silent stall failed over via lease expiry with zero lost keys at R=2");
-}
-
-/// `(vnode, hosting snode)` for every live vnode — what lease safety is
-/// verified against.
-fn hosting(engine: &LocalDht) -> Vec<(VnodeId, SnodeId)> {
-    let mut out = Vec::new();
-    engine.for_each_vnode(&mut |v| out.push((v, engine.snode_of(v).expect("live vnode"))));
-    out
 }
 
 /// The per-snode load vector the scheduler ticks against, read off a

@@ -12,6 +12,33 @@ use std::sync::Arc;
 // 1. Lease uniqueness + roster safety under random control-plane ops.
 // ---------------------------------------------------------------------
 
+/// The per-snode loads of a model roster, sorted by snode — what the
+/// driver reads off a published snapshot (quotas are irrelevant here).
+fn roster_loads(roster: &[(VnodeId, SnodeId)]) -> Vec<SnodeLoad> {
+    let mut loads: Vec<SnodeLoad> = Vec::new();
+    let mut snodes: Vec<SnodeId> = roster.iter().map(|&(_, s)| s).collect();
+    snodes.sort();
+    for s in snodes {
+        match loads.last_mut() {
+            Some(l) if l.snode == s => l.vnodes += 1,
+            _ => loads.push(SnodeLoad { snode: s, vnodes: 1, quota: 0.0 }),
+        }
+    }
+    loads
+}
+
+/// Vnodes `s` hosts in a model roster.
+fn hosted(roster: &[(VnodeId, SnodeId)], s: SnodeId) -> usize {
+    roster.iter().filter(|&&(_, h)| h == s).count()
+}
+
+/// Checks the router's leases against a model roster, as the driver
+/// checks them against the engine's per-snode index.
+fn verify(router: &Router, roster: &[(VnodeId, SnodeId)]) -> Result<(), TestCaseError> {
+    let snodes = roster_loads(roster).len();
+    router.verify(snodes, |s| hosted(roster, s)).map_err(TestCaseError::fail)
+}
+
 #[derive(Debug, Clone)]
 enum LeaseOp {
     /// Join a vnode on a (bounded) snode.
@@ -45,15 +72,17 @@ proptest! {
     /// After *any* interleaving of joins, removals, crashes,
     /// stalls and clock ticks — with every emitted failover executed —
     /// the lease table covers exactly the live roster: one lease per
-    /// live vnode, held by its hosting snode, and no lease on a dead
-    /// vnode. Uniqueness per vnode is structural (the table is keyed by
-    /// vnode); this drives the *roster* half of the invariant.
+    /// hosting snode, and no lease on a snode with no live vnode.
+    /// Uniqueness per snode is structural (the table is keyed by snode);
+    /// this drives the *roster* half of the invariant.
     #[test]
     fn leases_always_cover_exactly_the_live_roster(script in lease_ops(80)) {
         let window = SimTime::millis(30_000);
         let mut router = Router::new(RouterConfig::default());
         // The model roster the router must stay in lock-step with.
         let mut roster: Vec<(VnodeId, SnodeId)> = Vec::new();
+        // The snodes stalled and not yet forgotten.
+        let mut stalled: Vec<SnodeId> = Vec::new();
         let mut next_vnode = 0u32;
         let mut now = SimTime::ZERO;
 
@@ -68,27 +97,34 @@ proptest! {
                 }
                 LeaseOp::Remove(i) => {
                     if !roster.is_empty() {
-                        let (v, _) = roster.remove(usize::from(i) % roster.len());
-                        router.note_remove(v);
+                        let (_, s) = roster.remove(usize::from(i) % roster.len());
+                        let remaining = hosted(&roster, s);
+                        if remaining == 0 {
+                            stalled.retain(|&h| h != s);
+                        }
+                        router.note_remove(s, remaining);
                     }
                 }
                 LeaseOp::Fail(i) => {
                     if !roster.is_empty() {
                         let victim = roster[usize::from(i) % roster.len()].1;
                         roster.retain(|&(_, s)| s != victim);
+                        stalled.retain(|&s| s != victim);
                         router.note_fail(victim);
                     }
                 }
                 LeaseOp::Stall(i) => {
                     if !roster.is_empty() {
                         let victim = roster[usize::from(i) % roster.len()].1;
+                        stalled.push(victim);
                         router.inject_stall(victim);
                     }
                 }
                 LeaseOp::Tick => {
                     now += window;
                     let before = router.totals();
-                    let report = router.tick(now, &[]);
+                    let loads = roster_loads(&roster);
+                    let report = router.tick(now, &loads);
                     // Per-window reconciliation: the tick's report and
                     // the monotone totals must agree exactly — renewals,
                     // expiries, and each action kind counted separately.
@@ -108,35 +144,37 @@ proptest! {
                         .count() as u64;
                     prop_assert_eq!(after.failovers - before.failovers, failovers);
                     prop_assert_eq!(after.moves - before.moves, moves);
-                    // Every expired lease is covered by exactly one
-                    // failover action's worklist.
+                    // Every expired vnode is hosted by exactly one failed
+                    // over snode, and every renewed one by a snode that
+                    // is not stalled.
                     let failover_vnodes: u64 = report
                         .actions
                         .iter()
-                        .map(|a| match a {
-                            RouteAction::Failover { vnodes, .. } => vnodes.len() as u64,
+                        .map(|a| match *a {
+                            RouteAction::Failover { snode } => hosted(&roster, snode) as u64,
                             _ => 0,
                         })
                         .sum();
                     prop_assert_eq!(failover_vnodes, report.expired);
+                    let healthy = roster.iter().filter(|(_, s)| !stalled.contains(s)).count();
+                    prop_assert_eq!(report.renewed, healthy as u64);
                     // Execute every failover the tick ordered: the
                     // stalled holder's vnodes die and the router hears
                     // the confirmation, exactly like the driver.
                     for action in report.actions {
-                        if let RouteAction::Failover { snode, .. } = action {
+                        if let RouteAction::Failover { snode } = action {
                             roster.retain(|&(_, s)| s != snode);
+                            stalled.retain(|&s| s != snode);
                             router.note_fail(snode);
                         }
                     }
                 }
             }
-            router
-                .verify(roster.iter().copied())
-                .map_err(TestCaseError::fail)?;
+            verify(&router, &roster)?;
             prop_assert_eq!(
                 router.leases().len(),
-                roster.len(),
-                "lease count must equal the live vnode count"
+                roster_loads(&roster).len(),
+                "lease count must equal the hosting snode count"
             );
         }
     }
@@ -165,8 +203,9 @@ proptest! {
         // Healthy warm-up ticks: everyone renews, nothing fails over.
         for _ in 0..warmup {
             now += window;
-            let report = router.tick(now, &[]);
+            let report = router.tick(now, &roster_loads(&roster));
             prop_assert!(report.actions.is_empty(), "healthy fleet must not fail over");
+            prop_assert_eq!(report.renewed, u64::from(fleet));
         }
 
         let stalled = SnodeId(u32::from(victim) % fleet);
@@ -178,10 +217,15 @@ proptest! {
         let mut failed_at: Option<u64> = None;
         for k in 1..=bound {
             now += window;
-            let report = router.tick(now, &[]);
+            let report = router.tick(now, &roster_loads(&roster));
+            // Everyone but the stalled holder renews; its one vnode
+            // counts as expired on the tick it lapses.
+            prop_assert_eq!(report.renewed, u64::from(fleet - 1));
+            let lapsed = !report.actions.is_empty();
+            prop_assert_eq!(report.expired, u64::from(lapsed));
             let mut hit = false;
             for action in report.actions {
-                if let RouteAction::Failover { snode, .. } = action {
+                if let RouteAction::Failover { snode } = action {
                     prop_assert_eq!(snode, stalled, "only the stalled holder may lapse");
                     roster.retain(|&(_, s)| s != snode);
                     router.note_fail(snode);
@@ -199,9 +243,9 @@ proptest! {
             bound,
             ttl_windows
         );
-        router.verify(roster.iter().copied()).map_err(TestCaseError::fail)?;
+        verify(&router, &roster)?;
         prop_assert!(
-            router.leases().iter().all(|(_, l)| l.holder != stalled),
+            router.leases().iter().all(|(s, _)| s != stalled),
             "no lease may survive the failover"
         );
     }
