@@ -141,6 +141,19 @@ impl ChEngine {
         }
     }
 
+    /// The run `[start, end)` holding `point` — the segment of its arc
+    /// that contains it — and the arc's owner.
+    fn run_containing(&self, point: u64) -> Option<(u64, u128, VnodeId)> {
+        let (from_excl, to_incl, owner) = self.ring.arc_containing(point)?;
+        let segments = Self::segments(self.space(), from_excl, to_incl);
+        let &(s, e) = segments
+            .as_slice()
+            .iter()
+            .find(|&&(s, e)| s <= point && (point as u128) < e)
+            .expect("the arc containing a point covers it");
+        Some((s, e, VnodeId(owner.0)))
+    }
+
     /// Streams the transfers of a batch of claims: every claimed interval
     /// changes hands as its minimal dyadic cover, piece by piece, with the
     /// ledger updated in the same pass. `join` moves peer → target; leave
@@ -258,39 +271,30 @@ impl DhtEngine for ChEngine {
     }
 
     fn lookup(&self, point: u64) -> Option<(Partition, VnodeId)> {
-        let space = self.space();
-        let (from_excl, to_incl, owner) = self.ring.arc_containing(point)?;
-        // The piece is resolved within the arc segment holding the point —
-        // pure arithmetic over the minimal cover, no stored view.
-        for &(s, e) in Self::segments(space, from_excl, to_incl).as_slice() {
-            if (point as u128) >= (s as u128) && (point as u128) < e {
-                let piece = Partition::cover_piece_containing(space, s, e, point);
-                return Some((piece, VnodeId(owner.0)));
-            }
-        }
-        unreachable!("the arc containing a point covers it");
+        // The piece is resolved within the run holding the point — pure
+        // arithmetic over the minimal cover, no stored view.
+        let (s, e, v) = self.run_containing(point)?;
+        Some((Partition::cover_piece_containing(self.space(), s, e, point), v))
     }
 
-    fn for_each_successor(&self, point: u64, f: &mut dyn FnMut(VnodeId) -> bool) {
-        // Walk successor *arcs* directly off the ring — one visit per arc
-        // instead of one per derived dyadic piece, same owner sequence.
-        let space = self.space();
-        let Some((_, first_to, owner)) = self.ring.arc_containing(point) else { return };
-        if !f(VnodeId(owner.0)) {
+    fn for_each_span(&self, point: u64, f: &mut dyn FnMut(u64, u128, VnodeId) -> bool) {
+        // One run per arc, split at 0 when it wraps — straight off the
+        // ring, never one visit per derived dyadic piece.
+        let size = self.space().size();
+        let Some((first, mut end, v)) = self.run_containing(point) else { return };
+        if !f(first, end, v) {
             return;
         }
-        let mut to = first_to;
         loop {
-            let next = if to == space.max_point() { 0 } else { to + 1 };
-            let (_, arc_to, owner) =
-                self.ring.arc_containing(next).expect("a live ring covers the circle");
-            if arc_to == first_to {
-                return; // wrapped to the starting arc
+            let next = if end == size { 0 } else { end as u64 };
+            if next == first {
+                return; // wrapped to the starting run
             }
-            if !f(VnodeId(owner.0)) {
+            let (s, e, v) = self.run_containing(next).expect("a live ring covers the circle");
+            if !f(s, e, v) {
                 return;
             }
-            to = arc_to;
+            end = e;
         }
     }
 

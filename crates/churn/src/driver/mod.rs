@@ -37,10 +37,11 @@
 //! ## Two rules, both enforced in `plant`, in one place each
 //!
 //! * **Publish before unlock.** With readers or a router attached, every
-//!   membership operation publishes the next routing epoch *before* the
-//!   store's write lock is released, so a reader that settles at the
-//!   current epoch can trust a miss.
-//! * **No per-operation publish otherwise.** Building a snapshot costs
+//!   membership operation reads the next routing epoch off the engine and
+//!   publishes it *before* the store's write lock is released, so a
+//!   reader that settles at the current epoch can trust a miss. Attaching
+//!   mid-replay publishes the engine's state at once.
+//! * **No per-operation publish otherwise.** Reading a snapshot costs
 //!   several times the operation it follows; a replay nobody watches
 //!   publishes nothing (the probe takes one snapshot per window).
 
@@ -256,8 +257,7 @@ impl<E: DhtEngine> ChurnDriver<E> {
         s.index = self.samples.len();
         s.end = end;
         s.balance = self.with_engine(|e| e.balance_snapshot());
-        (s.availability, s.lost_lookups, s.quorum_availability) =
-            self.plant.probe(s.index as u64 + 1);
+        (s.availability, s.lost_lookups, s.quorum_availability) = self.plant.probe();
         self.reads.sample_into(&mut s);
         // Anti-entropy runs at window cadence: sample the damage first
         // (the quorum figure above sees the pre-repair state), then heal.

@@ -4,24 +4,22 @@
 //! This is the only module that knows which overlay is active. It is
 //! also where the two serving-plane rules live:
 //!
-//! * **No per-operation publish unless someone is watching.** Building a
-//!   snapshot costs more than the operation it follows, so the
-//!   bare/replicated plants tee events into their [`SnapshotBuilder`]
-//!   and publish only when `live` is set — readers pin the cell, or a
-//!   router judges loads on it. [`View::tapped`] is that one `if`. (The
-//!   plain KV plant delegates to [`KvService`], which always maintains
-//!   its own cell.)
-//! * **Publish before unlock.** When live, the next epoch is published
-//!   while the replicated store's write guard is still held, so a reader
-//!   that settles at the current epoch can trust a miss.
-//!   [`View::publish`] is the only caller of `SnapshotBuilder::publish`,
-//!   and every operation calls it inside the guard's scope.
+//! * **No per-operation publish unless someone is watching.** Reading a
+//!   snapshot off the engine costs more than the operation it follows,
+//!   so the bare/replicated plants publish per operation only while
+//!   `live` is set — readers pin the cell, or a router judges loads on
+//!   it. Turning live publishes the engine's state at once when the cell
+//!   lags it, so an attach mid-replay starts current. (The plain KV plant
+//!   delegates to [`KvService`], which always publishes into its own
+//!   cell.)
+//! * **Publish before unlock.** When live, the next epoch is read off the
+//!   engine and published while the replicated store's write guard is
+//!   still held, so a reader that settles at the current epoch can trust
+//!   a miss. [`View::publish`] is that one `if`, and every operation
+//!   calls it inside the guard's scope.
 
 use super::ChurnDriver;
-use domus_core::{
-    DhtEngine, DhtError, EngineSnapshot, RebalanceSink, SnapshotBuilder, SnapshotCell, SnodeId,
-    Tee, VnodeId,
-};
+use domus_core::{DhtEngine, DhtError, EngineSnapshot, SnapshotCell, SnodeId, VnodeId};
 use domus_kv::replicated::RejoinReport;
 use domus_kv::workload::value_of;
 use domus_kv::{CrashReport, KvService, KvStore, RepairReport, ReplicatedStore, UniformKeys};
@@ -52,34 +50,17 @@ impl<E: DhtEngine> Backing<E> {
 
 /// The published routing view of the bare/replicated plants.
 struct View {
-    builder: SnapshotBuilder,
     cell: Arc<SnapshotCell>,
     /// Publish per operation (readers or a router are attached).
     live: bool,
 }
 
 impl View {
-    /// Runs `op` with the sink the operation streams into: the pricer,
-    /// tee'd through the snapshot builder when the view is live.
-    fn tapped<T>(
-        &mut self,
-        pricer: &mut EventPricer,
-        op: impl FnOnce(&mut dyn RebalanceSink) -> T,
-    ) -> T {
+    /// When live: publishes the engine's routing as the next epoch.
+    /// Callers hold the store's write guard across this call.
+    fn publish<E: DhtEngine>(&self, engine: &E) {
         if self.live {
-            op(&mut Tee(&mut self.builder, pricer))
-        } else {
-            op(pricer)
-        }
-    }
-
-    /// When live: applies the operation's membership change to the builder
-    /// and publishes the next epoch. Callers hold the store's write
-    /// guard across this call.
-    fn publish(&mut self, note: impl FnOnce(&mut SnapshotBuilder)) {
-        if self.live {
-            note(&mut self.builder);
-            self.builder.publish(&self.cell);
+            self.cell.publish_next(engine);
         }
     }
 }
@@ -123,11 +104,10 @@ impl<E: DhtEngine> Plant<E> {
     }
 
     fn new(backing: Backing<E>, load: Option<(u64, usize)>, max_probes: usize) -> Self {
-        let builder = backing.with_engine(|e| SnapshotBuilder::from_engine(e));
-        let cell = Arc::new(SnapshotCell::new(builder.snapshot()));
+        let snap = backing.with_engine(|e| EngineSnapshot::from_engine(e, 0));
         Self {
             backing,
-            view: View { builder, cell, live: false },
+            view: View { cell: Arc::new(SnapshotCell::new(snap)), live: false },
             load,
             max_probes,
             probe_keys: Vec::new(),
@@ -137,7 +117,19 @@ impl<E: DhtEngine> Plant<E> {
     }
 
     /// Turns per-operation publishing on or off (see the module docs).
+    /// Turning it on publishes the engine's state as the next epoch
+    /// unless the cell already shows it: an attach before the first
+    /// operation keeps epoch 0, a late one starts current.
     pub(crate) fn set_live(&mut self, live: bool) {
+        let cell = &self.view.cell;
+        if live && !self.view.live {
+            let now =
+                self.backing.with_engine(|e| EngineSnapshot::from_engine(e, cell.epoch() + 1));
+            let shown = cell.load();
+            if now.spans() != shown.spans() || now.loads() != shown.loads() {
+                cell.publish(now);
+            }
+        }
         self.view.live = live;
     }
 
@@ -166,12 +158,11 @@ impl<E: DhtEngine> Plant<E> {
     /// creation also loads the population.
     pub(crate) fn create(&mut self, snode: SnodeId, pricer: &mut EventPricer) -> (VnodeId, u64) {
         const FAILED: &str = "churn replay: create failed";
-        let view = &mut self.view;
+        let view = &self.view;
         let created = match &mut self.backing {
             Backing::Bare(e) => {
-                let out = view.tapped(pricer, |sink| e.create_vnode_with(snode, sink));
-                let v = out.expect(FAILED).vnode;
-                view.publish(|b| b.note_create(v, snode));
+                let v = e.create_vnode_with(snode, pricer).expect(FAILED).vnode;
+                view.publish(e);
                 (v, 0)
             }
             Backing::Kv(svc) => {
@@ -180,9 +171,8 @@ impl<E: DhtEngine> Plant<E> {
             }
             Backing::Repl(store) => {
                 let mut g = store.write();
-                let joined = view.tapped(pricer, |sink| g.join_with(snode, sink));
-                let (out, repair) = joined.expect(FAILED);
-                view.publish(|b| b.note_create(out.vnode, snode));
+                let (out, repair) = g.join_with(snode, pricer).expect(FAILED);
+                view.publish(g.engine());
                 (out.vnode, repair.copies_placed)
             }
         };
@@ -193,18 +183,18 @@ impl<E: DhtEngine> Plant<E> {
     /// Gracefully removes `v`; returns the entries the leave moved.
     pub(crate) fn remove(&mut self, v: VnodeId, pricer: &mut EventPricer) -> u64 {
         const FAILED: &str = "churn replay: remove failed";
-        let view = &mut self.view;
+        let view = &self.view;
         match &mut self.backing {
             Backing::Bare(e) => {
-                view.tapped(pricer, |sink| e.remove_vnode_with(v, sink)).expect(FAILED);
-                view.publish(|b| b.note_remove(v));
+                e.remove_vnode_with(v, pricer).expect(FAILED);
+                view.publish(e);
                 0
             }
             Backing::Kv(svc) => svc.leave_with(v, pricer).expect(FAILED).1.entries,
             Backing::Repl(store) => {
                 let mut g = store.write();
-                let (_, repair) = view.tapped(pricer, |sink| g.leave_with(v, sink)).expect(FAILED);
-                view.publish(|b| b.note_remove(v));
+                let (_, repair) = g.leave_with(v, pricer).expect(FAILED);
+                view.publish(g.engine());
                 repair.copies_placed
             }
         }
@@ -217,19 +207,18 @@ impl<E: DhtEngine> Plant<E> {
     /// caller degrades the crash to graceful removals.
     pub(crate) fn fail(&mut self, snode: SnodeId, pricer: &mut EventPricer) -> Option<CrashReport> {
         const FAILED: &str = "churn replay: crash failed";
-        let view = &mut self.view;
+        let view = &self.view;
         let report = match &mut self.backing {
             Backing::Bare(e) => {
-                let out = view.tapped(pricer, |sink| e.fail_snode(snode, sink)).expect(FAILED);
-                view.publish(|b| b.note_fail(snode));
+                let out = e.fail_snode(snode, pricer).expect(FAILED);
+                view.publish(e);
                 CrashReport { vnodes_failed: out.vnodes.len(), ..CrashReport::default() }
             }
             Backing::Kv(_) => return None,
             Backing::Repl(store) => {
                 let mut g = store.write();
-                let crashed = view.tapped(pricer, |sink| g.fail_snode_with(snode, sink));
-                let report = crashed.expect(FAILED);
-                view.publish(|b| b.note_fail(snode));
+                let report = g.fail_snode_with(snode, pricer).expect(FAILED);
+                view.publish(g.engine());
                 report
             }
         };
@@ -247,11 +236,10 @@ impl<E: DhtEngine> Plant<E> {
         pricer: &mut EventPricer,
     ) -> Option<Result<RejoinReport, DhtError>> {
         let Backing::Repl(store) = &mut self.backing else { return None };
-        let view = &mut self.view;
         let mut g = store.write();
-        let rejoined = view.tapped(pricer, |sink| g.rejoin_snode_with(snode, sink));
-        if let Ok(report) = &rejoined {
-            view.publish(|b| report.handles.iter().for_each(|&v| b.note_create(v, snode)));
+        let rejoined = g.rejoin_snode_with(snode, pricer);
+        if rejoined.is_ok() {
+            self.view.publish(g.engine());
         }
         Some(rejoined)
     }
@@ -308,15 +296,15 @@ impl<E: DhtEngine> Plant<E> {
     /// live engine. Returns `(availability, lost lookups, quorum
     /// availability)`: the unchanged-owner fraction since the last call,
     /// the probes that failed to read back, and the fraction readable at
-    /// majority quorum (every readable probe, without replication).
-    /// `epoch` numbers the snapshot a non-live replicated plant takes for
-    /// the occasion.
-    pub(crate) fn probe(&mut self, epoch: u64) -> (f64, u64, f64) {
+    /// majority quorum (every readable probe, without replication). A
+    /// non-live replicated plant publishes the engine's state for the
+    /// occasion.
+    pub(crate) fn probe(&mut self) -> (f64, u64, f64) {
         if self.probe_keys.is_empty() {
             return (1.0, 0, 1.0);
         }
         if let (Backing::Repl(store), false) = (&self.backing, self.view.live) {
-            self.view.cell.publish(EngineSnapshot::from_engine(store.read().engine(), epoch));
+            self.view.cell.publish_next(store.read().engine());
         }
         let snap = self.cell().load();
         let (mut changed, mut lost, mut at_quorum) = (0u64, 0u64, 0u64);

@@ -4,7 +4,7 @@
 use super::*;
 use crate::process::{Capacity, Lifetime, Process};
 use crate::scenario::Scenario;
-use domus_core::{DhtConfig, GlobalDht, LocalDht};
+use domus_core::{DhtConfig, EngineSnapshot, GlobalDht, LocalDht};
 use domus_hashspace::HashSpace;
 use domus_route::RouterConfig;
 
@@ -403,6 +403,38 @@ fn routed_replay_is_deterministic() {
     assert_eq!(a.csv_string(), b.csv_string());
     assert!(a.csv_string().starts_with("window,t_ms,"));
     assert!(a.csv_string().contains("route_version"));
+}
+
+/// Replays half of `small_scenario()`, attaches a watcher through
+/// `attach`, and checks after every later step that the published view
+/// is the engine's own: a late attach must start current and stay so.
+fn assert_late_attach_publishes_the_engine(
+    mut driver: ChurnDriver<LocalDht>,
+    attach: impl FnOnce(ChurnDriver<LocalDht>) -> ChurnDriver<LocalDht>,
+) {
+    let stream = small_scenario().build(13);
+    let (before, after) = stream.events().split_at(stream.len() / 2);
+    before.iter().for_each(|e| driver.step(e));
+    let mut driver = attach(driver);
+    for (i, e) in after.iter().enumerate() {
+        driver.step(e);
+        let shown = driver.plant.cell().load();
+        let engine = driver.with_engine(|e| EngineSnapshot::from_engine(e, shown.epoch()));
+        assert_eq!(shown.spans(), engine.spans(), "spans after late step {i}");
+        assert_eq!(shown.loads(), engine.loads(), "loads after late step {i}");
+    }
+}
+
+#[test]
+fn a_router_attached_mid_replay_publishes_the_engine() {
+    let driver = ChurnDriver::new(local(), DriverConfig::default());
+    assert_late_attach_publishes_the_engine(driver, |d| d.with_router(RouterConfig::default()));
+}
+
+#[test]
+fn readers_attached_mid_replay_see_the_engine() {
+    let driver = ChurnDriver::with_replication(local(), DriverConfig::default(), 600, 8, 2);
+    assert_late_attach_publishes_the_engine(driver, |d| d.with_readers(1));
 }
 
 #[test]

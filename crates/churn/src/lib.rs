@@ -31,7 +31,8 @@
 //!   - `plant` — the engine, bare or threaded through a
 //!     [`domus_kv::KvService`] / a [`domus_kv::ReplicatedStore`] at a
 //!     chosen replication factor, behind one method per membership
-//!     operation; measures keys migrated, lookup correctness,
+//!     operation; publishes routing epochs read off the engine's own
+//!     map (it keeps no copy); measures keys migrated, lookup correctness,
 //!     per-window availability, and (replicated) durability
 //!     (`keys_lost`/`keys_total`) plus quorum-read availability with an
 //!     anti-entropy repair pass at every window close;
@@ -50,10 +51,11 @@
 //!     all byte-deterministic, sampled into per-window route columns.
 //!
 //!   Two rules hold throughout (enforced in `plant`): with readers or a
-//!   router attached every operation **publishes the next routing epoch
-//!   before the store lock is released**, so a settled miss is genuine;
-//!   without them **nothing is published per operation** — a snapshot
-//!   costs several times the step it would follow.
+//!   router attached — from the moment they attach — every operation
+//!   **publishes the next routing epoch, read off the engine, before the
+//!   store lock is released**, so a settled miss is genuine; without
+//!   them **nothing is published per operation** — a snapshot costs
+//!   several times the step it would follow.
 //!
 //! ```
 //! use domus_churn::{Capacity, ChurnDriver, DriverConfig, Lifetime, Process, Scenario};

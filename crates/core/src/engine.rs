@@ -184,40 +184,22 @@ pub trait DhtEngine {
     /// The vnode responsible for `point`, with the containing partition.
     fn lookup(&self, point: u64) -> Option<(Partition, VnodeId)>;
 
-    /// Visits owners in hash-space order, starting at the owner of `point`
-    /// and wrapping past the top of the space, until `f` returns `false` or
-    /// the walk is back where it started — the successor walk a
-    /// cluster-aware replica placer probes for followers. The first visit
-    /// is always the point's owner (the primary).
-    ///
-    /// The contract is the sequence of *distinct* owners, in first-visit
-    /// order: the one a walk over every partition gives. A backend may
-    /// visit a run of one owner's partitions once or once per partition
-    /// (the model engines visit each routing entry once), and the same
-    /// vnode recurs further on, so callers dedup by vnode or snode.
-    ///
-    /// The default walks partition by partition through [`DhtEngine::lookup`]
-    /// (`O(log P)` per step on any backend); the model engines override it
-    /// with a direct scan of their routing map.
+    /// The engine's one routing walk: visits its routing runs `[start,
+    /// end)` with their owners, in hash-space order, starting at the run
+    /// that contains `point` and wrapping past the top of the space, until
+    /// `f` returns `false` or every run was visited once. The runs tile
+    /// `[0, 2^Bh)`, and none crosses the top of the space. A run is one
+    /// stored routing unit (an `OwnerMap` entry, a ring arc split at 0),
+    /// so neighbouring runs may share an owner. Nothing is visited on an
+    /// empty DHT.
+    fn for_each_span(&self, point: u64, f: &mut dyn FnMut(u64, u128, VnodeId) -> bool);
+
+    /// The owners of [`DhtEngine::for_each_span`], starting at the owner
+    /// of `point` (the primary) — the successor walk a cluster-aware
+    /// replica placer probes for followers. The same vnode recurs further
+    /// on, so callers dedup by vnode or snode.
     fn for_each_successor(&self, point: u64, f: &mut dyn FnMut(VnodeId) -> bool) {
-        let Some((first, v)) = self.lookup(point) else { return };
-        if !f(v) {
-            return;
-        }
-        let space = self.config().hash_space();
-        let start = first.start(space);
-        let mut cursor = first.end(space);
-        loop {
-            let next = if cursor >= space.size() { 0 } else { cursor as u64 };
-            if next == start {
-                return; // wrapped all the way around
-            }
-            let Some((p, v)) = self.lookup(next) else { return };
-            if !f(v) {
-                return;
-            }
-            cursor = p.end(space);
-        }
+        self.for_each_span(point, &mut |_, _, v| f(v));
     }
 
     /// The live vnodes hosted by `s`, in creation order (empty when it

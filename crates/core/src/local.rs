@@ -380,9 +380,10 @@ impl<P: RegionPolicy, R: DomusRng> DhtEngine for BalancedDht<P, R> {
         self.routing.lookup(point).map(|(p, &v)| (p, v))
     }
 
-    fn for_each_successor(&self, point: u64, f: &mut dyn FnMut(VnodeId) -> bool) {
-        for &v in self.routing.successors(point) {
-            if !f(v) {
+    fn for_each_span(&self, point: u64, f: &mut dyn FnMut(u64, u128, VnodeId) -> bool) {
+        let space = self.cfg.hash_space();
+        for (p, &v) in self.routing.successors(point) {
+            if !f(p.start(space), p.end(space), v) {
                 return;
             }
         }

@@ -5,11 +5,11 @@
 //! serving millions of lookups needs is for *reads* not to queue behind
 //! that serialization. This module splits the two planes:
 //!
-//! * the **mutation plane** stays serialized: membership operations
-//!   stream [`RebalanceEvent`]s exactly as before, and a
-//!   [`SnapshotBuilder`] taps that stream to maintain the routing view
-//!   incrementally (interval surgery per [`Transfer`](crate::Transfer),
-//!   no engine re-walk per event);
+//! * the **mutation plane** stays serialized: after each membership
+//!   operation the writer reads the engine's own routing map through its
+//!   one routing walk ([`DhtEngine::for_each_span`]) into the next
+//!   snapshot ([`SnapshotCell::publish_next`]) — the engine is the one
+//!   authority on who owns what, and nothing keeps a second copy;
 //! * the **serving plane** is an immutable [`EngineSnapshot`] — a flat,
 //!   binary-searchable array of owner spans plus the vnode→snode map and
 //!   a per-snode quota summary — published into a [`SnapshotCell`].
@@ -23,20 +23,18 @@
 //! `N+1`, readers detect staleness with one atomic load and re-pin.
 //!
 //! ```
-//! use domus_core::{DhtConfig, DhtEngine, GlobalDht, SnodeId};
-//! use domus_core::serve::{SnapshotBuilder, SnapshotCell};
+//! use domus_core::{DhtConfig, DhtEngine, EngineSnapshot, GlobalDht, NullSink, SnodeId};
+//! use domus_core::serve::SnapshotCell;
 //! use domus_hashspace::HashSpace;
 //!
 //! let cfg = DhtConfig::new(HashSpace::new(32), 4, 1).unwrap();
 //! let mut dht = GlobalDht::with_seed(cfg, 7);
-//! let mut builder = SnapshotBuilder::new(HashSpace::new(32));
-//! let cell = SnapshotCell::new(builder.snapshot());
+//! let cell = SnapshotCell::new(EngineSnapshot::from_engine(&dht, 0));
 //!
 //! // The mutation plane applies churn and publishes each epoch...
 //! for s in 0..4 {
-//!     let out = dht.create_vnode_with(SnodeId(s), &mut builder).unwrap();
-//!     builder.note_create(out.vnode, SnodeId(s));
-//!     builder.publish(&cell);
+//!     dht.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
+//!     cell.publish_next(&dht);
 //! }
 //! // ...while readers pin an epoch and resolve lookups lock-free.
 //! let snap = cell.load();
@@ -86,11 +84,10 @@ pub struct SnodeLoad {
 
 /// An immutable, epoch-numbered view of the routing state.
 ///
-/// Built either incrementally by a [`SnapshotBuilder`] or in one pass by
-/// [`EngineSnapshot::from_engine`]; both constructions produce identical
-/// spans for identical engine states. All methods take `&self` and touch
-/// only immutable data — a pinned snapshot is safe to share across any
-/// number of threads ([`Send`] + [`Sync`]) and every lookup is lock-free.
+/// Read off the engine in one pass by [`EngineSnapshot::from_engine`].
+/// All methods take `&self` and touch only immutable data — a pinned
+/// snapshot is safe to share across any number of threads ([`Send`] +
+/// [`Sync`]) and every lookup is lock-free.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     epoch: u64,
@@ -108,27 +105,29 @@ impl EngineSnapshot {
         Self { epoch: 0, space, spans: Vec::new(), loads: Vec::new(), vnodes: 0 }
     }
 
-    /// Captures the engine's current routing state in one pass
-    /// (`O(P log P)`); the incremental path is [`SnapshotBuilder`].
+    /// Captures the engine's current routing state: one
+    /// [`DhtEngine::for_each_span`] walk from point 0, whose runs arrive
+    /// in hash order, coalesced into spans (`O(runs)` plus one host
+    /// lookup per run).
     pub fn from_engine<E: DhtEngine + ?Sized>(engine: &E, epoch: u64) -> Self {
         let space = engine.config().hash_space();
         let mut raw: Vec<OwnerSpan> = Vec::new();
-        let mut hosts: Vec<(VnodeId, SnodeId)> = Vec::new();
-        engine.for_each_vnode(&mut |v| {
-            let snode = engine.snode_of(v).expect("listed vnode is live");
-            hosts.push((v, snode));
-            for p in engine.partitions_of(v).expect("listed vnode has partitions") {
-                raw.push(OwnerSpan { start: p.start(space), end: p.end(space), vnode: v, snode });
-            }
+        engine.for_each_span(0, &mut |start, end, vnode| {
+            let snode = engine.snode_of(vnode).expect("a routing owner is live");
+            raw.push(OwnerSpan { start, end, vnode, snode });
+            true
         });
-        raw.sort_unstable_by_key(|s| s.start);
         let spans = coalesce(raw);
+        let mut hosts: Vec<(VnodeId, SnodeId)> = Vec::with_capacity(engine.vnode_count());
+        engine.for_each_vnode(&mut |v| {
+            hosts.push((v, engine.snode_of(v).expect("listed vnode is live")))
+        });
         let loads = loads_of(&spans, hosts.iter().copied(), space);
         Self { epoch, space, spans, loads, vnodes: hosts.len() }
     }
 
     /// The epoch this view was published at (strictly increasing per
-    /// membership operation under a [`SnapshotBuilder`]).
+    /// membership operation under [`SnapshotCell::publish_next`]).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -306,6 +305,13 @@ impl SnapshotCell {
         self.epoch.store(epoch, Ordering::Release);
     }
 
+    /// Publishes `engine`'s current routing as the next epoch. Writers
+    /// call this at the end of each membership operation, under the lock
+    /// that serialises their mutations, so epochs count operations.
+    pub fn publish_next<E: DhtEngine + ?Sized>(&self, engine: &E) {
+        self.publish(EngineSnapshot::from_engine(engine, self.epoch() + 1));
+    }
+
     /// A routed read with stale-route repair: `probe` reads through the
     /// pinned epoch and, while `hit` says it missed, the pin is replaced
     /// and the probe retried once per epoch the cell advanced past it.
@@ -427,6 +433,12 @@ impl RouteCounters {
 }
 
 /// Incrementally maintains the routing view from the event stream.
+///
+/// **Bench surface only.** No program code calls it: every serving plane
+/// publishes with [`SnapshotCell::publish_next`], read off the engine.
+/// The benchmark package still drives it, and it is deleted with the
+/// bench half of ROADMAP item 7. Until then the tests use it as an
+/// independent reference for [`EngineSnapshot::from_engine`].
 ///
 /// Feed it as (or tee'd into) the [`RebalanceSink`] of every membership
 /// operation; each [`Transfer`] is `O(log spans)` interval surgery on a

@@ -83,9 +83,12 @@ fn repair_savings(o: &ChurnOutcome) -> f64 {
 /// Runs the `--rejoin` durability drill: per-backend CSVs, table, and
 /// the WAL-durability contract.
 pub fn run_rejoin(ctx: &Ctx, events: Option<usize>) -> ExpReport {
-    let mut rep = ExpReport::new("CHURN-REPL-REJOIN");
-    let cmp = compute_rejoin(ctx, events);
+    report_rejoin(ctx, &compute_rejoin(ctx, events))
+}
 
+/// Reports one durability drill: CSVs, table, contract.
+fn report_rejoin(ctx: &Ctx, cmp: &Comparison) -> ExpReport {
+    let mut rep = ExpReport::new("CHURN-REPL-REJOIN");
     cmp.write_csvs(ctx, "churn_repl_rejoin", 2);
 
     println!(
@@ -204,6 +207,16 @@ pub fn run(ctx: &Ctx, events: Option<usize>) -> ExpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The quick durability drill, replayed once for every test that
+    /// reads it.
+    fn drill() -> &'static Comparison {
+        static CMP: OnceLock<Comparison> = OnceLock::new();
+        CMP.get_or_init(|| {
+            compute_rejoin(&Ctx::quick(std::env::temp_dir().join("domus-replx")), None)
+        })
+    }
 
     #[test]
     fn churn_repl_runs_and_accounts_losses() {
@@ -222,7 +235,7 @@ mod tests {
     #[test]
     fn rejoin_drill_recovers_every_wal_durable_key() {
         let ctx = Ctx::quick(std::env::temp_dir().join("domus-replx-rejoin"));
-        let rep = run_rejoin(&ctx, None);
+        let rep = report_rejoin(&ctx, drill());
         assert_eq!(rep.id, "CHURN-REPL-REJOIN");
         assert!(rep.summary.iter().any(|l| l.contains("zero WAL-durable keys missing")));
         for name in Backend::ALL.map(Backend::name) {
@@ -264,8 +277,7 @@ mod tests {
                 0xfd4546d7291ff8d1
             ]
         );
-        let drill = compute_rejoin(&ctx, None);
-        assert_eq!(drill.fingerprint, 0xd5b21537f3a92d53);
-        assert_eq!(digests(&drill), [0x783da49fc1d5a6af, 0x9dcc3f3535cacd03, 0x015fc311e81224b0]);
+        assert_eq!(drill().fingerprint, 0xd5b21537f3a92d53);
+        assert_eq!(digests(drill()), [0x783da49fc1d5a6af, 0x9dcc3f3535cacd03, 0x015fc311e81224b0]);
     }
 }

@@ -644,15 +644,15 @@ impl<T: OwnerKey> OwnerMap<T> {
             .flat_map(move |e| e.part.descendants(self.depth_of(e)).map(move |p| (p, &e.owner)))
     }
 
-    /// Iterates the owners of the stored entries in hash-space order,
-    /// **starting at the entry containing `point`**, wrapping past the top
-    /// of the space — the replica-successor walk of a cluster-aware
-    /// replication policy. The first item is the point's owner (the
-    /// primary). An entry may stand for several partitions of one owner,
-    /// so the walk's contract is the sequence of *distinct* owners in
-    /// first-visit order: it is the one a walk over every partition gives,
-    /// and all a replica placer reads. Empty when the map is empty.
-    pub fn successors(&self, point: u64) -> impl Iterator<Item = &T> {
+    /// Iterates the stored entries as `(block, owner)` in hash-space
+    /// order, **starting at the entry containing `point`**, wrapping past
+    /// the top of the space, each entry once — the routing walk that
+    /// snapshots and replica placers read. The first item is the point's
+    /// owner (the primary). A block stands for its descendants (it may be
+    /// coarser than [`OwnerMap::lookup`]'s partition), so the blocks tile
+    /// the space exactly when the map covers it. Empty when the map is
+    /// empty.
+    pub fn successors(&self, point: u64) -> impl Iterator<Item = (Partition, &T)> {
         debug_assert!(self.space.contains(point));
         let pivot = match self.entries.range(..=point).next_back() {
             Some((&s, _)) => s,
@@ -660,7 +660,10 @@ impl<T: OwnerKey> OwnerMap<T> {
             // entry (only reachable on a non-covering map).
             None => 0,
         };
-        self.entries.range(pivot..).chain(self.entries.range(..pivot)).map(|(_, e)| &e.owner)
+        self.entries
+            .range(pivot..)
+            .chain(self.entries.range(..pivot))
+            .map(|(_, e)| (e.part, &e.owner))
     }
 
     /// `owner`'s blocks in holdings order, each with its depth: the block
@@ -983,20 +986,23 @@ mod tests {
             m.insert(Partition::new(2, i), i as u32).unwrap();
         }
         // Starting inside the third quarter: 2, 3, then wrap to 0, 1.
-        let walk: Vec<u32> = m.successors(130).copied().collect();
+        let owners = |m: &OwnerMap<u32>, point| m.successors(point).map(|(_, &o)| o).collect();
+        let walk: Vec<u32> = owners(&m, 130);
         assert_eq!(walk, vec![2, 3, 0, 1]);
         // Starting at point 0 is plain hash-space order.
-        let walk: Vec<u32> = m.successors(0).copied().collect();
+        let walk: Vec<u32> = owners(&m, 0);
         assert_eq!(walk, vec![0, 1, 2, 3]);
         // The first item always matches lookup.
         for point in [0u64, 77, 128, 255] {
-            assert_eq!(m.successors(point).next(), m.lookup(point).map(|(_, o)| o));
+            assert_eq!(m.successors(point).next(), m.lookup(point));
         }
         // A raised owner's entry stands for several partitions but is
-        // walked once: the distinct owners keep their order.
+        // walked once, as its block: the blocks still tile the space.
         m.raise(&2);
         assert_eq!(m.len(), 5);
-        assert_eq!(m.successors(130).copied().collect::<Vec<_>>(), vec![2, 3, 0, 1]);
+        assert_eq!(owners(&m, 130), vec![2, 3, 0, 1]);
+        let blocks: Vec<Partition> = m.successors(0).map(|(p, _)| p).collect();
+        assert_eq!(blocks, (0..4).map(|i| Partition::new(2, i)).collect::<Vec<_>>());
         assert_eq!(OwnerMap::<u32>::new(space()).successors(9).count(), 0);
     }
 

@@ -413,7 +413,7 @@ fn thin_cluster_crash_and_repair_stay_clean() {
 
 #[test]
 fn routed_quorum_reads_settle_and_tally() {
-    use domus_core::{SnapshotBuilder, SnapshotCell};
+    use domus_core::{EngineSnapshot, SnapshotCell};
     // R = 1 so a moved key genuinely misses on the stale chain (at
     // R ≥ 2 a surviving replica answers even through a stale route —
     // the whole point of replication).
@@ -421,13 +421,11 @@ fn routed_quorum_reads_settle_and_tally() {
     for i in 0..200u32 {
         kv.put(format!("k{i}"), format!("v{i}"));
     }
-    let mut builder = SnapshotBuilder::from_engine(kv.engine());
-    let cell = SnapshotCell::new(builder.snapshot());
+    let cell = SnapshotCell::new(EngineSnapshot::from_engine(kv.engine(), 0));
     let mut pin = cell.load();
-    // Rebalance past the pin: a join tee'd into the builder, published.
-    let (out, _) = kv.join_with(SnodeId(9), &mut builder).unwrap();
-    builder.note_create(out.vnode, SnodeId(9));
-    builder.publish(&cell);
+    // Rebalance past the pin: a join, then the next epoch published.
+    kv.join(SnodeId(9)).unwrap();
+    cell.publish_next(kv.engine());
     let mut retried = 0u32;
     for i in 0..200u32 {
         let got = kv.get_quorum_routed(&cell, &mut pin, format!("k{i}").as_bytes());

@@ -7,10 +7,10 @@
 //! [`KvService`] wraps [`KvStore`] in a `parking_lot::RwLock`, giving the
 //! downstream user a `Clone + Send + Sync` handle.
 //!
-//! On top of that lock the service maintains the **serving plane**: a
-//! [`SnapshotBuilder`] taps every maintenance operation's rebalance
-//! events and publishes an epoch-numbered [`EngineSnapshot`] into a
-//! [`SnapshotCell`] *before the write lock is released* — so from any
+//! On top of that lock the service maintains the **serving plane**:
+//! after every maintenance operation it reads the engine's routing map
+//! into the next epoch-numbered [`EngineSnapshot`] and publishes it into
+//! a [`SnapshotCell`] *before the write lock is released* — so from any
 //! reader's point of view, "store contents" and "published routing
 //! epoch" advance together. Readers pin an epoch once and route any
 //! number of [`KvService::get_at`] reads lock-free against it; a miss is
@@ -23,17 +23,10 @@ use crate::store::{KvStore, MigrationReport};
 use bytes::Bytes;
 use domus_core::{
     CreateOutcome, DhtEngine, DhtError, EngineSnapshot, NullSink, RebalanceSink, RemoveOutcome,
-    RouteStats, SnapshotBuilder, SnapshotCell, SnodeId, Tee, VnodeId,
+    RouteStats, SnapshotCell, SnodeId, VnodeId,
 };
 use parking_lot::RwLock;
 use std::sync::Arc;
-
-/// The store plus its incrementally-maintained routing view — mutated
-/// together under the service's write lock.
-struct Served<E: DhtEngine> {
-    store: KvStore<E>,
-    builder: SnapshotBuilder,
-}
 
 /// A snapshot-routed read: the value (if the key exists at the epoch the
 /// read settled on) plus how many stale-route retries it took to settle.
@@ -48,7 +41,7 @@ pub struct RoutedGet {
 
 /// A shareable, thread-safe KV service.
 pub struct KvService<E: DhtEngine> {
-    inner: Arc<RwLock<Served<E>>>,
+    inner: Arc<RwLock<KvStore<E>>>,
     serve: Arc<SnapshotCell>,
     stats: Arc<RouteStats>,
 }
@@ -67,13 +60,8 @@ impl<E: DhtEngine> KvService<E> {
     /// Wraps a store (which may already contain vnodes — the serving
     /// plane is seeded from the engine's current state at epoch 0).
     pub fn new(store: KvStore<E>) -> Self {
-        let builder = SnapshotBuilder::from_engine(store.engine());
-        let serve = Arc::new(SnapshotCell::new(builder.snapshot()));
-        Self {
-            inner: Arc::new(RwLock::new(Served { store, builder })),
-            serve,
-            stats: Arc::new(RouteStats::new()),
-        }
+        let serve = Arc::new(SnapshotCell::new(EngineSnapshot::from_engine(store.engine(), 0)));
+        Self { inner: Arc::new(RwLock::new(store)), serve, stats: Arc::new(RouteStats::new()) }
     }
 
     /// The service's routed-read statistics: every
@@ -90,7 +78,7 @@ impl<E: DhtEngine> KvService<E> {
     /// the whole route+probe; see [`KvService::get_routed`] for the
     /// serving-plane path).
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
-        self.inner.read().store.get(key)
+        self.inner.read().get(key)
     }
 
     /// The serving-plane cell: pin epochs from it with
@@ -110,7 +98,7 @@ impl<E: DhtEngine> KvService<E> {
     /// touches the engine. A `None` may mean "absent" *or* "stale
     /// route" — [`KvService::get_routed`] disambiguates.
     pub fn get_at(&self, snap: &EngineSnapshot, key: &[u8]) -> Option<Bytes> {
-        self.inner.read().store.get_at(snap, key)
+        self.inner.read().get_at(snap, key)
     }
 
     /// Snapshot-routed read with stale-route repair
@@ -125,29 +113,29 @@ impl<E: DhtEngine> KvService<E> {
             &self.stats,
             |at| self.get_at(at, key),
             Option::is_some,
-            |at| self.inner.read().store.route_at(at, key),
+            |at| self.inner.read().route_at(at, key),
         );
         RoutedGet { value, retries }
     }
 
     /// Exclusive write.
     pub fn put(&self, key: impl Into<Bytes>, value: impl Into<Bytes>) -> Option<Bytes> {
-        self.inner.write().store.put(key, value)
+        self.inner.write().put(key, value)
     }
 
     /// Exclusive removal.
     pub fn remove(&self, key: &[u8]) -> Option<Bytes> {
-        self.inner.write().store.remove(key)
+        self.inner.write().remove(key)
     }
 
     /// Entry count.
     pub fn len(&self) -> u64 {
-        self.inner.read().store.len()
+        self.inner.read().len()
     }
 
     /// `true` when empty (one read-lock acquisition, no key walk).
     pub fn is_empty(&self) -> bool {
-        self.inner.read().store.is_empty()
+        self.inner.read().is_empty()
     }
 
     /// A consistent snapshot of every stored key, in deterministic (owner,
@@ -176,12 +164,10 @@ impl<E: DhtEngine> KvService<E> {
         snode: SnodeId,
         sink: &mut dyn RebalanceSink,
     ) -> Result<(CreateOutcome, MigrationReport), DhtError> {
-        let mut g = self.inner.write();
-        let Served { store, builder } = &mut *g;
-        let res = store.join_with(snode, &mut Tee(&mut *builder, sink));
-        if let Ok((out, _)) = &res {
-            builder.note_create(out.vnode, snode);
-            builder.publish(&self.serve);
+        let mut store = self.inner.write();
+        let res = store.join_with(snode, sink);
+        if res.is_ok() {
+            self.serve.publish_next(store.engine());
         }
         res
     }
@@ -199,19 +185,17 @@ impl<E: DhtEngine> KvService<E> {
         v: VnodeId,
         sink: &mut dyn RebalanceSink,
     ) -> Result<(RemoveOutcome, MigrationReport), DhtError> {
-        let mut g = self.inner.write();
-        let Served { store, builder } = &mut *g;
-        let res = store.leave_with(v, &mut Tee(&mut *builder, sink));
+        let mut store = self.inner.write();
+        let res = store.leave_with(v, sink);
         if res.is_ok() {
-            builder.note_remove(v);
-            builder.publish(&self.serve);
+            self.serve.publish_next(store.engine());
         }
         res
     }
 
     /// Runs `f` under the read lock (bulk inspection).
     pub fn with_read<T>(&self, f: impl FnOnce(&KvStore<E>) -> T) -> T {
-        f(&self.inner.read().store)
+        f(&self.inner.read())
     }
 }
 

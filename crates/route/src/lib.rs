@@ -33,7 +33,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use domus_core::{DhtConfig, DhtEngine, LocalDht, SnapshotBuilder, SnapshotCell, SnodeId};
+//! use domus_core::{DhtConfig, DhtEngine, EngineSnapshot, LocalDht, NullSink, SnapshotCell, SnodeId};
 //! use domus_hashspace::HashSpace;
 //! use domus_route::{RouteCache, RouteVersion, Router, RouterConfig};
 //! use domus_sim::SimTime;
@@ -42,13 +42,11 @@
 //! let cfg = DhtConfig::new(HashSpace::new(32), 4, 2).unwrap();
 //! let mut dht = LocalDht::with_seed(cfg, 2004);
 //! let mut router = Router::new(RouterConfig::default());
-//! let mut builder = SnapshotBuilder::new(dht.config().hash_space());
 //! for s in 0..4u32 {
-//!     let out = dht.create_vnode_with(SnodeId(s), &mut builder).unwrap();
-//!     builder.note_create(out.vnode, SnodeId(s));
+//!     let out = dht.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
 //!     router.note_join(out.vnode, SnodeId(s), SimTime::ZERO);
 //! }
-//! let cell = Arc::new(SnapshotCell::new(builder.snapshot()));
+//! let cell = Arc::new(SnapshotCell::new(EngineSnapshot::from_engine(&dht, 0)));
 //!
 //! // Clients route through the pinned snapshot / a cache of it…
 //! let snap = cell.load();

@@ -101,7 +101,7 @@ impl RouteCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use domus_core::{DhtConfig, LocalDht, NullSink, SnapshotBuilder};
+    use domus_core::{DhtConfig, EngineSnapshot, LocalDht, NullSink};
     use domus_hashspace::HashSpace;
     use domus_kv::KvStore;
 
@@ -109,27 +109,25 @@ mod tests {
         HashSpace::new(32)
     }
 
-    fn grown(snodes: u32) -> (LocalDht, SnapshotBuilder, SnapshotCell) {
+    fn grown(snodes: u32) -> (LocalDht, SnapshotCell) {
         let cfg = DhtConfig::new(space(), 4, 2).unwrap();
         let mut dht = LocalDht::with_seed(cfg, 2004);
         for s in 0..snodes {
             dht.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
         }
-        let builder = SnapshotBuilder::from_engine(&dht);
-        let cell = SnapshotCell::new(builder.snapshot());
-        (dht, builder, cell)
+        let cell = SnapshotCell::new(EngineSnapshot::from_engine(&dht, 0));
+        (dht, cell)
     }
 
     #[test]
     fn versions_are_monotone_across_publishes() {
-        let (mut dht, mut builder, cell) = grown(4);
+        let (mut dht, cell) = grown(4);
         let cell = Arc::new(cell);
         let mut cache = RouteCache::new(Arc::clone(&cell));
         let mut last = cache.version();
         for s in 4..10u32 {
-            let out = dht.create_vnode_with(SnodeId(s), &mut builder).unwrap();
-            builder.note_create(out.vnode, SnodeId(s));
-            builder.publish(&cell);
+            dht.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
+            cell.publish_next(&dht);
             assert!(cache.refresh(), "a publish must stale the pin");
             let v = cache.version();
             assert!(v > last, "versions must be monotone: {v} after {last}");
@@ -140,7 +138,7 @@ mod tests {
 
     #[test]
     fn cache_repairs_staleness_in_one_round() {
-        let (mut dht, mut builder, cell) = grown(4);
+        let (mut dht, cell) = grown(4);
         let cell = Arc::new(cell);
         let mut cache = RouteCache::new(Arc::clone(&cell));
         let grid: Vec<u64> = (0..64u64).map(|i| i << 26).collect();
@@ -151,9 +149,8 @@ mod tests {
         assert_eq!(before.reads, 64);
         assert_eq!(before.stale_reads, 0, "a fresh pin never refreshes");
         // One membership change → exactly one refresh over the next sweep.
-        let out = dht.create_vnode_with(SnodeId(9), &mut builder).unwrap();
-        builder.note_create(out.vnode, SnodeId(9));
-        builder.publish(&cell);
+        dht.create_vnode_with(SnodeId(9), &mut NullSink).unwrap();
+        cell.publish_next(&dht);
         for &p in &grid {
             let cached = cache.lookup(p);
             let (_, owner) = dht.lookup(p).unwrap();

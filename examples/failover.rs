@@ -145,5 +145,5 @@ fn main() {
 /// The per-snode load vector the scheduler ticks against, read off a
 /// fresh serving-plane snapshot of the store's engine.
 fn snapshot_loads(kv: &ReplicatedStore<LocalDht>) -> Vec<SnodeLoad> {
-    SnapshotBuilder::from_engine(kv.engine()).snapshot().loads().to_vec()
+    EngineSnapshot::from_engine(kv.engine(), 0).loads().to_vec()
 }

@@ -504,3 +504,86 @@ fn sim_driver_runs_generically_over_all_backends() {
     assert!((c.trace().parallelism() - 1.0).abs() < 1e-9);
     assert!(l.trace().parallelism() > 1.0);
 }
+
+/// The routing walk's contract on one engine state. From point 0 the
+/// runs tile `[0, 2^Bh)` in order, with no gap or overlap, and each run's
+/// owner is `lookup(start)`'s. From any point the walk visits every run
+/// once, starting at the run holding the point and wrapping, and it stops
+/// as soon as `f` says so. Returns the runs from point 0.
+fn assert_walk<E: DhtEngine>(label: &str, dht: &E) -> Vec<(u64, u128, VnodeId)> {
+    let space = dht.config().hash_space();
+    let mut runs: Vec<(u64, u128, VnodeId)> = Vec::new();
+    dht.for_each_span(0, &mut |s, e, v| {
+        runs.push((s, e, v));
+        true
+    });
+    let mut cursor = 0u128;
+    for &(s, e, v) in &runs {
+        assert_eq!(u128::from(s), cursor, "{label}: gap or overlap at {cursor:#x}");
+        assert!(
+            e > cursor && e <= space.size(),
+            "{label}: run [{s:#x}, {e:#x}) is not in the space"
+        );
+        let owner = |p: u64| dht.lookup(p).map(|(_, o)| o);
+        assert_eq!(owner(s), Some(v), "{label}: owner of the run at {s:#x}");
+        assert_eq!(owner((e - 1) as u64), Some(v), "{label}: owner of the run ending at {e:#x}");
+        cursor = e;
+    }
+    assert_eq!(cursor, space.size(), "{label}: the runs end at the top of the space");
+    let mut points: Vec<u64> =
+        (0..32u64).map(|i| space.fold(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))).collect();
+    points.extend(runs.iter().flat_map(|&(s, e, _)| [s, (e - 1) as u64]));
+    for point in points {
+        let first = runs.partition_point(|r| r.0 <= point) - 1;
+        let want: Vec<_> = runs[first..].iter().chain(&runs[..first]).copied().collect();
+        let mut walk = Vec::new();
+        dht.for_each_span(point, &mut |s, e, v| {
+            walk.push((s, e, v));
+            true
+        });
+        assert_eq!(walk, want, "{label}: the walk from {point:#x}");
+        let mut visits = 0;
+        dht.for_each_span(point, &mut |_, _, _| {
+            visits += 1;
+            visits < 2
+        });
+        assert_eq!(visits, runs.len().min(2), "{label}: the walk stops when told");
+    }
+    runs
+}
+
+/// Grows, shrinks and crashes one engine, checking the walk after every
+/// operation.
+fn run_walk_script<E: DhtEngine>(
+    label: &str,
+    mut dht: E,
+    vnodes: u32,
+) -> Vec<(u64, u128, VnodeId)> {
+    dht.for_each_span(0, &mut |_, _, _| panic!("{label}: an empty DHT has no runs"));
+    for i in 0..vnodes {
+        dht.create_vnode_with(SnodeId(i % 5), &mut NullSink).unwrap();
+        assert_walk(label, &dht);
+    }
+    for v in dht.vnodes().into_iter().step_by(4) {
+        dht.remove_vnode_with(v, &mut NullSink).unwrap();
+        assert_walk(label, &dht);
+    }
+    dht.fail_snode(SnodeId(2), &mut NullSink).unwrap();
+    assert_walk(label, &dht)
+}
+
+#[test]
+fn routing_walk_tiles_the_space_on_every_backend() {
+    for bits in [BITS, 8] {
+        let space = HashSpace::new(bits);
+        let cfg = |vmin| DhtConfig::new(space, 4, vmin).unwrap();
+        let label = |name| format!("{name} {bits}-bit");
+        run_walk_script(&label("global"), GlobalDht::with_seed(cfg(1), 0xB1), 12);
+        run_walk_script(&label("local"), LocalDht::with_seed(cfg(2), 0xB2), 12);
+        let runs = run_walk_script(&label("ch"), ChEngine::with_seed(cfg(1), 8, 0xB4), 12);
+        // At this seed no ring point sits at `2^Bh - 1`, so one arc wraps
+        // through 0. It is split there: its owner holds both the first and
+        // the last run.
+        assert_eq!(runs[0].2, runs[runs.len() - 1].2, "{}: the wrapping arc", label("ch"));
+    }
+}

@@ -4,7 +4,6 @@
 //! after at most one repair round — on all three backends.
 
 use domus::prelude::*;
-use domus_core::SnapshotBuilder;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -277,14 +276,11 @@ fn run_cache_parity<E: DhtEngine>(
     script: &[ChurnOp],
 ) -> Result<(), TestCaseError> {
     // Seed two snodes so the table is never empty mid-script.
-    let mut builder = SnapshotBuilder::from_engine(&dht);
     for s in 0..2u32 {
-        let out = dht
-            .create_vnode_with(SnodeId(s), &mut builder)
+        dht.create_vnode_with(SnodeId(s), &mut NullSink)
             .map_err(|e| TestCaseError::fail(format!("{label}: seed join: {e}")))?;
-        builder.note_create(out.vnode, SnodeId(s));
     }
-    let cell = Arc::new(SnapshotCell::new(builder.snapshot()));
+    let cell = Arc::new(SnapshotCell::new(EngineSnapshot::from_engine(&dht, 0)));
     let mut cache = RouteCache::new(Arc::clone(&cell));
     let grid: Vec<u64> = {
         let space = dht.config().hash_space();
@@ -297,10 +293,8 @@ fn run_cache_parity<E: DhtEngine>(
             ChurnOp::Create(s) => {
                 let snode = SnodeId(next_snode + u32::from(s) % 3);
                 next_snode += 3;
-                let out = dht
-                    .create_vnode_with(snode, &mut builder)
+                dht.create_vnode_with(snode, &mut NullSink)
                     .map_err(|e| TestCaseError::fail(format!("{label}: create: {e}")))?;
-                builder.note_create(out.vnode, snode);
             }
             ChurnOp::Remove(pos) => {
                 let vnodes = dht.vnodes();
@@ -308,14 +302,11 @@ fn run_cache_parity<E: DhtEngine>(
                     continue; // keep at least two snodes' worth live
                 }
                 let v = vnodes[usize::from(pos) % vnodes.len()];
-                // The builder is the sink, so it hears any internal
-                // migration events itself; only the removal is noted.
-                dht.remove_vnode_with(v, &mut builder)
+                dht.remove_vnode_with(v, &mut NullSink)
                     .map_err(|e| TestCaseError::fail(format!("{label}: remove: {e}")))?;
-                builder.note_remove(v);
             }
         }
-        builder.publish(&cell);
+        cell.publish_next(&dht);
 
         // One sweep over the probe grid: the cache may refresh at most
         // once (one publish happened since the last sweep), and every

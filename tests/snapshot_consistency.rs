@@ -1,16 +1,18 @@
 //! The serving plane's consistency contract, asserted end to end.
 //!
-//! An [`EngineSnapshot`] is built *incrementally* — the
-//! [`SnapshotBuilder`] taps the rebalance event stream instead of
-//! re-reading the engine — so the thing that must never happen is a
+//! The program publishes each epoch off the engine's own routing map
+//! ([`EngineSnapshot::from_engine`]); the benchmark's
+//! [`SnapshotBuilder`] still rebuilds the same view incrementally from
+//! the rebalance event stream. The thing that must never happen is a
 //! *torn* view: a snapshot whose routing disagrees with the engine state
 //! it claims to capture. The harness here drives every backend through a
 //! grow/shrink storm and, at **every** published epoch, replays a dense
 //! probe grid through both the pinned view and the live engine's
-//! [`DhtEngine::lookup`]; any divergence at any epoch on any backend is
-//! a failure. A property test then asserts the retry contract the
-//! serving plane's readers rely on: a pin left one epoch behind always
-//! converges in at most one re-pin.
+//! [`DhtEngine::lookup`], and checks the builder's view against the
+//! engine's read — two independent constructions; any divergence at any
+//! epoch on any backend is a failure. A property test then asserts the
+//! retry contract the serving plane's readers rely on: a pin left one
+//! epoch behind always converges in at most one re-pin.
 
 use domus::prelude::*;
 use proptest::prelude::*;
@@ -78,6 +80,11 @@ fn storm<E: DhtEngine>(mut engine: E, seed: u64, ctx: &str) {
         let snap = cell.load();
         assert_eq!(snap.epoch(), epoch, "{ctx}: the cell serves the published epoch");
         assert_parity(&engine, &snap, ctx);
+        assert_eq!(
+            *snap,
+            EngineSnapshot::from_engine(&engine, epoch),
+            "{ctx}: the builder and the engine's walk disagree at epoch {epoch}"
+        );
     }
 }
 
@@ -108,18 +115,15 @@ fn snapshots_stay_immutable_once_pinned() {
     // A pinned epoch is a value: later publishes must never reach back
     // into an Arc a reader already holds.
     let mut engine = LocalDht::with_seed(DhtConfig::new(HashSpace::full(), 8, 4).unwrap(), 9);
-    let mut builder = SnapshotBuilder::from_engine(&engine);
-    let cell = SnapshotCell::new(builder.snapshot());
-    let out = engine.create_vnode_with(SnodeId(0), &mut builder).unwrap();
-    builder.note_create(out.vnode, SnodeId(0));
-    builder.publish(&cell);
+    let cell = SnapshotCell::new(EngineSnapshot::from_engine(&engine, 0));
+    engine.create_vnode_with(SnodeId(0), &mut NullSink).unwrap();
+    cell.publish_next(&engine);
 
     let pinned = cell.load();
     let before: Vec<_> = probe_points(pinned.space()).iter().map(|&p| pinned.lookup(p)).collect();
     for s in 1..6u32 {
-        let out = engine.create_vnode_with(SnodeId(s), &mut builder).unwrap();
-        builder.note_create(out.vnode, SnodeId(s));
-        builder.publish(&cell);
+        engine.create_vnode_with(SnodeId(s), &mut NullSink).unwrap();
+        cell.publish_next(&engine);
     }
     let after: Vec<_> = probe_points(pinned.space()).iter().map(|&p| pinned.lookup(p)).collect();
     assert_eq!(before, after, "a pinned snapshot changed under its reader");
